@@ -251,12 +251,6 @@ def series_evaluate(p: FreeSeries, assignment, ctx: RingCtx, dim: int) -> MatLoc
     return total
 
 
-def _int_matrix(rows, ctx: RingCtx) -> MatLocal:
-    return MatLocal.from_rows(
-        [[CycloElt.from_int(x, ctx) for x in row] for row in rows]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Numeric commutator checks on actual matrices.
 

@@ -8,15 +8,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .ring import (
+    CheckFailed,
     CycloElt,
     ContextMismatch,
-    DomainError,
     RingCtx,
     RingError,
-    zeta_poly_mul,
-    zeta_poly_add,
+    pack,
+    product_width,
+    unpack_reduced,
 )
 
 
@@ -104,7 +106,7 @@ class MatLocal:
             if len(row) != d:
                 raise ValueError("matrix must be square")
             for e in row:
-                if e.ctx != self.ctx:
+                if e.ctx is not self.ctx and e.ctx != self.ctx:
                     raise ContextMismatch("entry context differs from matrix context")
 
     @property
@@ -134,8 +136,7 @@ class MatLocal:
                 for k, mat in enumerate(digit_mats):
                     if k < ctx.precision:
                         digits[k] = mat[i][j] % ctx.ell
-                row.append(CycloElt.from_poly(
-                    _poly_from_digit_seq(digits, ctx.ell), ctx))
+                row.append(CycloElt(ctx, digits))
             rows.append(tuple(row))
         return MatLocal(ctx, tuple(rows))
 
@@ -161,22 +162,20 @@ class MatLocal:
     def __mul__(self, other: "MatLocal") -> "MatLocal":
         if self.ctx != other.ctx:
             raise ContextMismatch("matrix contexts differ")
-        d = self.dim
-        ell = self.ctx.ell
-        lifts_a = [[e.lift_poly() for e in row] for row in self.entries]
-        lifts_b = [[e.lift_poly() for e in row] for row in other.entries]
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = [0] * (ell - 1)
-                for t in range(d):
-                    prod = zeta_poly_mul(lifts_a[i][t], lifts_b[t][j], ell)
-                    for s, c in enumerate(prod):
-                        acc[s] += c
-                row.append(CycloElt.from_poly(tuple(acc), self.ctx))
-            rows.append(tuple(row))
-        return MatLocal(self.ctx, tuple(rows))
+        # Each entry is packed once; an output entry sums d packed products
+        # as plain integers and is reduced once.
+        ctx = self.ctx
+        w = product_width(ctx, self.dim)
+        rows_a = [[pack(e.coeffs, w) for e in row] for row in self.entries]
+        cols_b = [[pack(e.coeffs, w) for e in col] for col in zip(*other.entries)]
+        return MatLocal(ctx, tuple(
+            tuple(
+                CycloElt.from_reduced(
+                    unpack_reduced(sum(map(mul, row, col)), w, ctx), ctx)
+                for col in cols_b
+            )
+            for row in rows_a
+        ))
 
     def scale(self, c: CycloElt) -> "MatLocal":
         return MatLocal.from_rows([[c * e for e in row] for row in self.entries])
@@ -222,7 +221,7 @@ class MatLocal:
             a[col] = [pinv * x for x in a[col]]
             inv[col] = [pinv * x for x in inv[col]]
             for r in range(d):
-                if r != col and not a[r][col].is_zero():
+                if r != col and any(a[r][col].coeffs):
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                     inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
@@ -266,50 +265,74 @@ class MatLocal:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _poly_from_digit_seq(digits, ell):
-    from .ring import poly_from_digits
-
-    return poly_from_digits(digits, ell)
-
-
 # ---------------------------------------------------------------------------
 # Determinants.
 
 
 def det_local(a: MatLocal) -> CycloElt:
-    """O-linear determinant, computed exactly on integer lifts.
+    """O-linear determinant by elimination on unit pivots, O(d^3) ring ops.
 
-    Cofactor expansion with memoization over column subsets keeps the
-    computation exact for non-invertible matrices as well.
+    Every column has a unit pivot exactly when the determinant is a unit,
+    as for every member of a congruence subgroup.  Otherwise the determinant
+    is divisible by lambda and comes from the division-free Berkowitz
+    algorithm, which is exact for every matrix.
     """
     d = a.dim
-    ell = a.ctx.ell
-    lifts = [[e.lift_poly() for e in row] for row in a.entries]
-    zero = (0,) * (ell - 1)
-    memo = {}
+    rows = [list(row) for row in a.entries]
+    det = CycloElt.one(a.ctx)
+    for col in range(d):
+        piv = next((r for r in range(col, d) if rows[r][col].is_unit), None)
+        if piv is None:
+            return _det_berkowitz(a)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        pivot_row = rows[col]
+        det = det * pivot_row[col]
+        pinv = pivot_row[col].inverse()
+        for row in rows[col + 1:]:
+            if any(row[col].coeffs):
+                f = row[col] * pinv
+                for j in range(col + 1, d):
+                    row[j] = row[j] - f * pivot_row[j]
+    return det
 
-    def minor(row: int, colmask: int) -> tuple:
-        if row == d:
-            return (1,) + (0,) * (ell - 2)
-        key = colmask
-        if key in memo:
-            return memo[key]
-        total = zero
-        sign = 1
-        for j in range(d):
-            if colmask & (1 << j):
-                entry = lifts[row][j]
-                if any(entry):
-                    sub = minor(row + 1, colmask & ~(1 << j))
-                    term = zeta_poly_mul(entry, sub, ell)
-                    if sign < 0:
-                        term = tuple(-c for c in term)
-                    total = zeta_poly_add(total, term)
-                sign = -sign
-        memo[key] = total
-        return total
 
-    return CycloElt.from_poly(minor(0, (1 << d) - 1), a.ctx)
+def _det_berkowitz(a: MatLocal) -> CycloElt:
+    """Determinant from Berkowitz's characteristic polynomial: O(d^4) ring
+    multiplications and no division, so exact over any commutative ring.
+
+    With A_k the trailing (d-k) x (d-k) block of A, the coefficients of
+    det(x - A_k) are those of det(x - A_(k+1)) multiplied by the lower
+    triangular Toeplitz matrix with first column 1, -a_kk, -R C, -R M C,
+    -R M^2 C, ..., where a_kk, row R, column C and block M = A_(k+1)
+    partition A_k.
+    """
+    d = a.dim
+    e = a.entries
+    one = CycloElt.one(a.ctx)
+    poly = [one, -e[d - 1][d - 1]]  # det(x - A_(d-1)), leading coefficient first
+    for k in range(d - 2, -1, -1):
+        size = d - k
+        row = e[k][k + 1:]
+        col = [e[i][k] for i in range(k + 1, d)]
+        toeplitz = [one, -e[k][k]]
+        for j in range(size - 1):
+            toeplitz.append(-_dot(row, col))
+            if j < size - 2:
+                col = [_dot(e[i][k + 1:], col) for i in range(k + 1, d)]
+        poly = [
+            _dot([toeplitz[i - j] for j in range(min(i, size - 1) + 1)], poly)
+            for i in range(size + 1)
+        ]
+    return -poly[d] if d % 2 else poly[d]
+
+
+def _dot(xs, ys) -> CycloElt:
+    total = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        total = total + x * y
+    return total
 
 
 def det_base(a: MatLocal) -> CycloElt:
@@ -397,7 +420,7 @@ def classify_membership(a: MatLocal, form: HermitianForm) -> MembershipVerdict:
     """Test A^dagger Gamma A = mu Gamma; refine GU -> U -> SU.
 
     mu is read off the (1,1) position and then checked everywhere.  For
-    members, the identity conj(det) * det = mu^d is asserted as well.
+    members, the identity conj(det) * det = mu^d is checked as well.
     """
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
@@ -412,7 +435,8 @@ def classify_membership(a: MatLocal, form: HermitianForm) -> MembershipVerdict:
     if not mu.is_unit:
         return MembershipVerdict("none", None, None, (0, 0))
     dl = det_local(a)
-    assert dl.conjugate() * dl == mu ** a.dim, "conj(det)*det != mu^d"
+    if dl.conjugate() * dl != mu ** a.dim:
+        raise CheckFailed("conj(det)*det != mu^d")
     if mu == CycloElt.one(a.ctx):
         kind = "SU" if dl == CycloElt.one(a.ctx) else "U"
     else:
@@ -441,8 +465,8 @@ def weil_gram_and_epsilon(ell: int, r: int, c: int = 1):
     det = int_det_mod(gram, ell)
     square_class = legendre(det, ell)
     eps = legendre(r, ell)
-    if r % 2 == 1:
-        assert square_class == eps, "Gram determinant class must match class of r"
+    if r % 2 == 1 and square_class != eps:
+        raise CheckFailed("Gram determinant class must match class of r")
     return gram, square_class, eps
 
 
@@ -491,7 +515,8 @@ def su_basis(form: HermitianForm, parity_n: int, group: str = "SU"):
 def su_dimension_and_basis(form: HermitianForm, parity_n: int, group: str = "SU"):
     basis = su_basis(form, parity_n, group)
     dim = su_dimension(form.dim, parity_n, group)
-    assert len(basis) == dim
+    if len(basis) != dim:
+        raise CheckFailed(f"slice basis has {len(basis)} elements, expected {dim}")
     return dim, basis
 
 
@@ -540,9 +565,8 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     h = a_prime.dagger() * gam * a_prime
     delta = h - gam
     x = delta.digit(n - 1)
-    assert all(
-        all(e.digits[i] == 0 for i in range(n - 1)) for row in delta.entries for e in row
-    ), "defect must vanish below the top digit"
+    if any(any(e.digits[:n - 1]) for row in delta.entries for e in row):
+        raise CheckFailed("defect must vanish below the top digit")
     c = det_local(a_prime).digits[n - 1]
     inv2 = pow(2, -1, ell)
     ginv = form_n.gamma_inv_mod()

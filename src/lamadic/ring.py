@@ -1,16 +1,22 @@
 """Exact arithmetic in O/lambda^n, where O = Z[zeta_ell] and lambda = 1 - zeta_ell.
 
-Elements are stored by their canonical lambda-adic digits: residues in
-{0, ..., ell-1} giving the coefficients of lambda^0, ..., lambda^(n-1).
-All arithmetic routes through exact integer polynomials in the power basis
-1, zeta, ..., zeta^(ell-2), so no rounding ever occurs.
+An element is stored by its coefficients on the power basis 1, zeta, ...,
+zeta^(ell-2), each reduced mod ell^k with k = ceil(n/(ell-1)).  No
+information is lost: ell = lambda^(ell-1) * (a unit), so ell^k O lies in
+lambda^n O.  Products use Kronecker substitution: the coefficients are
+packed into one integer, multiplied once, unpacked, folded mod Phi_ell and
+reduced.  The power-basis form is not unique mod lambda^n.  The canonical
+form is the lambda-adic digits in {0, ..., ell-1}, the coefficients of
+lambda^0, ..., lambda^(n-1); they are computed on demand and cached, and
+equality, hashing, valuations and serialization read them.  Everything is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class RingError(Exception):
@@ -31,6 +37,11 @@ class NotAUnit(RingError):
 
 class DomainError(RingError):
     """Operand outside the domain of a partial operation (log/exp, shifts)."""
+
+
+class CheckFailed(RingError):
+    """An internal mathematical cross-check failed: the computation is wrong,
+    not the input.  Raised instead of asserting, so it also runs under -O."""
 
 
 def is_prime(n: int) -> bool:
@@ -64,6 +75,16 @@ class RingCtx:
     def at_precision(self, n: int) -> "RingCtx":
         return RingCtx(self.ell, n)
 
+    @cached_property
+    def modulus(self) -> int:
+        """ell^k with k = ceil(n/(ell-1)), the modulus of the coefficients."""
+        return self.ell ** -(-self.precision // (self.ell - 1))
+
+    @cached_property
+    def width(self) -> int:
+        """Packing width for the product of two elements."""
+        return product_width(self, 1)
+
 
 # ---------------------------------------------------------------------------
 # Integer polynomials in zeta, reduced to the basis 1, zeta, ..., zeta^(ell-2).
@@ -71,6 +92,8 @@ class RingCtx:
 
 def reduce_zeta_poly(coeffs, ell: int) -> tuple:
     """Reduce an integer polynomial in zeta to the canonical power basis."""
+    if len(coeffs) < ell:
+        return tuple(coeffs) + (0,) * (ell - 1 - len(coeffs))
     folded = [0] * ell
     for e, c in enumerate(coeffs):
         folded[e % ell] += c
@@ -99,18 +122,6 @@ def zeta_poly_galois(a: tuple, j: int, ell: int) -> tuple:
     for e, c in enumerate(a):
         out[(e * j) % ell] += c
     return reduce_zeta_poly(out, ell)
-
-
-@lru_cache(maxsize=None)
-def _nu_poly(ell: int) -> tuple:
-    """The integral element ell / lambda = prod_{j=2}^{ell-1} (1 - zeta^j)."""
-    nu = reduce_zeta_poly((1,), ell)
-    for j in range(2, ell):
-        factor = [0] * (j + 1)
-        factor[0] = 1
-        factor[j] = -1
-        nu = zeta_poly_mul(nu, reduce_zeta_poly(factor, ell), ell)
-    return nu
 
 
 _LAMBDA = {}
@@ -144,7 +155,8 @@ def digits_from_poly(poly, ell: int, n: int) -> tuple:
         s[ell - 2] = -k
         for j in range(ell - 2, 0, -1):
             s[j - 1] = (p[j] - k) + s[j]
-        assert p[0] - k + s[0] == 0, "inexact division by lambda"
+        if p[0] - k + s[0] != 0:
+            raise CheckFailed("inexact division by lambda")
         p = [-c for c in s]
     return tuple(digits)
 
@@ -170,30 +182,94 @@ def poly_from_digits(digits, ell: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Kronecker substitution on reduced coefficients.
 
 
-@dataclass(frozen=True)
+def product_width(ctx: RingCtx, terms: int) -> int:
+    """Slot width that holds a sum of `terms` packed products exactly.
+
+    Each power-basis coefficient lies in [0, modulus), and after folding
+    zeta^ell = 1 every slot of one product collects at most ell-1 terms."""
+    return (terms * (ctx.ell - 1) * (ctx.modulus - 1) ** 2).bit_length()
+
+
+def pack(coeffs, width: int) -> int:
+    """The coefficients, each in [0, 2^width), as the digits of one integer."""
+    x = 0
+    for c in reversed(coeffs):
+        x = (x << width) | c
+    return x
+
+
+def unpack_reduced(x: int, width: int, ctx: RingCtx) -> tuple:
+    """Reduced coefficients of a packed product, or sum of packed products.
+
+    The 2*ell - 3 slots of x fold to ell with zeta^ell = 1 (in the packed
+    integer, without carries), then zeta^(ell-1) = -(1 + ... + zeta^(ell-2))
+    takes the top slot out of the others."""
+    ell = ctx.ell
+    low = ell * width
+    x = (x & ((1 << low) - 1)) + (x >> low)
+    mask = (1 << width) - 1
+    slots = []
+    for _ in range(ell):
+        slots.append(x & mask)
+        x >>= width
+    top = slots.pop()
+    m = ctx.modulus
+    return tuple((s - top) % m for s in slots)
+
+
+# ---------------------------------------------------------------------------
+
+
 class CycloElt:
-    """An element of O/lambda^n in canonical digit form."""
+    """An element of O/lambda^n.
 
-    ctx: RingCtx
-    digits: tuple
+    `coeffs` holds its power-basis coefficients mod ctx.modulus; `digits`
+    holds its canonical lambda-adic digits, computed on first use.
+    """
 
-    def __post_init__(self):
-        if len(self.digits) != self.ctx.precision:
+    __slots__ = ("ctx", "coeffs", "_digits")
+
+    def __init__(self, ctx: RingCtx, digits):
+        digits = tuple(digits)
+        if len(digits) != ctx.precision:
             raise ValueError("digit count must equal the context precision")
-        if any(not (0 <= d < self.ctx.ell) for d in self.digits):
+        if any(not (0 <= d < ctx.ell) for d in digits):
             raise ValueError("digits must lie in {0, ..., ell-1}")
+        m = ctx.modulus
+        self.ctx = ctx
+        self.coeffs = tuple(c % m for c in poly_from_digits(digits, ctx.ell))
+        self._digits = digits
+
+    @staticmethod
+    def from_reduced(coeffs: tuple, ctx: RingCtx) -> "CycloElt":
+        """Wrap ell-1 power-basis coefficients already reduced mod ctx.modulus."""
+        e = object.__new__(CycloElt)
+        e.ctx = ctx
+        e.coeffs = coeffs
+        e._digits = None
+        return e
+
+    @property
+    def digits(self) -> tuple:
+        if self._digits is None:
+            self._digits = digits_from_poly(self.coeffs, self.ctx.ell, self.ctx.precision)
+        return self._digits
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_poly(coeffs, ctx: RingCtx) -> "CycloElt":
-        return CycloElt(ctx, digits_from_poly(tuple(coeffs), ctx.ell, ctx.precision))
+        m = ctx.modulus
+        return CycloElt.from_reduced(
+            tuple(c % m for c in reduce_zeta_poly(coeffs, ctx.ell)), ctx
+        )
 
     @staticmethod
     def from_int(k: int, ctx: RingCtx) -> "CycloElt":
-        return CycloElt.from_poly((k,), ctx)
+        return CycloElt.from_reduced((k % ctx.modulus,) + (0,) * (ctx.ell - 2), ctx)
 
     @staticmethod
     def zero(ctx: RingCtx) -> "CycloElt":
@@ -201,7 +277,7 @@ class CycloElt:
 
     @staticmethod
     def one(ctx: RingCtx) -> "CycloElt":
-        return CycloElt.from_int(1, ctx)
+        return CycloElt(ctx, (1,) + (0,) * (ctx.precision - 1))
 
     @staticmethod
     def zeta(ctx: RingCtx, power: int = 1) -> "CycloElt":
@@ -213,7 +289,7 @@ class CycloElt:
         digits = [0] * ctx.precision
         if power < ctx.precision:
             digits[power] = 1
-        return CycloElt(ctx, tuple(digits))
+        return CycloElt(ctx, digits)
 
     # -- basic queries -----------------------------------------------------
 
@@ -226,43 +302,59 @@ class CycloElt:
 
     @property
     def is_unit(self) -> bool:
-        return self.digits[0] != 0
+        # zeta = 1 mod lambda, so the residue mod lambda is p(1) mod ell
+        return sum(self.coeffs) % self.ctx.ell != 0
 
     def is_zero(self) -> bool:
-        return all(d == 0 for d in self.digits)
+        return not any(self.digits)
 
     def lift_poly(self) -> tuple:
-        """Exact integer representative in the zeta power basis (memoized)."""
-        cached = getattr(self, "_lift", None)
-        if cached is None:
-            cached = poly_from_digits(self.digits, self.ctx.ell)
-            object.__setattr__(self, "_lift", cached)
-        return cached
+        """An exact integer representative in the zeta power basis."""
+        return self.coeffs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CycloElt):
+            return NotImplemented
+        return self.ctx == other.ctx and (
+            self.coeffs == other.coeffs or self.digits == other.digits
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.digits))
 
     # -- ring structure ----------------------------------------------------
 
     def _check(self, other: "CycloElt"):
-        if self.ctx != other.ctx:
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
 
     def __add__(self, other: "CycloElt") -> "CycloElt":
         self._check(other)
-        return CycloElt.from_poly(
-            zeta_poly_add(self.lift_poly(), other.lift_poly()), self.ctx
+        m = self.ctx.modulus
+        return CycloElt.from_reduced(
+            tuple((x + y) % m for x, y in zip(self.coeffs, other.coeffs)), self.ctx
         )
 
     def __neg__(self) -> "CycloElt":
-        return CycloElt.from_poly(tuple(-c for c in self.lift_poly()), self.ctx)
+        m = self.ctx.modulus
+        return CycloElt.from_reduced(tuple(-x % m for x in self.coeffs), self.ctx)
 
     def __sub__(self, other: "CycloElt") -> "CycloElt":
-        return self + (-other)
+        self._check(other)
+        m = self.ctx.modulus
+        return CycloElt.from_reduced(
+            tuple((x - y) % m for x, y in zip(self.coeffs, other.coeffs)), self.ctx
+        )
 
     def __mul__(self, other) -> "CycloElt":
+        ctx = self.ctx
         if isinstance(other, int):
-            other = CycloElt.from_int(other, self.ctx)
+            m = ctx.modulus
+            return CycloElt.from_reduced(tuple(x * other % m for x in self.coeffs), ctx)
         self._check(other)
-        return CycloElt.from_poly(
-            zeta_poly_mul(self.lift_poly(), other.lift_poly(), self.ctx.ell), self.ctx
+        w = ctx.width
+        return CycloElt.from_reduced(
+            unpack_reduced(pack(self.coeffs, w) * pack(other.coeffs, w), w, ctx), ctx
         )
 
     __rmul__ = __mul__
@@ -283,10 +375,12 @@ class CycloElt:
         """Multiplicative inverse; Newton iteration doubles lambda-precision."""
         if not self.is_unit:
             raise NotAUnit(self.ord_lambda)
-        x = CycloElt.from_int(pow(self.digits[0], -1, self.ctx.ell), self.ctx)
+        ell = self.ctx.ell
+        x = CycloElt.from_int(pow(sum(self.coeffs) % ell, -1, ell), self.ctx)
+        two = CycloElt.from_int(2, self.ctx)
         prec = 1
         while prec < self.ctx.precision:
-            x = x * (CycloElt.from_int(2, self.ctx) - self * x)
+            x = x * (two - self * x)
             prec *= 2
         return x
 
@@ -299,7 +393,7 @@ class CycloElt:
         if j % self.ctx.ell == 0:
             raise DomainError(f"sigma_j needs j invertible mod ell, got j = {j}")
         return CycloElt.from_poly(
-            zeta_poly_galois(self.lift_poly(), j % self.ctx.ell, self.ctx.ell), self.ctx
+            zeta_poly_galois(self.coeffs, j % self.ctx.ell, self.ctx.ell), self.ctx
         )
 
     # -- precision management ---------------------------------------------
@@ -307,7 +401,12 @@ class CycloElt:
     def truncate(self, n: int) -> "CycloElt":
         if n > self.ctx.precision:
             raise DomainError("cannot truncate upward")
-        return CycloElt(self.ctx.at_precision(n), self.digits[:n])
+        ctx = self.ctx.at_precision(n)
+        m = ctx.modulus
+        out = CycloElt.from_reduced(tuple(c % m for c in self.coeffs), ctx)
+        if self._digits is not None:
+            out._digits = self._digits[:n]
+        return out
 
     def pad_zero(self, n: int) -> "CycloElt":
         """Choose the representative with zero high digits at precision n."""
@@ -324,10 +423,6 @@ class CycloElt:
         if any(self.digits[:k]):
             raise DomainError(f"not divisible by lambda^{k}")
         return CycloElt(self.ctx.at_precision(self.ctx.precision - k), self.digits[k:])
-
-    def shift_up(self, k: int) -> "CycloElt":
-        """Multiplication by lambda^k, raising the precision accordingly."""
-        return CycloElt(self.ctx.at_precision(self.ctx.precision + k), (0,) * k + self.digits)
 
     # -- serialization -----------------------------------------------------
 
@@ -351,11 +446,6 @@ class CycloElt:
 
     def __repr__(self):
         return f"CycloElt(ell={self.ctx.ell}, digits={list(self.digits)})"
-
-
-def canonicalize(coeffs, ctx: RingCtx) -> CycloElt:
-    """Canonical digits of an integer-coefficient polynomial in zeta."""
-    return CycloElt.from_poly(coeffs, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -186,23 +186,28 @@ def test_criterion_08_lattice_index():
 
 
 def test_criterion_09_ring_kernel():
-    from lamadic.ring import digits_from_poly, zeta_poly_mul
+    from ring_oracles import in_lambda_n, lift_digits, mul_mod_phi
 
     start = time.monotonic()
-    ctx = RingCtx(3, 3)
-    elements = [
-        CycloElt(ctx, digits) for digits in product(range(3), repeat=3)
-    ]
-    assert len(elements) == 27
-    for a in elements:
-        for b in elements:
+    rng = random.Random(9)
+    for ell, n in ((3, 3), (5, 5), (7, 4), (11, 3)):
+        ctx = RingCtx(ell, n)
+        if ell == 3:
+            elements = [CycloElt(ctx, digits) for digits in product(range(3), repeat=3)]
+            assert len(elements) == 27
+            pairs = [(a, b) for a in elements for b in elements]
+        else:
+            def draw():
+                return CycloElt(ctx, tuple(rng.randrange(ell) for _ in range(n)))
+
+            pairs = [(draw(), draw()) for _ in range(200)]
+        for a, b in pairs:
             got = a * b
-            # independent oracle: multiply exact integer lifts in Z[zeta]
-            # and re-extract digits
-            expected = digits_from_poly(
-                zeta_poly_mul(a.lift_poly(), b.lift_poly(), 3), 3, 3
-            )
-            assert got.digits == expected
+            # independent oracle: schoolbook product of the digit expansions
+            # in Z[zeta], compared with the digits of a*b modulo lambda^n
+            want = mul_mod_phi(lift_digits(a.digits, ell), lift_digits(b.digits, ell), ell)
+            diff = [g - w for g, w in zip(lift_digits(got.digits, ell), want)]
+            assert in_lambda_n(diff, ell, n), (ell, a.digits, b.digits)
     for ell in (3, 5, 7, 11):
         ctx = RingCtx(ell, 4)
         lam = CycloElt.lam(ctx, 1)

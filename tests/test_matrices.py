@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
-from lamadic.ring import CycloElt, RingCtx
+from lamadic.ring import CheckFailed, CycloElt, RingCtx
 from lamadic.matrices import (
+    _det_berkowitz,
     HermitianForm,
     MatLocal,
     MembershipError,
@@ -21,6 +26,7 @@ from lamadic.matrices import (
     su_dimension_and_basis,
     weil_gram_and_epsilon,
 )
+from ring_oracles import det_cofactor
 
 
 def rand_mat(ctx, d, rng):
@@ -50,6 +56,46 @@ def test_det_multiplicative():
         a, b = rand_mat(ctx, 2, rng), rand_mat(ctx, 2, rng)
         assert det_local(a * b) == det_local(a) * det_local(b)
         assert det_base(a * b) == det_base(a) * det_base(b)
+
+
+def _singular_mod_lambda(ctx, d, rng):
+    """A random matrix whose last row is an F_ell-combination of the others
+    plus lambda times a random row: its determinant is divisible by lambda."""
+    a = rand_mat(ctx, d, rng)
+    rows = [list(row) for row in a.entries]
+    lam = CycloElt.lam(ctx, 1)
+    last = [lam * e for e in rand_mat(ctx, d, rng).entries[0]]
+    for row in rows[:-1]:
+        c = rng.randrange(ctx.ell)
+        last = [x + c * y for x, y in zip(last, row)]
+    rows[-1] = last
+    return MatLocal.from_rows(rows)
+
+
+@pytest.mark.parametrize("ell, n", [(3, 4), (5, 3), (7, 2), (11, 3)])
+def test_det_local_matches_cofactor_oracle(ell, n):
+    rng = random.Random(ell * 100 + n)
+    ctx = RingCtx(ell, n)
+    non_units = 0
+    for d in range(1, 9):
+        mats = [rand_mat(ctx, d, rng) for _ in range(2)]
+        if d >= 2:
+            mats += [_singular_mod_lambda(ctx, d, rng) for _ in range(2)]
+        for a in mats:
+            want = det_cofactor(a)
+            assert det_local(a) == want, (d, a)
+            assert _det_berkowitz(a) == want, (d, a)
+            if not want.is_unit and not want.is_zero():
+                non_units += 1
+    assert non_units >= 10  # the Berkowitz fallback of det_local ran
+
+
+def test_det_local_of_su_members_matches_oracle():
+    rng = random.Random(12)
+    for ell, d, n in ((3, 8, 3), (5, 10, 3)):
+        form = HermitianForm.standard(RingCtx(ell, 1), d, -1)
+        a = random_su_element(form, n, rng)
+        assert det_local(a) == det_cofactor(a) == CycloElt.one(a.ctx)
 
 
 def test_det_base_is_galois_stable():
@@ -237,3 +283,29 @@ def test_matrix_json_roundtrip():
     import json
 
     assert MatLocal.from_json_dict(json.loads(a.to_json())) == a
+
+
+_PLANTED = """
+import lamadic.matrices as m
+from lamadic import CycloElt
+from lamadic.cli import run
+
+m.det_local = lambda a: CycloElt.from_int(2, a.ctx)
+print(run(["lift-check", "--ell", "5", "--d", "2", "--n", "3", "--trials", "1"]))
+"""
+
+
+def test_planted_check_failure_raises_check_failed(monkeypatch):
+    import lamadic.matrices as matrices
+
+    monkeypatch.setattr(matrices, "det_local", lambda a: CycloElt.from_int(2, a.ctx))
+    form = HermitianForm.standard(RingCtx(5, 2), 2)
+    with pytest.raises(CheckFailed):
+        classify_membership(MatLocal.identity(form.ctx, 2), form)
+    # the check survives python -O, and the CLI maps it to exit code 2
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", _PLANTED], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["2"]
+    assert "CheckFailed" in proc.stderr

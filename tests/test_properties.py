@@ -1,0 +1,95 @@
+"""Property tests over random (ell, n): an element built from digits and one
+produced by arithmetic must behave as the same element of O/lambda^n.
+
+Examples are derandomized, so every run tests the same inputs.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lamadic.matrices import MatLocal, det_local
+from lamadic.ring import CycloElt, RingCtx
+
+SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+checked = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+@st.composite
+def contexts(draw):
+    return RingCtx(draw(st.sampled_from(SMALL_PRIMES)), draw(st.integers(1, 8)))
+
+
+def elements(ctx):
+    return st.lists(
+        st.integers(0, ctx.ell - 1), min_size=ctx.precision, max_size=ctx.precision
+    ).map(lambda digits: CycloElt(ctx, digits))
+
+
+@st.composite
+def ctx_and_elements(draw):
+    ctx = draw(contexts())
+    return ctx, [draw(elements(ctx)) for _ in range(3)]
+
+
+@checked
+@given(ctx_and_elements())
+def test_ring_axioms(data):
+    ctx, (a, b, c) = data
+    zero, one = CycloElt.zero(ctx), CycloElt.one(ctx)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a - a == zero and a + (-a) == zero and (a - b) + b == a
+
+
+@checked
+@given(ctx_and_elements())
+def test_equal_elements_hash_equal(data):
+    ctx, (a, b, c) = data
+    via_arithmetic = (a + b) * c - b * c
+    assert via_arithmetic == a * c
+    rebuilt = CycloElt(ctx, via_arithmetic.digits)
+    assert rebuilt == via_arithmetic and hash(rebuilt) == hash(via_arithmetic)
+    # the inverse is exact mod lambda^n only, so the coefficients differ
+    unit = CycloElt.one(ctx) + CycloElt.lam(ctx, 1) * c
+    round_trip = (a * unit) * unit.inverse()
+    assert round_trip == a and hash(round_trip) == hash(a)
+    assert {round_trip} == {a} == {CycloElt(ctx, a.digits)}
+
+
+@checked
+@given(ctx_and_elements(), st.integers(1, 22))
+def test_galois_is_a_ring_homomorphism(data, j):
+    ctx, (a, b, _) = data
+    j = j % (ctx.ell - 1) + 1
+    assert (a * b).galois(j) == a.galois(j) * b.galois(j)
+    assert (a + b).galois(j) == a.galois(j) + b.galois(j)
+    assert CycloElt.one(ctx).galois(j) == CycloElt.one(ctx)
+
+
+@checked
+@given(ctx_and_elements())
+def test_json_round_trip(data):
+    ctx, (a, b, _) = data
+    for x in (a, a * b - b):
+        back = CycloElt.from_json(x.to_json())
+        assert back == x and back.to_json() == x.to_json()
+        assert repr(back) == repr(x)
+
+
+@checked
+@given(st.data())
+def test_det_local_is_multiplicative(data):
+    ctx = data.draw(contexts())
+    d = data.draw(st.integers(1, 4))
+
+    def matrix():
+        return MatLocal.from_rows(
+            [[data.draw(elements(ctx)) for _ in range(d)] for _ in range(d)]
+        )
+
+    a, b = matrix(), matrix()
+    assert det_local(a * b) == det_local(a) * det_local(b)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from lamadic.ring import (
     poly_from_digits,
     unit_part_of_ell,
 )
+from ring_oracles import in_lambda_n, lift_digits, mul_mod_phi
 
 
 def test_digit_examples():
@@ -164,48 +166,27 @@ def test_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# Independent multiplication oracle on Z[x]/(x^2 + x + 1), with equality
-# modulo lambda^3 decided by ideal membership through the norm.
+# Independent multiplication oracle: schoolbook products mod Phi_ell, with
+# equality modulo lambda^n decided by ideal membership through the norm.
 
 
-def _oracle_mul(p, q):
-    # (a + b z)(c + d z) with z^2 = -z - 1
-    a, b = p
-    c, d = q
-    return (a * c - b * d, a * d + b * c - b * d)
-
-
-def _in_lambda3(p):
-    # z in (lambda^3) iff z * conj(lambda^3) has all coefficients divisible
-    # by N(lambda)^3 = 27; conj acts by z -> z^2 = -1 - z
-    a, b = p
-    # lambda = 1 - z, lambda^3 = (1 - z)^3; conj(lambda)^3 = (1 - z^2)^3
-    lam3_conj = _pow((2, 1), 3)  # conj(lambda) = 1 - z^2 = 2 + z
-    prod = _oracle_mul(p, lam3_conj)
-    return all(c % 27 == 0 for c in prod)
-
-
-def _pow(p, k):
-    acc = (1, 0)
-    for _ in range(k):
-        acc = _oracle_mul(acc, p)
-    return acc
-
-
-def _elt_to_pair(e):
-    poly = e.lift_poly()  # coefficients on 1, zeta
-    return (poly[0], poly[1])
+def test_in_lambda_n_oracle_on_lambda_powers():
+    for ell in (3, 5, 7, 11):
+        lam = [1, -1] + [0] * (ell - 3)
+        power = [1] + [0] * (ell - 2)
+        for n in range(6):
+            assert in_lambda_n(power, ell, n) and not in_lambda_n(power, ell, n + 1)
+            power = mul_mod_phi(power, lam, ell)
+        # ell = lambda^(ell-1) * unit
+        ell_poly = [ell] + [0] * (ell - 2)
+        assert in_lambda_n(ell_poly, ell, ell - 1) and not in_lambda_n(ell_poly, ell, ell)
 
 
 def test_multiplication_table_against_oracle():
     ctx = RingCtx(3, 3)
-    elements = []
-    for k in range(27):
-        digits = tuple((k // 3**i) % 3 for i in range(3))
-        elements.append(CycloElt(ctx, digits))
+    elements = [CycloElt(ctx, digits) for digits in product(range(3), repeat=3)]
     for x in elements:
         for y in elements:
-            got = _elt_to_pair(x * y)
-            want = _oracle_mul(_elt_to_pair(x), _elt_to_pair(y))
-            diff = (got[0] - want[0], got[1] - want[1])
-            assert _in_lambda3(diff), (x.digits, y.digits)
+            want = mul_mod_phi(lift_digits(x.digits, 3), lift_digits(y.digits, 3), 3)
+            got = lift_digits((x * y).digits, 3)
+            assert in_lambda_n([g - w for g, w in zip(got, want)], 3, 3), (x.digits, y.digits)
