@@ -1,7 +1,7 @@
 """Exact arithmetic of the class-number invariants: the weights n(j) and
 n'(j), the half-system determinant matrix [n'(i j^{-1})], the constant
 c_{l,r} attached to the multiplicative order of r, the relative class
-number h_l^- via generalized Bernoulli numbers, and the exponents
+number h_l^- as a resultant (the Maillet determinant), and the exponents
 (kappa bound, t).
 """
 
@@ -11,8 +11,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .ring import DomainError, is_prime
+from . import linalg
+from .ring import CheckFailed, DomainError, is_prime
 
 
 def _check_ell(ell: int):
@@ -60,119 +62,57 @@ def c_lr(ell: int, r: int):
 
 
 # ---------------------------------------------------------------------------
-# Relative class number via the product of generalized Bernoulli numbers.
+# The relative class number as a resultant, and exact rational determinants.
 
-
-def _cyclotomic_coeffs(n: int):
-    from sympy import Poly, symbols
-    from sympy.polys.specialpolys import cyclotomic_poly
-
-    x = symbols("x")
-    return [int(c) for c in Poly(cyclotomic_poly(n, x), x).all_coeffs()[::-1]]
-
-
-def _polymod_mul(a, b, phi):
-    """Multiply in Q[x]/phi(x), phi monic with integer coefficients."""
-    deg = len(phi) - 1
-    prod = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    prod[i + j] += ca * cb
-    for k in range(len(prod) - 1, deg - 1, -1):
-        c = prod[k]
-        if c:
-            for t in range(deg + 1):
-                prod[k - deg + t] -= c * phi[t]
-    return prod[:deg] + [Fraction(0)] * (deg - len(prod[:deg]))
+# Largest ell accepted by h_minus; h^-(211) takes about 0.5 s and the cost
+# grows like ell^4 (a Bareiss determinant of size (ell-1)/2).
+H_MINUS_MAX_ELL = 211
 
 
 def _primitive_root(ell: int) -> int:
-    for g in range(2, ell):
-        seen, acc = 0, 1
-        for _ in range(ell - 1):
-            acc = acc * g % ell
-            seen += 1
-            if acc == 1:
-                break
-        if seen == ell - 1:
-            return g
-    raise DomainError("no primitive root found")
+    m = ell - 1
+    prime_divisors = [q for q in range(2, m + 1) if m % q == 0 and is_prime(q)]
+    return next(g for g in range(2, ell)
+                if all(pow(g, m // q, ell) != 1 for q in prime_divisors))
 
 
 @lru_cache(maxsize=None)
-def h_minus(ell: int, bound: int = 67) -> int:
-    """h^- = 2*ell * prod over odd characters chi of (-1/2) B_{1,chi},
-    with B_{1,chi} = (1/ell) sum_a a*chi(a), evaluated exactly in the
-    cyclotomic field of conductor ell - 1 and asserted integral."""
+def h_minus(ell: int) -> int:
+    """h^- = 2 ell (-1/(2 ell))^h Res(x^h + 1, G) with h = (ell-1)/2,
+    G = sum_{e<h} (2 (g^e mod ell) - ell) x^e and g a primitive root
+    (the Maillet determinant; Washington, Cyclotomic Fields, Thm 4.17).
+
+    The product over the odd characters of -B_{1,chi}/2 is the product of
+    G over the roots of x^h + 1, so the resultant is the determinant of
+    the negacyclic matrix of G, the matrix of multiplication by G in
+    Z[x]/(x^h + 1)."""
     _check_ell(ell)
-    if ell > bound:
-        raise DomainError(f"ell = {ell} exceeds the configured bound {bound}")
-    m = ell - 1
-    phi = [Fraction(c) for c in _cyclotomic_coeffs(m)]
-    deg = len(phi) - 1
+    if ell > H_MINUS_MAX_ELL:
+        raise DomainError(f"ell = {ell} exceeds the limit {H_MINUS_MAX_ELL} for h^-")
+    h = (ell - 1) // 2
     g = _primitive_root(ell)
-    # dlog[a] = discrete log of a base g
-    dlog = {}
-    acc = 1
-    for e in range(m):
-        dlog[acc] = e
+    coeffs, acc = [], 1
+    for _ in range(h):
+        coeffs.append(2 * acc - ell)
         acc = acc * g % ell
-    # power table of zeta_m = x in Q[x]/phi
-    zpow = []
-    cur = [Fraction(0)] * deg
-    cur[0] = Fraction(1)
-    xpoly = [Fraction(0)] * deg
-    if deg > 1:
-        xpoly[1] = Fraction(1)
-    else:
-        xpoly[0] = -phi[0]
-    for _ in range(m):
-        zpow.append(cur)
-        cur = _polymod_mul(cur, xpoly, phi)
-    product = [Fraction(0)] * deg
-    product[0] = Fraction(1)
-    for k in range(1, m, 2):  # odd characters chi_k(g^e) = zeta_m^(k e)
-        b1 = [Fraction(0)] * deg
-        for a in range(1, ell):
-            z = zpow[(k * dlog[a]) % m]
-            for t in range(deg):
-                b1[t] += Fraction(a, ell) * z[t]
-        factor = [Fraction(-1, 2) * c for c in b1]
-        product = _polymod_mul(product, factor, phi)
-    result = [2 * ell * c for c in product]
-    for c in result[1:]:
-        assert c == 0, "class number product must be rational"
-    assert result[0].denominator == 1, "class number product must be integral"
-    h = int(result[0])
-    assert h >= 1
-    return h
-
-
-# ---------------------------------------------------------------------------
-# The half-system matrix and its exact determinant.
+    negacyclic = [
+        [coeffs[j - i] if j >= i else -coeffs[h + j - i] for j in range(h)]
+        for i in range(h)
+    ]
+    num = 2 * ell * (-1) ** h * linalg.det(negacyclic)
+    den = (2 * ell) ** h
+    if num % den or num <= 0:
+        raise CheckFailed(f"h^- = {Fraction(num, den)} is not a positive integer")
+    return num // den
 
 
 def fraction_det(rows) -> Fraction:
-    """Exact determinant over Q by Gaussian elimination with Fractions."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    d = len(a)
-    det = Fraction(1)
-    for col in range(d):
-        piv = next((r for r in range(col, d) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, d):
-            f = a[r][col] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    """Exact determinant over Q: the integer determinant of the d x d matrix
+    scaled by the common denominator L of its entries, divided by L^d."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return Fraction(linalg.det([[int(x * den) for x in row] for row in rows]),
+                    den ** len(rows))
 
 
 def ord_p(x, p: int) -> int:
@@ -239,17 +179,16 @@ def half_system_matrix(ell: int, r: int, reps=None):
     ]
 
 
-def demjanenko_det(ell: int, r: int, reps=None, h_bound: int = 67) -> DemjanenkoReport:
-    """The half-system determinant with the class-number identity asserted:
-    |det| = h^- * c_{l,r} / (2 ell).  The sign is recorded, not asserted."""
+def demjanenko_det(ell: int, r: int, reps=None) -> DemjanenkoReport:
+    """The half-system determinant with the class-number identity checked:
+    |det| = h^- * c_{l,r} / (2 ell).  The sign is recorded, not checked."""
     reps, matrix = half_system_matrix(ell, r, reps)
     det = fraction_det(matrix)
     r_ell, c = c_lr(ell, r)
-    h = h_minus(ell, bound=h_bound)
+    h = h_minus(ell)
     expected = Fraction(h * c, 2 * ell)
-    assert abs(det) == expected, (
-        f"determinant magnitude {abs(det)} != h^- c / (2 ell) = {expected}"
-    )
+    if abs(det) != expected:
+        raise CheckFailed(f"determinant magnitude {abs(det)} != h^- c / (2 ell) = {expected}")
     g = len(reps)
     t = ord_p(det * 2**g, ell)
     kappa_bound = ord_p(Fraction(h * c), ell) - 1
@@ -268,7 +207,7 @@ def demjanenko_det(ell: int, r: int, reps=None, h_bound: int = 67) -> Demjanenko
     )
 
 
-def kappa_and_t(ell: int, r: int, h_bound: int = 67):
+def kappa_and_t(ell: int, r: int):
     """(kappa upper bound, exact exponent t = ord_ell det 2[n'])."""
-    rep = demjanenko_det(ell, r, h_bound=h_bound)
+    rep = demjanenko_det(ell, r)
     return rep.kappa_bound, rep.t

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import echelon_mod
 from .ring import CycloElt, RingCtx, DomainError
 from .matrices import (
     HermitianForm,
@@ -349,26 +350,6 @@ def eij_bracket_table(form: HermitianForm, i: int, j: int, l: int, m: int, n: in
 # Span of top-level commutators of lifted slice generators.
 
 
-def int_mat_rank_mod(vectors, p: int) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _lift_slice_generator(form: HermitianForm, level: int, gen, precision: int) -> MatLocal:
     """Lift I + lambda^level * gen from precision level+1 up to the target."""
     ctx = form.ctx.at_precision(level + 1)
@@ -406,4 +387,4 @@ def su_commutator_span_check(ell: int, d: int, n: int, sign: int = 1) -> bool:
                 comm = group_commutator(a, b)
                 top = comm.digit(n - 1)
                 vectors.append([top[p][q] for p in range(d) for q in range(d)])
-    return int_mat_rank_mod(vectors, ell) == su_dimension(d, n)
+    return echelon_mod(vectors, ell)[0] == su_dimension(d, n)

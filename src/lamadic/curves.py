@@ -11,7 +11,8 @@ import random
 from dataclasses import dataclass
 from math import factorial, gcd, isqrt
 
-from .ring import DomainError, is_prime
+from .linalg import det
+from .ring import CheckFailed, DomainError, is_prime
 from .matrices import filtration_order_exponent, legendre
 from .classnum import kappa_and_t
 from .lattices import u_reduction_order
@@ -138,27 +139,6 @@ def parse_poly(text: str) -> IntPoly:
 # Exact discriminant via the Sylvester resultant.
 
 
-def _bareiss_det(rows) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def resultant(f: IntPoly, g: IntPoly) -> int:
     m, k = f.degree, g.degree
     if m == 0:
@@ -173,7 +153,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         rows.append([0] * i + fc + [0] * (size - m - 1 - i))
     for i in range(m):
         rows.append([0] * i + gc + [0] * (size - k - 1 - i))
-    return _bareiss_det(rows)
+    return det(rows)
 
 
 def discriminant(f: IntPoly) -> int:
@@ -184,7 +164,8 @@ def discriminant(f: IntPoly) -> int:
     res = resultant(f, f.derivative())
     sign = -1 if (r * (r - 1) // 2) % 2 else 1
     val = sign * res
-    assert val % f.coeffs[-1] == 0
+    if val % f.coeffs[-1]:
+        raise CheckFailed("the leading coefficient must divide Res(f, f')")
     return val // f.coeffs[-1]
 
 
@@ -233,7 +214,8 @@ def _pollard_brent(n: int, rng: random.Random, budget: int):
 
 def factorize(n: int, budget: int = 200000, seed: int = 0):
     """(factor dict, leftover composite or 1).  Trial division to 10^5,
-    then budgeted rho with deterministic primality checks."""
+    then budgeted rho, with primality from ring.is_prime (exact below
+    3.3e24, Baillie-PSW above)."""
     if n == 0:
         raise DomainError("cannot factor zero")
     n = abs(n)
@@ -267,14 +249,19 @@ def find_simple_prime(disc: int, exclude_ell: int, budget: int = 200000):
     (prime or None, proven) where proven reports a complete factorization."""
     if disc == 0:
         raise DomainError("discriminant is zero: polynomial inseparable")
-    factors, leftover = factorize(disc, budget)
+    return _choose_simple_prime(disc, *factorize(disc, budget), exclude_ell)
+
+
+def _choose_simple_prime(disc: int, factors: dict, leftover: int, exclude_ell: int):
+    """find_simple_prime on a factorization of disc already at hand."""
     candidates = [
         p for p, e in factors.items() if e == 1 and p not in (2, exclude_ell)
     ]
     proven = leftover == 1
     if candidates:
         p = max(candidates)
-        assert disc % p == 0 and (disc // p) % p != 0
+        if disc % p or (disc // p) % p == 0:
+            raise CheckFailed(f"{p} must divide the discriminant exactly once")
         return p, proven
     return None, proven
 
@@ -365,7 +352,8 @@ def cycle_type_mod_p(f: IntPoly, p: int):
     if len(remaining) > 1:
         out.append(len(remaining) - 1)
     out.sort()
-    assert sum(out) == r
+    if sum(out) != r:
+        raise CheckFailed(f"factor degrees {out} do not add up to {r}")
     return out
 
 
@@ -507,10 +495,10 @@ def division_degree_report(
     (r!/2) * ell^E * (unit-group reduction order), in factored form.
 
     E is the order exponent of the level-one congruence subgroup at
-    precision ell - 1; the unit factor is the Smith-normal-form oracle
-    value for the reduction mod lambda^(ell-1).  A reference value, when
-    known for the input, is embedded together with a structured
-    discrepancy record.
+    precision ell - 1; the unit factor is the order of the reduction of
+    the unit group mod lambda^(ell-1) (lattices.u_reduction_order).  A
+    reference value, when known for the input, is embedded together with
+    a structured discrepancy record.
     """
     if not is_prime(ell) or ell < 3:
         raise DomainError("ell must be an odd prime")
@@ -526,7 +514,7 @@ def division_degree_report(
         raise HypothesisError("polynomial is not separable")
     eps = legendre(r, ell)
     factors, leftover = factorize(disc, budget)
-    simple_p, proven = find_simple_prime(disc, ell, budget)
+    simple_p, proven = _choose_simple_prime(disc, factors, leftover, ell)
     galois = galois_certificate(f, galois_budget)
     if not override_hypotheses:
         if galois.status != "symmetric":

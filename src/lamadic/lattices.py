@@ -1,63 +1,51 @@
 """Unit groups of the local cyclotomic ring: membership in the norm-
 congruence unit group, the logarithmic basis of the anti-fixed part, the
-infinity-type maps acting on log coordinates, Smith-normal-form orders of
-finite abelian quotients, and the cokernel-exponent cross-check against
-the half-system determinant.
+infinity-type maps acting on log coordinates, orders of finite abelian
+quotients, and the cokernel-exponent cross-check against the half-system
+determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
+from . import linalg
 from .ring import (
+    CheckFailed,
     CycloElt,
     DomainError,
     NotAUnit,
     RingCtx,
+    _lambda_power_table,
     reduce_zeta_poly,
     zeta_poly_add,
     zeta_poly_galois,
     zeta_poly_mul,
 )
-from .classnum import n_of, n_prime, demjanenko_det, ord_p
+from .classnum import n_of, demjanenko_det, ord_p
 
 
 # ---------------------------------------------------------------------------
 # Exact Z[zeta] helpers on the power basis 1, zeta, ..., zeta^(ell-2).
 
 
-def _lam_power_coords(ell: int, i: int, conj: bool = False):
-    raw = [0] * ell
-    raw[0] = 1
-    raw[ell - 1 if conj else 1] = -1
-    base = reduce_zeta_poly(raw, ell)
-    acc = (1,) + (0,) * (ell - 2)
-    for _ in range(i):
-        acc = zeta_poly_mul(acc, base, ell)
-    return acc
+def _twice_n_prime(ell: int, r: int, j: int) -> int:
+    """2 n'(j) = 2 n(j) - (r - 1), an integer for every r."""
+    return 2 * n_of(ell, r, j) - (r - 1)
 
 
 def anti_fixed_basis_coords(ell: int):
     """Exact zeta-coordinates of lambda^i - conj(lambda)^i, i = 2..(ell+1)/2."""
-    out = []
-    for i in range(2, (ell + 1) // 2 + 1):
-        a = _lam_power_coords(ell, i)
-        b = _lam_power_coords(ell, i, conj=True)
-        out.append(zeta_poly_add(a, tuple(-c for c in b)))
-    return out
+    powers = _lambda_power_table(ell, (ell + 3) // 2)
+    return [
+        zeta_poly_add(a, tuple(-c for c in zeta_poly_galois(a, ell - 1, ell)))
+        for a in powers[2:]
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Membership and decomposition of units.
-
-
-def _int_ord(ell: int, k: int) -> int:
-    v = 0
-    while k % ell == 0:
-        k //= ell
-        v += 1
-    return v
 
 
 def is_galois_stable(x: CycloElt) -> bool:
@@ -79,7 +67,7 @@ def u_lr_member(d: CycloElt, r: int) -> bool:
     v = d * d.conjugate()
     if not is_galois_stable(v):
         return False
-    required = (ctx.ell - 1) * (1 + _int_ord(ctx.ell, r - 1))
+    required = (ctx.ell - 1) * (1 + ord_p(r - 1, ctx.ell))
     return (v - CycloElt.one(ctx)).ord_lambda >= min(required, ctx.precision)
 
 
@@ -106,9 +94,7 @@ def u_prime_basis(ell: int, precision: int) -> UnitLattice:
     for i in range(2, (ell + 1) // 2 + 1):
         lam_i = CycloElt.lam(ctx, i)
         gens.append(lam_i - lam_i.conjugate())
-    lat = UnitLattice(ctx, tuple(gens), 2 * ell)
-    assert len(lat.log_generators) == (ell - 1) // 2
-    return lat
+    return UnitLattice(ctx, tuple(gens), 2 * ell)
 
 
 def infinity_type_apply(r: int, x: CycloElt, variant: str = "T") -> CycloElt:
@@ -125,9 +111,7 @@ def infinity_type_apply(r: int, x: CycloElt, variant: str = "T") -> CycloElt:
         if variant == "T":
             coef = 2 * n_of(ctx.ell, r, j)
         elif variant == "Tprime":
-            c = 2 * n_prime(ctx.ell, r, j)
-            assert c.denominator == 1
-            coef = int(c)
+            coef = _twice_n_prime(ctx.ell, r, j)
         else:
             raise ValueError(f"unknown variant {variant!r}")
         if coef:
@@ -143,10 +127,9 @@ def t_doubleprime_apply(r: int, x: CycloElt) -> CycloElt:
         raise DomainError("input must be anti-fixed")
     acc = CycloElt.zero(ctx)
     for j in range(1, (ctx.ell - 1) // 2 + 1):
-        c = 2 * n_prime(ctx.ell, r, j)
-        assert c.denominator == 1
-        if int(c):
-            acc = acc + x.galois(j) * int(c)
+        c = _twice_n_prime(ctx.ell, r, j)
+        if c:
+            acc = acc + x.galois(j) * c
     return acc
 
 
@@ -168,17 +151,16 @@ def decompose_unit(d: CycloElt, r: int):
         u = w * minus_zeta ** ((-e) % (2 * ctx.ell))
         if (u - CycloElt.one(ctx)).ord_lambda >= 2:
             x = log1p(u)
-            assert is_anti_fixed(x), "log of the unitary part must be anti-fixed"
-            recombined = minus_zeta**e * rho * ring_exp(x)
-            assert recombined == d.truncate(recombined.ctx.precision).pad_zero(
-                recombined.ctx.precision
-            ) or recombined == d, "factors must recombine"
+            if not is_anti_fixed(x):
+                raise CheckFailed("log of the unitary part must be anti-fixed")
+            if minus_zeta**e * rho * ring_exp(x) != d:
+                raise CheckFailed("factors must recombine")
             return e, rho, x
     raise DomainError("no torsion representative found")
 
 
 # ---------------------------------------------------------------------------
-# Finite abelian groups via Smith normal form.
+# Finite abelian groups given by generators and relations.
 
 
 @dataclass(frozen=True)
@@ -193,46 +175,22 @@ class AbelianPresentation:
             raise ValueError("relation matrix must have one row per generator")
 
 
-def _snf_diagonal(rows):
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
-
-    m = Matrix(rows)
-    s = smith_normal_form(m)
-    return [abs(s[i, i]) for i in range(min(s.rows, s.cols))]
-
-
-def _quotient_order(g: int, columns) -> int:
-    """|Z^g / span(columns)|, DomainError when infinite."""
-    if not columns:
-        if g == 0:
-            return 1
-        raise DomainError("infinite quotient")
-    rows = [[col[i] for col in columns] for i in range(g)]
-    diag = _snf_diagonal(rows)
-    if len(diag) < g or any(x == 0 for x in diag[:g]):
-        raise DomainError("infinite quotient")
-    order = 1
-    for x in diag[:g]:
-        order *= x
-    return order
-
-
 def abelian_order(p: AbelianPresentation, generator_columns) -> int:
     """Order of the subgroup generated by the given coordinate columns
     inside the presented group."""
     g = p.generators
-    rel_cols = [[p.relations[i][j] for i in range(g)] for j in range(len(p.relations[0]))] if p.relations and p.relations[0] else []
-    total = _quotient_order(g, rel_cols)
-    joint = _quotient_order(g, rel_cols + [list(c) for c in generator_columns])
-    assert total % joint == 0
+    rel_cols = [list(col) for col in zip(*p.relations)]
+    total = linalg.lattice_index(g, rel_cols)
+    joint = linalg.lattice_index(g, rel_cols + list(generator_columns))
+    if total % joint:
+        raise CheckFailed(f"subgroup index {joint} does not divide the group order {total}")
     return total // joint
 
 
 def additive_ring_presentation(ell: int, m: int) -> AbelianPresentation:
     """The additive group of O/lambda^m on the zeta-power basis, with
     relation columns lambda^m * zeta^t."""
-    lam_m = _lam_power_coords(ell, m)
+    lam_m = _lambda_power_table(ell, m + 1)[m]
     cols = []
     for t in range(ell - 1):
         shifted = zeta_poly_mul(lam_m, tuple(1 if s == t else 0 for s in range(ell - 1)), ell)
@@ -245,122 +203,62 @@ def additive_ring_presentation(ell: int, m: int) -> AbelianPresentation:
 # The cokernel exponent of the doubled infinity type on the anti-fixed part.
 
 
-def t_doubleprime_matrix(ell: int, r: int):
-    """Exact rational matrix of the doubled map in the log basis
-    lambda^i - conj(lambda)^i, solved from zeta-coordinates."""
-    basis = anti_fixed_basis_coords(ell)
-    g = len(basis)
+def _t_doubleprime_solve(ell: int, r: int, basis):
+    """Coordinates, in the given zeta-coordinate basis, of the images of its
+    vectors under sum over the half-system of 2 n'(j) sigma_j; one column
+    per basis vector."""
     images = []
     for b in basis:
         img = (0,) * (ell - 1)
         for j in range(1, (ell - 1) // 2 + 1):
-            c = 2 * n_prime(ell, r, j)
-            assert c.denominator == 1
-            if int(c):
-                moved = zeta_poly_galois(b, j, ell)
-                img = zeta_poly_add(img, tuple(int(c) * x for x in moved))
+            c = _twice_n_prime(ell, r, j)
+            if c:
+                img = zeta_poly_add(img, tuple(c * x for x in zeta_poly_galois(b, j, ell)))
         images.append(img)
-    # solve basis_matrix * column = image for each image, over Q
-    rows = ell - 1
-    mat = [[Fraction(basis[k][t]) for k in range(g)] for t in range(rows)]
-    out_cols = []
-    for img in images:
-        aug = [row[:] + [Fraction(img[t])] for t, row in enumerate(mat)]
-        col = _solve_overdetermined(aug, g)
-        out_cols.append(col)
-    return [[out_cols[i][k] for i in range(g)] for k in range(g)]
+    return linalg.solve(list(zip(*basis)), images)
 
 
-def _solve_overdetermined(aug, ncols):
-    """Gaussian elimination on a consistent overdetermined system."""
-    rows = len(aug)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, rows) if aug[r][col]), None)
-        if piv is None:
-            raise DomainError("basis columns are dependent")
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for rr in range(rows):
-            if rr != rank and aug[rr][col]:
-                f = aug[rr][col]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for rr in range(rank, rows):
-        if aug[rr][ncols]:
-            raise DomainError("inconsistent system")
-    return [aug[i][ncols] for i in range(ncols)]
+def t_doubleprime_matrix(ell: int, r: int):
+    """Exact rational matrix of the doubled map in the log basis
+    lambda^i - conj(lambda)^i, solved from zeta-coordinates."""
+    cols = _t_doubleprime_solve(ell, r, anti_fixed_basis_coords(ell))
+    return [list(row) for row in zip(*cols)]
 
 
 def infinity_type_matrix_check(ell: int, r: int) -> bool:
     """Independent bookkeeping: the doubled map in the basis
     zeta^i - zeta^(-i) (i in the half-system) has entries 2 n'(i^(-1) k)."""
-    g = (ell - 1) // 2
-    # basis vectors zeta^i - zeta^(-i) as exact zeta-coordinates
+    half = range(1, (ell - 1) // 2 + 1)
     basis = []
-    for i in range(1, g + 1):
+    for i in half:
         raw = [0] * ell
         raw[i] += 1
         raw[ell - i] -= 1
         basis.append(reduce_zeta_poly(raw, ell))
-    mat = [[Fraction(basis[k][t]) for k in range(g)] for t in range(ell - 1)]
-    for idx, i in enumerate(range(1, g + 1)):
-        img = (0,) * (ell - 1)
-        for j in range(1, g + 1):
-            c = 2 * n_prime(ell, r, j)
-            if c:
-                assert c.denominator == 1
-                moved = zeta_poly_galois(basis[idx], j, ell)
-                img = zeta_poly_add(img, tuple(int(c) * x for x in moved))
-        aug = [row[:] + [Fraction(img[t])] for t, row in enumerate(mat)]
-        col = _solve_overdetermined(aug, g)
-        for kdx, k in enumerate(range(1, g + 1)):
-            if col[kdx] != 2 * n_prime(ell, r, pow(i, -1, ell) * k % ell):
-                return False
-    return True
+    cols = _t_doubleprime_solve(ell, r, basis)
+    return all(
+        col[kdx] == _twice_n_prime(ell, r, pow(i, -1, ell) * k % ell)
+        for i, col in zip(half, cols)
+        for kdx, k in enumerate(half)
+    )
 
 
-def lattice_index_check(ell: int, r: int, start_precision: int = 2):
+def lattice_index_check(ell: int, r: int):
     """Cokernel exponent t' of the doubled infinity type on the log lattice,
-    computed through finite quotients (Z/ell^s)^g with auto-escalated s,
-    asserted equal to ord_ell of the doubled half-system determinant."""
+    checked against ord_ell of the doubled half-system determinant.
+
+    The matrix has denominators prime to ell, so on Z_ell^g its cokernel
+    has order ell^t' with t' = ord_ell of the determinant of the matrix
+    scaled to integers."""
     m = t_doubleprime_matrix(ell, r)
-    g = len(m)
-    den = 1
-    for row in m:
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+    den = lcm(*(x.denominator for row in m for x in row))
     if den % ell == 0:
         raise DomainError("denominators must be prime to ell")
-    int_m = [[int(x * den) for x in row] for row in m]
-    s = start_precision
-    while True:
-        pres = AbelianPresentation(
-            g, tuple(tuple(ell**s if i == j else 0 for j in range(g)) for i in range(g))
-        )
-        cols = [[int_m[i][j] for i in range(g)] for j in range(g)]
-        sub = abelian_order(pres, cols)
-        coker = ell ** (g * s) // sub
-        t_prime = 0
-        while ell**t_prime < coker:
-            t_prime += 1
-        if t_prime + 1 <= s:
-            break
-        s += 1
-        if s > 40:
-            raise DomainError("precision exhausted before stabilization")
+    t_prime = ord_p(linalg.det([[int(x * den) for x in row] for row in m]), ell)
     rep = demjanenko_det(ell, r)
-    assert t_prime == rep.t, f"cokernel exponent {t_prime} != determinant order {rep.t}"
+    if t_prime != rep.t:
+        raise CheckFailed(f"cokernel exponent {t_prime} != determinant order {rep.t}")
     return t_prime
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +299,7 @@ def torsion_reduction_order(ell: int, m: int) -> int:
 
 def rational_reduction_order(ell: int, r: int, m: int) -> int:
     """Order of the image of 1 + ell*(r-1)*Z_ell in the units of O/lambda^m."""
-    e = _int_ord(ell, r - 1)
+    e = ord_p(r - 1, ell)
     ctx = RingCtx(ell, m)
     gen = CycloElt.from_int(1 + ell ** (1 + e), ctx)
     return _mult_order_ell_power(gen, ell)
@@ -416,7 +314,8 @@ def u_prime_reduction_exponent(ell: int, m: int) -> int:
     e = 0
     while ell**e < order:
         e += 1
-    assert ell**e == order, "subgroup order must be an ell-power"
+    if ell**e != order:
+        raise CheckFailed(f"subgroup order {order} is not a power of {ell}")
     return e
 
 

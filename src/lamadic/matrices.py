@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
+from .linalg import echelon_mod
 from .ring import (
     CheckFailed,
     CycloElt,
@@ -60,27 +61,6 @@ def mat_eye(d):
 
 def mat_zero(d):
     return [[0] * d for _ in range(d)]
-
-
-def int_det_mod(rows, p: int) -> int:
-    """Determinant of an integer matrix modulo a prime p."""
-    a = [[x % p for x in row] for row in rows]
-    d = len(a)
-    det = 1
-    for col in range(d):
-        piv = next((r for r in range(col, d) if a[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col] % p
-        inv = pow(a[col][col], -1, p)
-        for r in range(col + 1, d):
-            factor = a[r][col] * inv % p
-            if factor:
-                a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[col])]
-    return det % p
 
 
 def legendre(a: int, p: int) -> int:
@@ -386,6 +366,13 @@ class HermitianForm:
             )
         return MatLocal.from_rows(rows)
 
+    def gram_times(self, a: MatLocal) -> MatLocal:
+        """Gamma A, by scaling row i of A by gamma_i."""
+        return MatLocal(a.ctx, tuple(
+            row if g == 1 else tuple(e * g for e in row)
+            for g, row in zip(self.gamma, a.entries)
+        ))
+
     def gamma_inv_mod(self):
         return [pow(g, -1, self.ctx.ell) for g in self.gamma]
 
@@ -424,12 +411,12 @@ def classify_membership(a: MatLocal, form: HermitianForm) -> MembershipVerdict:
     """
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
-    gam = form.gamma_matrix()
-    h = a.dagger() * gam * a
+    h = a.dagger() * form.gram_times(a)
     mu = h.entries[0][0] * CycloElt.from_int(form.gamma[0], a.ctx).inverse()
+    zero = CycloElt.zero(a.ctx)
     for i in range(a.dim):
         for j in range(a.dim):
-            expected = mu * gam.entries[i][j]
+            expected = mu * form.gamma[i] if i == j else zero
             if h.entries[i][j] != expected:
                 return MembershipVerdict("none", None, None, (i, j))
     if not mu.is_unit:
@@ -462,7 +449,7 @@ def weil_gram_and_epsilon(ell: int, r: int, c: int = 1):
         raise ValueError("c must be a unit mod ell")
     d = r - 1
     gram = [[c * ((1 if i != j else 1 - r)) % ell for j in range(d)] for i in range(d)]
-    det = int_det_mod(gram, ell)
+    det = echelon_mod(gram, ell)[1]
     square_class = legendre(det, ell)
     eps = legendre(r, ell)
     if r % 2 == 1 and square_class != eps:
@@ -561,9 +548,7 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
         raise MembershipError(f"lift_su needs an SU member, got {verdict.kind}")
     form_n = HermitianForm(form.ctx.at_precision(n), form.gamma, form.sign)
     a_prime = a.pad_zero(n)
-    gam = form_n.gamma_matrix()
-    h = a_prime.dagger() * gam * a_prime
-    delta = h - gam
+    delta = a_prime.dagger() * form_n.gram_times(a_prime) - form_n.gamma_matrix()
     x = delta.digit(n - 1)
     if any(any(e.digits[:n - 1]) for row in delta.entries for e in row):
         raise CheckFailed("defect must vanish below the top digit")

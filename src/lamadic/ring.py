@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isqrt
 
 
 class RingError(Exception):
@@ -44,19 +45,84 @@ class CheckFailed(RingError):
     not the input.  Raised instead of asserting, so it also runs under -O."""
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the bases 2, ..., 41 is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic for n < 3.3e24 (strong probable prime to every prime
+    base up to 41); above that, the Baillie-PSW test (strong base 2 and
+    strong Lucas), for which no counterexample is known."""
     if n < 2:
         return False
-    if n < 4:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_EXACT_BELOW:
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
         return True
-    if n % 2 == 0:
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters: D the first of
+    5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4; n odd."""
+    if isqrt(n) ** 2 == n:
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    d = 5
+    while _jacobi(d, n) != -1:
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    # U_k, V_k and Q^k by binary expansion of k, with P = 1
+    inv2 = (n + 1) // 2
+    u, v, qk = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) * inv2 % n, (d * u + v) * inv2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

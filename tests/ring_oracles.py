@@ -4,6 +4,7 @@ schoolbook multiplication mod Phi_ell written here, membership in lambda^n
 is decided through the norm, and determinants by cofactor expansion.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from lamadic.ring import CycloElt, zeta_poly_add, zeta_poly_mul
@@ -88,3 +89,91 @@ def det_cofactor(a):
         return total
 
     return CycloElt.from_poly(minor(0, (1 << d) - 1), a.ctx)
+
+
+def _polymod_mul(a, b, phi):
+    """Multiply in Q[x]/phi(x), phi monic with integer coefficients."""
+    deg = len(phi) - 1
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    prod[i + j] += ca * cb
+    for k in range(len(prod) - 1, deg - 1, -1):
+        c = prod[k]
+        if c:
+            for t in range(deg + 1):
+                prod[k - deg + t] -= c * phi[t]
+    return prod[:deg] + [Fraction(0)] * (deg - len(prod[:deg]))
+
+
+def h_minus_bernoulli(ell):
+    """h^- = 2 ell prod over the odd characters chi of -B_{1,chi}/2, with
+    B_{1,chi} = (1/ell) sum_a a chi(a), evaluated exactly in the cyclotomic
+    field Q[x]/Phi_(ell-1) with a primitive root g found by search."""
+    from sympy import Poly, symbols
+    from sympy.polys.specialpolys import cyclotomic_poly
+
+    m = ell - 1
+    x = symbols("x")
+    phi = [Fraction(int(c)) for c in Poly(cyclotomic_poly(m, x), x).all_coeffs()[::-1]]
+    deg = len(phi) - 1
+    g = next(g for g in range(2, ell)
+             if all(pow(g, m // q, ell) != 1 for q in range(2, m + 1)
+                    if m % q == 0 and all(q % s for s in range(2, q))))
+    dlog = {pow(g, e, ell): e for e in range(m)}
+    zpow = []  # zeta_m^e = x^e in Q[x]/Phi_m
+    cur = [Fraction(1)] + [Fraction(0)] * (deg - 1)
+    xpoly = [Fraction(0), Fraction(1)] + [Fraction(0)] * (deg - 2) if deg > 1 else [-phi[0]]
+    for _ in range(m):
+        zpow.append(cur)
+        cur = _polymod_mul(cur, xpoly, phi)
+    product = [Fraction(1)] + [Fraction(0)] * (deg - 1)
+    for k in range(1, m, 2):  # odd characters chi_k(g^e) = zeta_m^(k e)
+        b1 = [Fraction(0)] * deg
+        for a in range(1, ell):
+            for t, z in enumerate(zpow[(k * dlog[a]) % m]):
+                b1[t] += Fraction(a, ell) * z
+        product = _polymod_mul(product, [Fraction(-1, 2) * c for c in b1], phi)
+    result = [2 * ell * c for c in product]
+    assert not any(result[1:]) and result[0].denominator == 1
+    return int(result[0])
+
+
+def local_index_exponent(columns, dim, ell, depth):
+    """log_ell of [Z_ell^dim : span(columns)], for a span that contains
+    ell^(depth-1) Z^dim: a Smith form over Z/ell^depth, pivoting on an
+    entry of least ell-adic valuation."""
+    mod = ell**depth
+
+    def val(x):
+        v = 0
+        while x % ell == 0 and v < depth:
+            x //= ell
+            v += 1
+        return v
+
+    rows = [[c[i] % mod for c in columns] for i in range(dim)]
+    total = 0
+    for k in range(dim):
+        cands = [(val(rows[i][j]), i, j) for i in range(k, dim)
+                 for j in range(k, len(columns)) if rows[i][j]]
+        if not cands:
+            return total + depth * (dim - k)
+        v, i, j = min(cands)
+        rows[k], rows[i] = rows[i], rows[k]
+        for row in rows:
+            row[k], row[j] = row[j], row[k]
+        total += v
+        unit = pow(rows[k][k] // ell**v, -1, mod)
+        for i in range(dim):
+            if i != k and rows[i][k]:
+                f = rows[i][k] // ell**v * unit % mod
+                rows[i] = [(a - f * b) % mod for a, b in zip(rows[i], rows[k])]
+        for j in range(len(columns)):
+            if j != k and rows[k][j]:
+                f = rows[k][j] // ell**v * unit % mod
+                for row in rows:
+                    row[j] = (row[j] - f * row[k]) % mod
+    return total

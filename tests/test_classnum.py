@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from lamadic.ring import DomainError
+from lamadic.cli import run
+from lamadic.ring import DomainError, is_prime
 from lamadic.classnum import (
+    H_MINUS_MAX_ELL,
     c_lr,
     demjanenko_det,
     fraction_det,
@@ -16,6 +18,7 @@ from lamadic.classnum import (
     n_prime,
     ord_p,
 )
+from ring_oracles import h_minus_bernoulli
 
 
 def test_n_prime_values():
@@ -67,8 +70,22 @@ def test_h_minus_table():
     assert h_minus(23) == 3
     assert h_minus(29) == 8
     assert h_minus(31) == 9
+    over = next(p for p in range(H_MINUS_MAX_ELL + 1, 2 * H_MINUS_MAX_ELL) if is_prime(p))
     with pytest.raises(DomainError):
-        h_minus(71)
+        h_minus(over)
+    assert run(["h-minus", "--ell", str(over)]) == 2
+
+
+def test_h_minus_matches_bernoulli_oracle():
+    for ell in range(3, 68):
+        if is_prime(ell):
+            assert h_minus(ell) == h_minus_bernoulli(ell), ell
+
+
+def test_h_minus_beyond_the_bernoulli_range():
+    assert h_minus(71) == 3882809
+    assert h_minus(101) == 3547404378125
+    assert h_minus(H_MINUS_MAX_ELL) > 1
 
 
 def test_fraction_det():

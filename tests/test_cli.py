@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -92,6 +93,18 @@ def test_check_curve_success(capsys):
     )
     data = json.loads(out)
     assert code == 0 and data["galois"] == "symmetric"
+
+
+@pytest.mark.parametrize("poly", ["x^12 + x + 3", "x^10 + 7*x + 13"])
+def test_check_curve_with_a_large_prime_in_the_discriminant(capsys, poly):
+    # the discriminants have a 19- and a 21-digit prime factor, which
+    # trial-division primality testing could not decide in minutes
+    start = time.monotonic()
+    code, out, _ = invoke(capsys, "check-curve", "--ell", "11", "--poly", poly, "--json")
+    data = json.loads(out)
+    assert code == 0 and data["galois"] == "symmetric"
+    assert abs(data["disc"]) % data["simple_prime"] == 0 and data["simple_prime"] > 10**18
+    assert time.monotonic() - start < 10.0
 
 
 def test_poly_syntax_error_exits_1(capsys):

@@ -1,0 +1,134 @@
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from sympy import GF, ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.matrices import DomainMatrix
+
+from lamadic.lattices import (
+    additive_ring_presentation,
+    anti_fixed_basis_coords,
+    u_reduction_order,
+)
+from lamadic.linalg import det, echelon_mod, lattice_index, solve
+from lamadic.ring import DomainError
+from ring_oracles import local_index_exponent
+
+
+def _rand_matrix(rng, rows, cols, lo=-9, hi=9):
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_det_matches_sympy():
+    rng = random.Random(31)
+    assert det([]) == 1
+    assert det([[0, 1], [1, 0]]) == -1
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        m = _rand_matrix(rng, n, n)
+        if n > 1 and rng.random() < 0.2:  # a dependent row
+            m[-1] = [2 * x for x in m[0]]
+        assert det(m) == Matrix(m).det(), m
+
+
+def test_echelon_mod_matches_sympy():
+    rng = random.Random(32)
+    for _ in range(150):
+        p = rng.choice((2, 3, 5, 7, 11))
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = _rand_matrix(rng, rows, cols, 0, 3 if rng.random() < 0.5 else 20)
+        dm = DomainMatrix.from_Matrix(Matrix(m)).convert_to(GF(p))
+        rank, det_p = echelon_mod(m, p)
+        assert rank == dm.rank(), (m, p)
+        if rows == cols:
+            assert det_p == int(dm.det()) % p, (m, p)
+        else:
+            assert det_p == 0
+
+
+def _smith_order(g, columns):
+    rows = [[c[i] for c in columns] for i in range(g)]
+    s = smith_normal_form(Matrix(rows), domain=ZZ)
+    diag = [abs(s[i, i]) for i in range(min(s.rows, s.cols))]
+    if len(diag) < g or 0 in diag:
+        return None
+    out = 1
+    for x in diag:
+        out *= x
+    return out
+
+
+def test_lattice_index_matches_smith_form():
+    rng = random.Random(33)
+    infinite = 0
+    for _ in range(200):
+        g = rng.randint(1, 5)
+        k = rng.randint(max(1, g - 1), g + 3)
+        cols = _rand_matrix(rng, k, g, -6, 6)
+        if rng.random() < 0.3:  # force rank deficiency or large torsion
+            cols = [[3 * x for x in c] for c in cols] if rng.random() < 0.5 else [
+                [x * c[0] for x in cols[0]] for c in cols]
+        want = _smith_order(g, cols)
+        if want is None:
+            infinite += 1
+            with pytest.raises(DomainError):
+                lattice_index(g, cols)
+        else:
+            assert lattice_index(g, cols) == want, (g, cols)
+    assert 10 < infinite < 150
+    assert lattice_index(0, []) == 1
+
+
+def test_lattice_index_matches_local_oracle_at_29():
+    # the presentation behind u_reduction_order(29, r, 28): O/lambda^28 on
+    # the zeta-power basis and the anti-fixed log generators
+    ell, m = 29, 28
+    pres = additive_ring_presentation(ell, m)
+    g = pres.generators
+    rel = [list(c) for c in zip(*pres.relations)]
+    gens = [list(c) for c in anti_fixed_basis_coords(ell)]
+    depth = -(-m // (ell - 1)) + 1
+    assert lattice_index(g, rel) == ell**m == ell ** local_index_exponent(rel, g, ell, depth)
+    joint = local_index_exponent(rel + gens, g, ell, depth)
+    assert lattice_index(g, rel + gens) == ell**joint
+    total, parts = u_reduction_order(ell, 3, m)
+    assert parts["anti_fixed_exponent"] == m - joint
+    assert total == parts["torsion"] * parts["rational"] * ell ** (m - joint)
+
+
+def test_solve_exact_and_overdetermined():
+    rows = [[1, 2], [3, 4], [5, 6]]
+    x = [Fraction(1, 3), Fraction(-2, 7)]
+    b = [sum(r * v for r, v in zip(row, x)) for row in rows]
+    assert solve(rows, [b, [1, 3, 5]]) == [x, [1, 0]]
+    with pytest.raises(DomainError):
+        solve(rows, [[1, 0, 0]])  # inconsistent
+    with pytest.raises(DomainError):
+        solve([[1, 2], [2, 4]], [[1, 2]])  # dependent columns
+
+
+_SYMPY_FREE = """
+import sys
+from lamadic.classnum import demjanenko_det, h_minus
+from lamadic.lattices import lattice_index_check, u_reduction_order
+
+assert h_minus(101) == 3547404378125
+demjanenko_det(23, 4)
+lattice_index_check(13, 5)
+u_reduction_order(11, 3, 10)
+print("sympy" in sys.modules)
+"""
+
+
+def test_invariants_run_without_sympy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _SYMPY_FREE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lamadic.linalg import echelon_mod
 from lamadic.ring import CheckFailed, CycloElt, RingCtx
 from lamadic.matrices import (
     _det_berkowitz,
@@ -18,7 +19,6 @@ from lamadic.matrices import (
     det_base,
     det_local,
     filtration_order_exponent,
-    int_det_mod,
     legendre,
     lift_su,
     perm_embed,
@@ -262,7 +262,7 @@ def test_perm_embed_det_is_sign():
                 if sigma[i] > sigma[j]
             )
             m = perm_embed(sigma, ell)
-            assert int_det_mod(m, ell) == (-1) ** inv % ell
+            assert echelon_mod(m, ell)[1] == (-1) ** inv % ell
 
 
 def test_perm_embed_is_homomorphism():
@@ -286,26 +286,42 @@ def test_matrix_json_roundtrip():
 
 
 _PLANTED = """
+import dataclasses
+import lamadic.classnum as c
+import lamadic.lattices as lat
 import lamadic.matrices as m
 from lamadic import CycloElt
 from lamadic.cli import run
 
 m.det_local = lambda a: CycloElt.from_int(2, a.ctx)
 print(run(["lift-check", "--ell", "5", "--d", "2", "--n", "3", "--trials", "1"]))
+true_demjanenko = lat.demjanenko_det
+lat.demjanenko_det = lambda ell, r: dataclasses.replace(true_demjanenko(ell, r), t=1)
+print(run(["lattice-index", "--ell", "7", "--r", "3"]))
+c.h_minus = lambda ell: 2
+print(run(["demjanenko", "--ell", "7", "--r", "3"]))
 """
 
 
 def test_planted_check_failure_raises_check_failed(monkeypatch):
     import lamadic.matrices as matrices
 
+    import lamadic.classnum as classnum
+
     monkeypatch.setattr(matrices, "det_local", lambda a: CycloElt.from_int(2, a.ctx))
     form = HermitianForm.standard(RingCtx(5, 2), 2)
     with pytest.raises(CheckFailed):
         classify_membership(MatLocal.identity(form.ctx, 2), form)
+    # the class-number identity |det| = h^- c / (2 ell) with a wrong h^-
+    monkeypatch.setattr(classnum, "h_minus", lambda ell: 2)
+    with pytest.raises(CheckFailed):
+        classnum.demjanenko_det(7, 3)
     # the check survives python -O, and the CLI maps it to exit code 2
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-O", "-c", _PLANTED], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout.split() == ["2"]
-    assert "CheckFailed" in proc.stderr
+    assert proc.stdout.split() == ["2", "2", "2"]
+    assert proc.stderr.count("CheckFailed") == 3
+    assert "cokernel exponent 0 != determinant order 1" in proc.stderr
+    assert "h^- c / (2 ell)" in proc.stderr

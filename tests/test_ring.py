@@ -11,6 +11,7 @@ from lamadic.ring import (
     RingCtx,
     div_by_int,
     exp,
+    is_prime,
     log1p,
     poly_from_digits,
     unit_part_of_ell,
@@ -190,3 +191,24 @@ def test_multiplication_table_against_oracle():
             want = mul_mod_phi(lift_digits(x.digits, 3), lift_digits(y.digits, 3), 3)
             got = lift_digits((x * y).digits, 3)
             assert in_lambda_n([g - w for g, w in zip(got, want)], 3, 3), (x.digits, y.digits)
+
+
+def test_is_prime_matches_sympy_and_rejects_pseudoprimes():
+    import sympy
+
+    assert [n for n in range(20000) if is_prime(n) != sympy.isprime(n)] == []
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randrange(10**6, 10**40)
+        assert is_prime(n) == sympy.isprime(n), n
+    # Carmichael numbers, strong pseudoprimes to many bases, and the least
+    # strong pseudoprime to every prime base up to 41 (decided by BPSW)
+    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461,
+              3317044064679887385961981):
+        assert not is_prime(n), n
+    # primes on both sides of the Miller-Rabin bound, and the 19- and
+    # 21-digit discriminant factors of x^12 + x + 3 and x^10 + 7x + 13
+    for n in (2**61 - 1, 2**89 - 1, 2**127 - 1, 1579460160795535021,
+              105935557030902023239):
+        assert is_prime(n), n
+        assert not is_prime(n * (2**31 - 1))
