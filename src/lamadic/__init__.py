@@ -12,7 +12,6 @@ from .ring import (
     RingError,
     exp,
     log1p,
-    unit_part_of_ell,
 )
 from .matrices import (
     HermitianForm,

@@ -36,6 +36,7 @@ from .lattices import (
 from .curves import (
     HypothesisError,
     PolySyntaxError,
+    check_ell,
     discriminant,
     division_degree_report,
     find_simple_prime,
@@ -189,6 +190,7 @@ def _cmd_lattice_index(args):
 
 def _cmd_check_curve(args):
     f = parse_poly(args.poly)
+    check_ell(args.ell, f.degree)
     if not f.is_monic:
         raise DomainError("polynomial must be monic")
     budget = args.budget or 200000

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import echelon_mod
-from .ring import CycloElt, RingCtx, DomainError
+from .ring import CheckFailed, CycloElt, RingCtx, DomainError, div_by_int
 from .matrices import (
     HermitianForm,
     MatLocal,
@@ -228,26 +228,16 @@ def series_evaluate(p: FreeSeries, assignment, ctx: RingCtx, dim: int) -> MatLoc
         for i in range(dim):
             for j in range(dim):
                 acc[i][j] += coef * m[i][j]
-    inv_cache = {}
-
-    def ring_fraction(q: Fraction) -> CycloElt:
-        num = CycloElt.from_int(q.numerator, ctx)
-        if q.denominator == 1:
-            return num
-        if q.denominator not in inv_cache:
-            inv_cache[q.denominator] = CycloElt.from_int(
-                q.denominator, ctx
-            ).inverse()
-        return num * inv_cache[q.denominator]
-
     total = MatLocal.from_rows(
         [[CycloElt.zero(ctx) for _ in range(dim)] for _ in range(dim)]
     )
     for deg, acc in by_deg.items():
-        lam_pow = CycloElt.lam(ctx, 1) ** deg if deg else CycloElt.one(ctx)
-        block = MatLocal.from_rows(
-            [[ring_fraction(acc[i][j]) * lam_pow for j in range(dim)] for i in range(dim)]
-        )
+        lam_pow = CycloElt.lam(ctx, deg)
+        block = MatLocal.from_rows([
+            [div_by_int(CycloElt.from_int(q.numerator, ctx), q.denominator) * lam_pow
+             for q in row]
+            for row in acc
+        ])
         total = total + block
     return total
 
@@ -315,12 +305,23 @@ def _gamma_inv_eij(form: HermitianForm, i: int, j: int, parity: int):
     return m
 
 
-def eij_bracket_table(form: HermitianForm, i: int, j: int, l: int, m: int, n: int):
-    """[Gamma^(-1)E_ij^(m), Gamma^(-1)E_jl^(n)] over F_ell (1-based indices).
+def _bracket_closed_form(form: HermitianForm, i0: int, j0: int, l0: int, m: int, n: int):
+    """alpha_j^(-1) Gamma^(-1) E_il^(m+n+1) for i != l, and
+    (1 + (-1)^(m+n+1)) alpha_i^(-1) alpha_j^(-1) (E_ii - E_jj) for i = l."""
+    ell = form.ctx.ell
+    ginv = form.gamma_inv_mod()
+    if i0 != l0:
+        return mat_scale_mod(ginv[j0], _gamma_inv_eij(form, i0, l0, m + n + 1), ell)
+    coef = (1 + (-1) ** (m + n + 1)) * ginv[i0] * ginv[j0]
+    e = mat_zero(form.dim)
+    e[i0][i0] = 1
+    e[j0][j0] = -1 % ell
+    return mat_scale_mod(coef, e, ell)
 
-    Asserts the closed form: alpha_j^(-1) Gamma^(-1) E_il^(m+n+1) for i != l,
-    and (1 + (-1)^(m+n+1)) alpha_i^(-1) alpha_j^(-1) (E_ii - E_jj) for i = l.
-    """
+
+def eij_bracket_table(form: HermitianForm, i: int, j: int, l: int, m: int, n: int):
+    """[Gamma^(-1)E_ij^(m), Gamma^(-1)E_jl^(n)] over F_ell (1-based indices),
+    checked against its closed form (CheckFailed on a mismatch)."""
     if j == i or j == l:
         raise ValueError("need j distinct from i and l")
     d = form.dim
@@ -333,16 +334,8 @@ def eij_bracket_table(form: HermitianForm, i: int, j: int, l: int, m: int, n: in
     bracket = mat_add_mod(
         mat_mul_mod(x, y, ell), mat_scale_mod(-1, mat_mul_mod(y, x, ell), ell), ell
     )
-    ginv = form.gamma_inv_mod()
-    if i != l:
-        expected = mat_scale_mod(ginv[j0], _gamma_inv_eij(form, i0, l0, m + n + 1), ell)
-    else:
-        coef = (1 + (-1) ** (m + n + 1)) * ginv[i0] * ginv[j0]
-        e = mat_zero(d)
-        e[i0][i0] = 1
-        e[j0][j0] = -1 % ell
-        expected = mat_scale_mod(coef, e, ell)
-    assert bracket == expected, "bracket table mismatch"
+    if bracket != _bracket_closed_form(form, i0, j0, l0, m, n):
+        raise CheckFailed(f"bracket table mismatch at (i, j, l, m, n) = {(i, j, l, m, n)}")
     return bracket
 
 

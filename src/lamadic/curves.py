@@ -307,11 +307,9 @@ def _polgcd(a, b, p):
     return a
 
 
-def _xpow_qmod(f, p, q):
-    """x^q mod (f, p) by square and multiply."""
+def _polpow(base, e, f, p):
+    """base^e mod (f, p) by square and multiply."""
     result = [1]
-    base = [0, 1] if len(f) > 2 else _polrem([0, 1], f, p)
-    e = q
     while e:
         if e & 1:
             result = _polmul(result, base, f, p)
@@ -333,10 +331,12 @@ def cycle_type_mod_p(f: IntPoly, p: int):
     remaining = fc[:]
     xq = [0, 1]
     out = []
-    for d in range(1, r + 1):
-        if len(remaining) - 1 < d:
-            break
-        xq = _xpow_qmod(remaining, p, p) if d == 1 else _xpow_qmod(remaining, p, p**d)
+    d = 0
+    # every factor left has degree > d, so a rest of degree < 2(d + 1) is irreducible
+    while len(remaining) - 1 >= 2 * (d + 1):
+        d += 1
+        # Frobenius: x^(p^d) = (x^(p^(d-1)))^p, reduced mod the remaining product
+        xq = _polpow(_polrem(xq, remaining, p), p, remaining, p)
         # x^(p^d) - x against the remaining product
         diff = xq[:]
         while len(diff) < 2:
@@ -484,6 +484,14 @@ class CurveReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def check_ell(ell: int, degree: int):
+    """ell must be an odd prime that does not divide the degree."""
+    if not is_prime(ell) or ell < 3:
+        raise DomainError("ell must be an odd prime")
+    if degree % ell == 0:
+        raise DomainError("ell must not divide the degree")
+
+
 def division_degree_report(
     ell: int,
     f: IntPoly,
@@ -500,15 +508,12 @@ def division_degree_report(
     reference value, when known for the input, is embedded together with
     a structured discrepancy record.
     """
-    if not is_prime(ell) or ell < 3:
-        raise DomainError("ell must be an odd prime")
     r = f.degree
+    check_ell(ell, r)
     if not f.is_monic:
         raise DomainError("polynomial must be monic")
     if r < 4:
         raise HypothesisError("need degree >= 4")
-    if r % ell == 0:
-        raise DomainError("ell must not divide the degree")
     disc = discriminant(f)
     if disc == 0:
         raise HypothesisError("polynomial is not separable")

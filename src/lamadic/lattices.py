@@ -18,10 +18,12 @@ from .ring import (
     NotAUnit,
     RingCtx,
     _lambda_power_table,
+    div_by_int,
+    exp,
+    log1p,
     reduce_zeta_poly,
     zeta_poly_add,
     zeta_poly_galois,
-    zeta_poly_mul,
 )
 from .classnum import n_of, demjanenko_det, ord_p
 
@@ -100,8 +102,8 @@ def u_prime_basis(ell: int, precision: int) -> UnitLattice:
 def infinity_type_apply(r: int, x: CycloElt, variant: str = "T") -> CycloElt:
     """Apply sum_j c_j sigma_j on log coordinates, c_j = n(j) or n'(j).
 
-    Half-integral n'(j) (r even) are handled by doubling and multiplying
-    by the inverse of 2, which is a unit in the local ring.
+    Half-integral n'(j) (r even) are handled by doubling and dividing by 2,
+    a unit in the local ring.
     """
     ctx = x.ctx
     if x.ord_lambda < 2:
@@ -116,7 +118,7 @@ def infinity_type_apply(r: int, x: CycloElt, variant: str = "T") -> CycloElt:
             raise ValueError(f"unknown variant {variant!r}")
         if coef:
             acc = acc + x.galois(j) * coef
-    return acc * CycloElt.from_int(2, ctx).inverse()
+    return div_by_int(acc, 2)
 
 
 def t_doubleprime_apply(r: int, x: CycloElt) -> CycloElt:
@@ -141,10 +143,7 @@ def decompose_unit(d: CycloElt, r: int):
     if not u_lr_member(d, r):
         raise DomainError("not a member")
     v = d * d.conjugate()
-    from .ring import log1p, exp as ring_exp
-
-    half = CycloElt.from_int(2, ctx).inverse()
-    rho = ring_exp(half * log1p(v))
+    rho = exp(div_by_int(log1p(v), 2))
     w = d * rho.inverse()
     minus_zeta = -CycloElt.zeta(ctx, 1)
     for e in range(2 * ctx.ell):
@@ -153,7 +152,7 @@ def decompose_unit(d: CycloElt, r: int):
             x = log1p(u)
             if not is_anti_fixed(x):
                 raise CheckFailed("log of the unitary part must be anti-fixed")
-            if minus_zeta**e * rho * ring_exp(x) != d:
+            if minus_zeta**e * rho * exp(x) != d:
                 raise CheckFailed("factors must recombine")
             return e, rho, x
     raise DomainError("no torsion representative found")
@@ -190,13 +189,10 @@ def abelian_order(p: AbelianPresentation, generator_columns) -> int:
 def additive_ring_presentation(ell: int, m: int) -> AbelianPresentation:
     """The additive group of O/lambda^m on the zeta-power basis, with
     relation columns lambda^m * zeta^t."""
-    lam_m = _lambda_power_table(ell, m + 1)[m]
-    cols = []
-    for t in range(ell - 1):
-        shifted = zeta_poly_mul(lam_m, tuple(1 if s == t else 0 for s in range(ell - 1)), ell)
-        cols.append(list(shifted))
-    rows = [[cols[j][i] for j in range(ell - 1)] for i in range(ell - 1)]
-    return AbelianPresentation(ell - 1, tuple(tuple(r) for r in rows))
+    cols = [_lambda_power_table(ell, m + 1)[m]]
+    for _ in range(ell - 2):
+        cols.append(reduce_zeta_poly((0,) + cols[-1], ell))
+    return AbelianPresentation(ell - 1, tuple(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .ring import (
     ContextMismatch,
     RingCtx,
     RingError,
+    div_by_int,
     pack,
     product_width,
     unpack_reduced,
@@ -157,7 +158,7 @@ class MatLocal:
             for row in rows_a
         ))
 
-    def scale(self, c: CycloElt) -> "MatLocal":
+    def scale(self, c: "CycloElt | int") -> "MatLocal":
         return MatLocal.from_rows([[c * e for e in row] for row in self.entries])
 
     def dagger(self) -> "MatLocal":
@@ -219,7 +220,7 @@ class MatLocal:
         total = ident
         power = ident
         for _ in range(self.ctx.precision):
-            power = power.scale(CycloElt.from_int(-1, self.ctx)) * m
+            power = power.scale(-1) * m
             total = total + power
         return total
 
@@ -412,7 +413,7 @@ def classify_membership(a: MatLocal, form: HermitianForm) -> MembershipVerdict:
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
     h = a.dagger() * form.gram_times(a)
-    mu = h.entries[0][0] * CycloElt.from_int(form.gamma[0], a.ctx).inverse()
+    mu = div_by_int(h.entries[0][0], form.gamma[0])
     zero = CycloElt.zero(a.ctx)
     for i in range(a.dim):
         for j in range(a.dim):

@@ -138,7 +138,9 @@ class RingCtx:
         if self.precision < 1:
             raise ValueError(f"precision must be >= 1, got {self.precision}")
 
+    @lru_cache(maxsize=None)
     def at_precision(self, n: int) -> "RingCtx":
+        """The same ell at precision n, built (and ell checked) once."""
         return RingCtx(self.ell, n)
 
     @cached_property
@@ -168,16 +170,6 @@ def reduce_zeta_poly(coeffs, ell: int) -> tuple:
     return tuple(folded[i] - top for i in range(ell - 1))
 
 
-def zeta_poly_mul(a: tuple, b: tuple, ell: int) -> tuple:
-    prod = [0] * (2 * ell - 3)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-    return reduce_zeta_poly(prod, ell)
-
-
 def zeta_poly_add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -188,15 +180,6 @@ def zeta_poly_galois(a: tuple, j: int, ell: int) -> tuple:
     for e, c in enumerate(a):
         out[(e * j) % ell] += c
     return reduce_zeta_poly(out, ell)
-
-
-_LAMBDA = {}
-
-
-def _lambda_poly(ell: int) -> tuple:
-    if ell not in _LAMBDA:
-        _LAMBDA[ell] = reduce_zeta_poly((1, -1), ell)
-    return _LAMBDA[ell]
 
 
 def digits_from_poly(poly, ell: int, n: int) -> tuple:
@@ -229,10 +212,12 @@ def digits_from_poly(poly, ell: int, n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _lambda_power_table(ell: int, n: int) -> tuple:
-    lam = _lambda_poly(ell)
+    """lambda^0, ..., lambda^(n-1); lambda^(i+1) = lambda^i - zeta * lambda^i,
+    and multiplying by zeta rotates the coefficients."""
     powers = [(1,) + (0,) * (ell - 2)]
     for _ in range(1, n):
-        powers.append(zeta_poly_mul(powers[-1], lam, ell))
+        p = powers[-1]
+        powers.append(tuple(a - b for a, b in zip(p, reduce_zeta_poly((0,) + p, ell))))
     return tuple(powers)
 
 
@@ -518,42 +503,33 @@ class CycloElt:
 # Division by rational integers and the truncated log / exp.
 
 
-def unit_part_of_ell(ctx: RingCtx) -> CycloElt:
-    """The unit u with ell = lambda^(ell-1) * u, at the context precision."""
-    ell = ctx.ell
-    wide = CycloElt.from_int(ell, ctx.at_precision(ctx.precision + ell - 1))
-    return wide.shift_down(ell - 1)
-
-
 def div_by_int(a: CycloElt, k: int) -> CycloElt:
-    """Exact division by a nonzero integer k.
+    """Exact division by a nonzero integer k = +-ell^s * k' with k' prime to ell.
 
-    The prime-to-ell part of k is a unit; each factor of ell costs ell-1
-    digits of precision, so the result lives at precision n - (ell-1)*s.
+    ell^s O = lambda^((ell-1)s) O contains lambda^n O, so a is divisible
+    exactly when its coefficients are divisible by ell^s; they are divided
+    as integers, and the result lives at precision n - (ell-1)s.  Then
+    +-k' is inverted mod the modulus of that precision.
     """
     if k == 0:
         raise ZeroDivisionError
-    ell = a.ctx.ell
-    sign = -1 if k < 0 else 1
-    k = abs(k)
-    s = 0
-    while k % ell == 0:
-        k //= ell
+    ctx = a.ctx
+    ell = ctx.ell
+    unit, s = k, 0
+    while unit % ell == 0:
+        unit //= ell
         s += 1
-    out = a
-    if k != 1:
-        out = out * CycloElt.from_int(k, out.ctx).inverse()
+    coeffs = a.coeffs
     if s:
-        loss = s * (ell - 1)
-        if out.ord_lambda < loss:
+        q = ell**s
+        loss = (ell - 1) * s
+        if loss > ctx.precision or any(c % q for c in coeffs):
             raise DomainError(f"element not divisible by ell^{s}")
-        u_inv = unit_part_of_ell(out.ctx).inverse()
-        for _ in range(s):
-            out = out * u_inv
-        out = out.shift_down(loss)
-    if sign < 0:
-        out = -out
-    return out
+        ctx = ctx.at_precision(ctx.precision - loss)
+        coeffs = [c // q for c in coeffs]
+    m = ctx.modulus
+    inv = pow(unit, -1, m)
+    return CycloElt.from_reduced(tuple(c * inv % m for c in coeffs), ctx)
 
 
 def _ord_ell_factorial(k: int, ell: int) -> int:

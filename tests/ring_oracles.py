@@ -7,7 +7,7 @@ is decided through the norm, and determinants by cofactor expansion.
 from fractions import Fraction
 from functools import lru_cache
 
-from lamadic.ring import CycloElt, zeta_poly_add, zeta_poly_mul
+from lamadic.ring import CycloElt
 
 
 def mul_mod_phi(a, b, ell):
@@ -66,24 +66,21 @@ def det_cofactor(a):
     d = a.dim
     ell = a.ctx.ell
     lifts = [[e.lift_poly() for e in row] for row in a.entries]
-    zero = (0,) * (ell - 1)
     memo = {}
 
     def minor(row, colmask):
         if row == d:
-            return (1,) + (0,) * (ell - 2)
+            return [1] + [0] * (ell - 2)
         if colmask in memo:
             return memo[colmask]
-        total = zero
+        total = [0] * (ell - 1)
         sign = 1
         for j in range(d):
             if colmask & (1 << j):
                 entry = lifts[row][j]
                 if any(entry):
-                    term = zeta_poly_mul(entry, minor(row + 1, colmask & ~(1 << j)), ell)
-                    if sign < 0:
-                        term = tuple(-c for c in term)
-                    total = zeta_poly_add(total, term)
+                    term = mul_mod_phi(entry, minor(row + 1, colmask & ~(1 << j)), ell)
+                    total = [t + sign * c for t, c in zip(total, term)]
                 sign = -sign
         memo[colmask] = total
         return total

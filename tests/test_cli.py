@@ -107,6 +107,19 @@ def test_check_curve_with_a_large_prime_in_the_discriminant(capsys, poly):
     assert time.monotonic() - start < 10.0
 
 
+@pytest.mark.parametrize("ell", ["4", "1", "-3", "5"])
+def test_check_curve_rejects_ell_like_division_degree(capsys, ell):
+    # 5 is prime but divides the degree of the quintic
+    results = [
+        invoke(capsys, command, "--ell", ell, "--poly", "x^5 - x - 1", "--json")
+        for command in ("check-curve", "division-degree")
+    ]
+    assert [code for code, _, _ in results] == [2, 2]
+    errors = [json.loads(out)["error"] for _, out, _ in results]
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("DomainError: ell must")
+
+
 def test_poly_syntax_error_exits_1(capsys):
     code, _, _ = invoke(capsys, "check-curve", "--ell", "11", "--poly", "x^-1")
     assert code == 1

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -86,6 +87,23 @@ def test_cycle_types():
     for p in (3, 5, 7, 11, 13):
         ct = cycle_type_mod_p(f, p)
         assert ct is None or sum(ct) == 4
+
+
+def test_cycle_types_match_sympy_factor_degrees():
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random(12)
+    primes = list(sympy.primerange(2, 60))
+    for _ in range(25):
+        deg = rng.randint(4, 12)
+        coeffs = [rng.randint(-30, 30) for _ in range(deg)] + [1]
+        f = IntPoly(tuple(coeffs))
+        for p in primes:
+            _, factors = sympy.Poly(coeffs[::-1], x, modulus=p).factor_list()
+            squarefree = all(e == 1 for _, e in factors)
+            want = sorted(g.degree() for g, _ in factors) if squarefree else None
+            assert cycle_type_mod_p(f, p) == want, (coeffs, p)
 
 
 def test_galois_certificates():

@@ -21,6 +21,7 @@ from lamadic.matrices import (
     filtration_order_exponent,
     legendre,
     lift_su,
+    mat_zero,
     perm_embed,
     random_su_element,
     su_dimension_and_basis,
@@ -300,13 +301,19 @@ lat.demjanenko_det = lambda ell, r: dataclasses.replace(true_demjanenko(ell, r),
 print(run(["lattice-index", "--ell", "7", "--r", "3"]))
 c.h_minus = lambda ell: 2
 print(run(["demjanenko", "--ell", "7", "--r", "3"]))
+import lamadic.commutators as co
+co._bracket_closed_form = lambda *args: m.mat_zero(3)
+try:
+    co.eij_bracket_table(m.HermitianForm.standard(m.RingCtx(5, 2), 3), 1, 2, 3, 1, 1)
+except m.CheckFailed as e:
+    print(type(e).__name__)
 """
 
 
 def test_planted_check_failure_raises_check_failed(monkeypatch):
-    import lamadic.matrices as matrices
-
     import lamadic.classnum as classnum
+    import lamadic.commutators as commutators
+    import lamadic.matrices as matrices
 
     monkeypatch.setattr(matrices, "det_local", lambda a: CycloElt.from_int(2, a.ctx))
     form = HermitianForm.standard(RingCtx(5, 2), 2)
@@ -316,12 +323,16 @@ def test_planted_check_failure_raises_check_failed(monkeypatch):
     monkeypatch.setattr(classnum, "h_minus", lambda ell: 2)
     with pytest.raises(CheckFailed):
         classnum.demjanenko_det(7, 3)
+    # the E_ij bracket table against a closed form that disagrees
+    monkeypatch.setattr(commutators, "_bracket_closed_form", lambda *args: mat_zero(3))
+    with pytest.raises(CheckFailed, match="bracket table mismatch"):
+        commutators.eij_bracket_table(HermitianForm.standard(RingCtx(5, 2), 3), 1, 2, 3, 1, 1)
     # the check survives python -O, and the CLI maps it to exit code 2
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-O", "-c", _PLANTED], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout.split() == ["2", "2", "2"]
+    assert proc.stdout.split() == ["2", "2", "2", "CheckFailed"]
     assert proc.stderr.count("CheckFailed") == 3
     assert "cokernel exponent 0 != determinant order 1" in proc.stderr
     assert "h^- c / (2 ell)" in proc.stderr

@@ -1,14 +1,16 @@
 """Property tests over random (ell, n): an element built from digits and one
-produced by arithmetic must behave as the same element of O/lambda^n.
+produced by arithmetic must behave as the same element of O/lambda^n, and
+division by integers, log and exp must obey their defining identities.
 
 Examples are derandomized, so every run tests the same inputs.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamadic.matrices import MatLocal, det_local
-from lamadic.ring import CycloElt, RingCtx
+from lamadic.ring import CycloElt, DomainError, RingCtx, div_by_int, exp, log1p
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -93,3 +95,67 @@ def test_det_local_is_multiplicative(data):
 
     a, b = matrix(), matrix()
     assert det_local(a * b) == det_local(a) * det_local(b)
+
+
+@st.composite
+def wide_contexts(draw, least=1):
+    """Precision up to 2 ell, so that dividing by ell^2 can occur."""
+    ell = draw(st.sampled_from(SMALL_PRIMES))
+    return RingCtx(ell, draw(st.integers(least, 2 * ell)))
+
+
+def cofactors(ell):
+    """Integers prime to ell, of either sign."""
+    return st.integers(-10**6, 10**6).filter(lambda k: k % ell != 0)
+
+
+@checked
+@given(st.data())
+def test_div_by_int_inverts_multiplication(data):
+    ell = data.draw(st.sampled_from(SMALL_PRIMES))
+    s = data.draw(st.integers(0, 2))
+    n = data.draw(st.integers((ell - 1) * s + 1, 2 * ell))
+    ctx = RingCtx(ell, n)
+    a = data.draw(elements(ctx))
+    k = ell**s * data.draw(cofactors(ell))
+    q = div_by_int(a * k, k)
+    assert q.ctx.precision == n - (ell - 1) * s
+    assert q == a.truncate(q.ctx.precision)
+
+
+@checked
+@given(st.data())
+def test_div_by_int_rejects_non_multiples(data):
+    ctx = data.draw(wide_contexts())
+    ell, n = ctx.ell, ctx.precision
+    s = data.draw(st.integers(1, 2))
+    v = data.draw(st.integers(0, min(n, (ell - 1) * s) - 1))
+    unit = data.draw(elements(ctx).filter(lambda u: u.is_unit))
+    a = CycloElt.lam(ctx, v) * unit
+    assert a.ord_lambda == v
+    with pytest.raises(DomainError):
+        div_by_int(a, ell**s * data.draw(cofactors(ell)))
+
+
+def principal_units(data, ctx):
+    """1 + lambda^2 * x for a random x."""
+    x = data.draw(elements(ctx))
+    return CycloElt.one(ctx) + CycloElt.lam(ctx, 2) * x
+
+
+@checked
+@given(st.data())
+def test_log_of_a_product_is_the_sum_of_the_logs(data):
+    ctx = data.draw(wide_contexts(least=3))
+    u, v = principal_units(data, ctx), principal_units(data, ctx)
+    assert log1p(u * v) == log1p(u) + log1p(v)
+
+
+@checked
+@given(st.data())
+def test_exp_inverts_log(data):
+    ctx = data.draw(wide_contexts(least=3))
+    u = principal_units(data, ctx)
+    x = log1p(u)
+    assert x.is_zero() or x.ord_lambda >= 2
+    assert exp(x) == u

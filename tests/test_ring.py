@@ -14,7 +14,6 @@ from lamadic.ring import (
     is_prime,
     log1p,
     poly_from_digits,
-    unit_part_of_ell,
 )
 from ring_oracles import in_lambda_n, lift_digits, mul_mod_phi
 
@@ -89,14 +88,6 @@ def test_inverse_and_units():
         digits = [rng.randrange(1, 5)] + [rng.randrange(5) for _ in range(5)]
         a = CycloElt(ctx, tuple(digits))
         assert a * a.inverse() == CycloElt.one(ctx)
-
-
-def test_unit_part_of_ell():
-    for ell in (3, 5, 7):
-        ctx = RingCtx(ell, 4)
-        u = unit_part_of_ell(ctx)
-        lam = CycloElt.lam(ctx, 1)
-        assert lam ** (ell - 1) * u == CycloElt.from_int(ell, ctx)
 
 
 def test_div_by_int():
