@@ -9,10 +9,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from math import factorial, gcd, isqrt
+from itertools import combinations, zip_longest
+from math import factorial, gcd, isqrt, prod
 
 from .linalg import det
-from .ring import CheckFailed, DomainError, is_prime
+from .ring import CheckFailed, DomainError, is_prime, pack
 from .matrices import filtration_order_exponent, legendre
 from .classnum import kappa_and_t
 from .lattices import u_reduction_order
@@ -169,24 +170,21 @@ def discriminant(f: IntPoly) -> int:
     return val // f.coeffs[-1]
 
 
-def trinomial_discriminant(n: int, a: int, b: int) -> int:
-    """Closed form for x^n + a x + b, an independent oracle."""
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * (n**n * b ** (n - 1) + (-1) ** (n - 1) * (n - 1) ** (n - 1) * a**n)
-
-
 # ---------------------------------------------------------------------------
 # Factorization and the simple-prime search.
 
 
 def _pollard_brent(n: int, rng: random.Random, budget: int):
-    """Brent-cycle Pollard rho; returns a nontrivial factor or None."""
+    """Brent-cycle Pollard rho; returns a nontrivial factor or None.  The
+    budget bounds the steps of all restarts together."""
     if n % 2 == 0:
         return 2
+    steps = 0
     for _ in range(20):
+        if steps >= budget:
+            break
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g, r, q = 1, 1, 1
-        steps = 0
         while g == 1 and steps < budget:
             x = y
             for _ in range(r):
@@ -267,107 +265,194 @@ def _choose_simple_prime(disc: int, factors: dict, leftover: int, exclude_ell: i
 
 
 # ---------------------------------------------------------------------------
-# Cycle types modulo p and the symmetric-group certificate.
+# Polynomials mod m (lists, constant term first), cycle types modulo p, and
+# factorization over the integers.  m = 0 means exact arithmetic over Z.
 
 
-def _polmod(coeffs, p):
-    c = [x % p for x in coeffs]
+def _polmod(coeffs, m):
+    c = [x % m for x in coeffs] if m else list(coeffs)
     while len(c) > 1 and c[-1] == 0:
         c.pop()
     return c
 
 
-def _polmul(a, b, f, p):
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _polrem(prod, f, p)
+def _polmul(a, b, m):
+    """a*b mod m for a, b reduced mod m, by Kronecker substitution: each
+    slot of the packed product holds a coefficient exactly."""
+    width = (min(len(a), len(b)) * (m - 1) ** 2).bit_length()
+    x = pack(a, width) * pack(b, width)
+    mask = (1 << width) - 1
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        out.append((x & mask) % m)
+        x >>= width
+    return _polmod(out, m)
 
 
-def _polrem(a, f, p):
-    a = [x % p for x in a]
-    df = len(f) - 1
-    inv = pow(f[-1], -1, p)
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i] * inv % p
+def _poldivmod(a, b, m):
+    """(quotient, remainder) of a by b mod m; over Z (m = 0) b is monic.
+    Coefficients are reduced once, at the end."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m) if m else 1
+    q = [0] * max(len(a) - db, 1)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv % m if m else a[i]
         if c:
-            for j in range(df + 1):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-    return _polmod(a[:df] or [0], p)
+            q[i - db] = c
+            for j in range(db):
+                a[i - db + j] -= c * b[j]
+    return _polmod(q, m), _polmod(a[:db] or [0], m)
 
 
 def _polgcd(a, b, p):
+    """The monic gcd mod the prime p; a is nonzero."""
     a, b = _polmod(a, p), _polmod(b, p)
     while b != [0]:
-        inv = pow(b[-1], -1, p)
-        r = _polrem([x * inv % p for x in a], [x * inv % p for x in b], p)
-        a, b = b, r
-    return a
+        a, b = b, _poldivmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
-def _polpow(base, e, f, p):
-    """base^e mod (f, p) by square and multiply."""
+def _polpow(base, e, f, m):
+    """base^e mod (f, m) by square and multiply."""
+    base = _poldivmod(base, f, m)[1]
     result = [1]
     while e:
         if e & 1:
-            result = _polmul(result, base, f, p)
-        base = _polmul(base, base, f, p)
+            result = _poldivmod(_polmul(result, base, m), f, m)[1]
+        base = _poldivmod(_polmul(base, base, m), f, m)[1]
         e >>= 1
     return result
+
+
+def _distinct_degree(f: IntPoly, p: int):
+    """[(d, product of the degree-d irreducible factors of f mod p)] for
+    each degree d that occurs, or None when f mod p drops degree or is not
+    squarefree."""
+    fc = _polmod(f.coeffs, p)
+    if len(fc) - 1 != f.degree:
+        return None
+    if len(_polgcd(fc, [i * c for i, c in enumerate(fc)][1:] or [0], p)) > 1:
+        return None
+    inv = pow(fc[-1], -1, p)
+    rest = [c * inv % p for c in fc]
+    xq = [0, 1]
+    blocks = []
+    d = 0
+    # every factor left has degree > d, so a rest of degree < 2(d + 1) is irreducible
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        # Frobenius: x^(p^d) = (x^(p^(d-1)))^p, reduced mod the remaining product
+        xq = _polpow(xq, p, rest, p)
+        # x^(p^d) - x against the remaining product
+        diff = xq + [0] * (2 - len(xq))
+        diff[1] -= 1
+        g = _polgcd(rest, diff, p)
+        if len(g) > 1:
+            blocks.append((d, g))
+            rest = _poldivmod(rest, g, p)[0]
+    if len(rest) > 1:
+        blocks.append((len(rest) - 1, rest))
+    return blocks
 
 
 def cycle_type_mod_p(f: IntPoly, p: int):
     """Degrees of the irreducible factors of f mod p (with multiplicity
     by degree count), or None when f mod p is not squarefree."""
-    fc = _polmod(list(f.coeffs), p)
-    if len(fc) - 1 != f.degree:
+    blocks = _distinct_degree(f, p)
+    if blocks is None:
         return None
-    fp = _polmod([i * c % p for i, c in enumerate(fc)][1:] or [0], p)
-    if len(_polgcd(fc, fp, p)) > 1:
-        return None
-    r = f.degree
-    remaining = fc[:]
-    xq = [0, 1]
-    out = []
-    d = 0
-    # every factor left has degree > d, so a rest of degree < 2(d + 1) is irreducible
-    while len(remaining) - 1 >= 2 * (d + 1):
-        d += 1
-        # Frobenius: x^(p^d) = (x^(p^(d-1)))^p, reduced mod the remaining product
-        xq = _polpow(_polrem(xq, remaining, p), p, remaining, p)
-        # x^(p^d) - x against the remaining product
-        diff = xq[:]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _polgcd(remaining, diff, p)
-        dg = len(g) - 1
-        if dg:
-            out.extend([d] * (dg // d))
-            ginv = pow(g[-1], -1, p)
-            g = [x * ginv % p for x in g]
-            remaining = _poldiv_exact(remaining, g, p)
-    if len(remaining) > 1:
-        out.append(len(remaining) - 1)
-    out.sort()
-    if sum(out) != r:
-        raise CheckFailed(f"factor degrees {out} do not add up to {r}")
+    out = sorted(d for d, g in blocks for _ in range((len(g) - 1) // d))
+    if sum(out) != f.degree:
+        raise CheckFailed(f"factor degrees {out} do not add up to {f.degree}")
     return out
 
 
-def _poldiv_exact(a, b, p):
-    a = a[:]
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return _polmod(q, p)
+def _equal_degree(g, d, p, rng):
+    """The irreducible factors of the monic squarefree g mod the odd prime
+    p, all of degree d (Cantor-Zassenhaus)."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = [rng.randrange(p) for _ in range(len(g) - 1)]
+        b = _polpow(a, (p**d - 1) // 2, g, p)
+        b[0] -= 1
+        h = _polgcd(g, b, p)
+        if 1 < len(h) < len(g):
+            return (_equal_degree(h, d, p, rng)
+                    + _equal_degree(_poldivmod(g, h, p)[0], d, p, rng))
+
+
+def _hensel_lift(f, g, p, k):
+    """The monic factor of f mod p^k that reduces to the irreducible factor
+    g of f mod p, lifted one power of p at a time (f monic, squarefree mod p)."""
+    h = _poldivmod(f, g, p)[0]
+    # F_p[x]/(g) is a field of p^deg(g) elements, so this is h^-1 mod g
+    t = _polpow(h, p ** (len(g) - 1) - 2, g, p)
+    q = p
+    for _ in range(k - 1):
+        # g is a factor mod q: f = g*quotient + q*e mod q*p
+        e = [c // q for c in _poldivmod(f, g, q * p)[1]]
+        dg = _poldivmod(_polmul(t, e, p), g, p)[1]
+        g = _polmod([a + q * b for a, b in zip_longest(g, dg, fillvalue=0)], q * p)
+        q *= p
+    return g
+
+
+def rational_factor(f: IntPoly):
+    """A proper monic factor of the monic f in Z[x], or None when f is
+    irreducible (Zassenhaus; Cohen, A Course in Computational Algebraic
+    Number Theory, 3.5).
+
+    The factorization mod the prime with the fewest factors among the
+    first five odd primes where f stays squarefree is lifted past twice
+    the Mignotte bound 2^r ||f||_2 on the coefficients of a factor, and
+    products of at most half the lifted factors are tried by exact
+    division.  The random splits are seeded by p, so the witness is
+    deterministic."""
+    if not f.is_monic:
+        raise DomainError("polynomial must be monic")
+    if f.degree < 2:
+        return None
+    if discriminant(f) == 0:
+        raise DomainError("polynomial is not squarefree")
+    choices = []
+    p = 2
+    while len(choices) < 5:
+        p = _next_prime(p)
+        blocks = _distinct_degree(f, p)
+        if blocks is not None:
+            count = sum((len(g) - 1) // d for d, g in blocks)
+            choices.append((count, p, blocks))
+    count, p, blocks = min(choices, key=lambda c: c[0])
+    if count == 1:
+        return None
+    rng = random.Random(p)
+    factors = [h for d, g in blocks for h in _equal_degree(g, d, p, rng)]
+    bound = 2**f.degree * (isqrt(sum(c * c for c in f.coeffs)) + 1)
+    k = 1
+    while p**k <= 2 * bound:
+        k += 1
+    q = p**k
+
+    def symmetric(c):
+        return c - q if 2 * c > q else c
+
+    lifted = [_hensel_lift(f.coeffs, g, p, k) for g in factors]
+    for size in range(1, len(lifted) // 2 + 1):
+        for subset in combinations(lifted, size):
+            # a factor's constant term divides f(0): a cheap test before the product
+            c0 = symmetric(prod(h[0] for h in subset) % q)
+            if c0 and f.coeffs[0] % c0:
+                continue
+            g = [1]
+            for h in subset:
+                g = _polmul(g, h, q)
+            g = [symmetric(c) for c in g]
+            if _poldivmod(f.coeffs, g, 0)[1] == [0]:
+                return IntPoly(tuple(g))
+    return None
 
 
 @dataclass(frozen=True)
@@ -388,18 +473,16 @@ def galois_certificate(f: IntPoly, budget: int = 500) -> GaloisVerdict:
     and a q-cycle fixing the rest for a prime q with r/2 < q < r
     (a prime cycle longer than half the degree forces primitivity).
     A primitive group containing a transposition is the full symmetric
-    group, so the three witnesses together are conclusive.
+    group, so the three witnesses together are conclusive.  A reducible
+    f (monic, as rational_factor requires) has a proper factor as witness.
     """
     r = f.degree
     disc = discriminant(f)
     if disc == 0:
         raise DomainError("polynomial is not squarefree")
-    from sympy import Poly, symbols, factor_list
-
-    x = symbols("x")
-    _, parts = factor_list(Poly(list(reversed(f.coeffs)), x).as_expr())
-    if sum(m for _, m in parts) > 1 or any(m > 1 for _, m in parts):
-        return GaloisVerdict("reducible", {})
+    factor = rational_factor(f)
+    if factor is not None:
+        return GaloisVerdict("reducible", {"factor": list(factor.coeffs)})
     witnesses = {"irreducible": None, "transposition": None, "prime_cycle": None}
     p = 2
     sampled = 0

@@ -125,9 +125,6 @@ class MatLocal:
         """The k-th digit matrix over F_ell (Eq.-style expansion is entrywise)."""
         return [[e.digits[k] for e in row] for row in self.entries]
 
-    def digit_matrices(self):
-        return [self.digit(k) for k in range(self.ctx.precision)]
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "MatLocal") -> "MatLocal":
@@ -522,10 +519,13 @@ def check_su_slice_predicate(m, form: HermitianForm, parity_n: int, group: str =
 
 
 def filtration_order_exponent(ell: int, d: int, n: int, k: int, group: str = "SU") -> int:
-    """Exponent e with |G(V/lambda^n)_k| = ell^e for G in {SU, U}."""
+    """Exponent e with |G(V/lambda^n)_k| = ell^e for G in {SU, U}: the sum
+    of the slice dimensions at the levels k+1, ..., n, counted by parity."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return sum(su_dimension(d, i + 1, group) for i in range(k, n))
+    odd_levels = (n + 1) // 2 - (k + 1) // 2
+    even_levels = n // 2 - k // 2
+    return odd_levels * su_dimension(d, 1, group) + even_levels * su_dimension(d, 0, group)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ class NotAUnit(RingError):
 
 
 class DomainError(RingError):
-    """Operand outside the domain of a partial operation (log/exp, shifts)."""
+    """Operand outside the domain of a partial operation (log/exp, division)."""
 
 
 class CheckFailed(RingError):
@@ -466,14 +466,6 @@ class CycloElt:
         return CycloElt(
             self.ctx.at_precision(n), self.digits + (0,) * (n - self.ctx.precision)
         )
-
-    def shift_down(self, k: int) -> "CycloElt":
-        """Exact division by lambda^k; the leading k digits must vanish."""
-        if k == 0:
-            return self
-        if any(self.digits[:k]):
-            raise DomainError(f"not divisible by lambda^{k}")
-        return CycloElt(self.ctx.at_precision(self.ctx.precision - k), self.digits[k:])
 
     # -- serialization -----------------------------------------------------
 

@@ -1,7 +1,9 @@
-"""Reference algorithms the tests compare lamadic's ring and matrix layers
-against.  They share no code path with the implementation: products are
-schoolbook multiplication mod Phi_ell written here, membership in lambda^n
-is decided through the norm, and determinants by cofactor expansion.
+"""Reference algorithms the tests compare lamadic's ring, matrix and curve
+layers against.  They share no code path with the implementation: products
+are schoolbook multiplication mod Phi_ell written here, membership in
+lambda^n is decided through the norm, determinants by cofactor expansion,
+filtration orders by summing the slice dimensions level by level, and
+trinomial discriminants by their closed form.
 """
 
 from fractions import Fraction
@@ -174,3 +176,17 @@ def local_index_exponent(columns, dim, ell, depth):
                 for row in rows:
                     row[j] = (row[j] - f * row[k]) % mod
     return total
+
+
+def trinomial_discriminant(n, a, b):
+    """Closed form for the discriminant of x^n + a x + b."""
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * (n**n * b ** (n - 1) + (-1) ** (n - 1) * (n - 1) ** (n - 1) * a**n)
+
+
+def filtration_order_sum(d, n, k, group="SU"):
+    """The exponent of |G(V/lambda^n)_k| as the sum of the slice dimensions
+    at the levels k+1, ..., n: d(d-1)/2 at odd levels, d(d+1)/2 at even
+    ones, less the trace condition for SU."""
+    return sum(d * (d - 1) // 2 if level % 2 else d * (d + 1) // 2 - (group == "SU")
+               for level in range(k + 1, n + 1))

@@ -60,6 +60,16 @@ def test_su_order(capsys):
     assert code == 0 and json.loads(out)["exponent"] == 219
 
 
+def test_su_order_at_a_huge_level(capsys):
+    start = time.monotonic()
+    code, out, _ = invoke(
+        capsys, "su-order", "--ell", "11", "--d", "7", "--n", str(10**12), "--k", "1", "--json"
+    )
+    # 21 per odd level above the first, 27 per even level
+    assert code == 0 and json.loads(out)["exponent"] == 21 * (10**12 // 2 - 1) + 27 * 10**12 // 2
+    assert time.monotonic() - start < 1.0
+
+
 def test_verify_commutator(capsys):
     for n in (3, 4, 6):
         code, out, _ = invoke(capsys, "verify-commutator", "--n", str(n), "--json")
@@ -141,6 +151,8 @@ def test_division_degree_paths(capsys):
     assert data["components"]["su_exponent"] == 219
     assert data["reference"] == {"coeff": 40320, "ell_exponent": 260}
     assert data["discrepancy"]["coeff_matches"] is True
+    # the witness of reducibility is the factor x^2 + x + 1
+    assert data["galois"] == {"status": "reducible", "witnesses": {"factor": [1, 1, 1]}}
 
 
 def test_selftest_deterministic(capsys):

@@ -1,10 +1,14 @@
 import json
 import random
+import time
+from itertools import zip_longest
+from math import comb
 
 import pytest
 
 from lamadic.ring import DomainError
 from lamadic.curves import (
+    _pollard_brent,
     HypothesisError,
     IntPoly,
     PolySyntaxError,
@@ -15,8 +19,9 @@ from lamadic.curves import (
     find_simple_prime,
     galois_certificate,
     parse_poly,
-    trinomial_discriminant,
+    rational_factor,
 )
+from ring_oracles import trinomial_discriminant
 
 
 def test_parse_examples():
@@ -79,6 +84,27 @@ def test_factorize_large_semiprime():
     assert factors == {1000003: 1, 1000033: 1}
 
 
+class _CountingModulus(int):
+    """An integer that counts the reductions modulo itself."""
+
+    reductions = 0
+
+    def __rmod__(self, other):
+        type(self).reductions += 1
+        return int(other) % int(self)
+
+
+def test_rho_budget_bounds_all_restarts_together():
+    # two 12-digit primes: rho needs about 10^6 steps, far past the budget,
+    # so every one of the 20 restarts fails
+    n = _CountingModulus(100000000003 * 100000000019)
+    budget = 2000
+    assert _pollard_brent(n, random.Random(0), budget) is None
+    # two reductions per counted step, plus the r squarings that open each
+    # round of r counted steps, which the budget does not count
+    assert _CountingModulus.reductions < 5 * budget
+
+
 def test_cycle_types():
     f = parse_poly("x^4 + x + 1")
     # x^4+x+1 mod 2 is irreducible
@@ -122,6 +148,123 @@ def test_galois_soundness_on_reducibles():
     assert v2.status != "symmetric"
     with pytest.raises(DomainError):
         galois_certificate(parse_poly("x^4 + 2*x^2 + 1"))  # (x^2+1)^2
+    with pytest.raises(DomainError):
+        galois_certificate(parse_poly("2*x^4 + x + 1"))  # not monic
+
+
+def _poly_mul(a, b):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return prod
+
+
+def _sympy_factors(coeffs):
+    """[(degree, multiplicity)] of the irreducible factors over Q."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    _, parts = sympy.factor_list(sum(c * x**k for k, c in enumerate(coeffs)), x)
+    return [(sympy.Poly(g, x).degree(), m) for g, m in parts]
+
+
+def _check_against_sympy(coeffs):
+    f = IntPoly(tuple(coeffs))
+    g = rational_factor(f)
+    irreducible = _sympy_factors(coeffs) == [(f.degree, 1)]
+    assert (g is None) == irreducible, coeffs
+    if g is not None:
+        assert g.is_monic and 0 < g.degree < f.degree
+        # the witness divides f exactly in Z[x]: the cofactor has integer coefficients
+        cofactor = [0] * (f.degree - g.degree + 1)
+        rest = list(f.coeffs)
+        for i in range(f.degree - g.degree, -1, -1):
+            cofactor[i] = rest[i + g.degree]
+            for j, c in enumerate(g.coeffs):
+                rest[i + j] -= cofactor[i] * c
+        assert not any(rest), (coeffs, g)
+    return g
+
+
+def test_rational_factor_matches_sympy_on_random_products():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 60:
+        coeffs = [1]
+        for _ in range(rng.randint(2, 4)):
+            deg = rng.randint(1, 5)
+            coeffs = _poly_mul(coeffs, [rng.randint(-9, 9) for _ in range(deg)] + [1])
+        if any(m > 1 for _, m in _sympy_factors(coeffs)):
+            continue  # not squarefree
+        assert _check_against_sympy(coeffs) is not None
+        checked += 1
+
+
+def test_rational_factor_matches_sympy_on_random_polynomials():
+    rng = random.Random(32)
+    verdicts = set()
+    for _ in range(60):
+        deg = rng.randint(2, 14)
+        coeffs = [rng.randint(-20, 20) for _ in range(deg)] + [1]
+        if discriminant(IntPoly(tuple(coeffs))) == 0:
+            continue
+        verdicts.add(_check_against_sympy(coeffs) is None)
+    assert verdicts == {True, False}
+
+
+def _swinnerton_dyer(radicands):
+    """The minimal polynomial of the sum of the square roots, constant term
+    first: f(x) -> A^2 - a B^2 for each radicand a, where f(x + y) = A + yB
+    with y^2 = a."""
+    f = [0, 1]
+    for a in radicands:
+        halves = [[0] * len(f), [0] * len(f)]
+        for k, c in enumerate(f):
+            for j in range(k + 1):
+                halves[(k - j) % 2][j] += c * comb(k, j) * a ** ((k - j) // 2)
+        big_a, big_b = halves
+        f = [u - a * v for u, v in zip_longest(_poly_mul(big_a, big_a),
+                                                 _poly_mul(big_b, big_b), fillvalue=0)]
+    return f
+
+
+@pytest.mark.parametrize("radicands", [(2, 3, 5), (2, 3, 5, 7), (2, 3, 5, 7, 11)],
+                         ids=["degree8", "degree16", "degree32"])
+def test_rational_factor_on_swinnerton_dyer_polynomials(radicands):
+    coeffs = _swinnerton_dyer(radicands)
+    f = IntPoly(tuple(coeffs))
+    assert f.degree == 2 ** len(radicands)
+    # irreducible, but every factor mod p has degree 1 or 2
+    types = [cycle_type_mod_p(f, p) for p in (13, 17, 19, 23, 29, 31, 37, 41, 43)]
+    assert any(types) and all(max(t) <= 2 for t in types if t)
+    start = time.monotonic()
+    assert rational_factor(f) is None
+    # at degree 32 f has 16 or more factors mod p, and the recombination tries
+    # every product of at most half of them (39202 for 16 factors)
+    assert time.monotonic() - start < 5.0
+    assert _sympy_factors(coeffs) == [(f.degree, 1)]
+
+
+def test_rational_factor_splits_equal_degree_blocks():
+    # g(x) g(x+1) g(x+2) with g = x^3 + x + 1; mod 5 and mod 7 the three
+    # cubics stay irreducible and share one distinct-degree block
+    g1, g2, g3 = ([s**3 + s + 1, 3 * s**2 + 1, 3 * s, 1] for s in (0, 1, 2))
+    coeffs = _poly_mul(_poly_mul(g1, g2), g3)
+    assert cycle_type_mod_p(IntPoly(tuple(coeffs)), 5) == [3, 3, 3]
+    assert rational_factor(IntPoly(tuple(coeffs))).degree == 3
+    assert _check_against_sympy(coeffs) is not None
+
+
+def test_rational_factor_witness_of_the_reference_polynomial():
+    f = parse_poly("x^8 + x + 1")
+    assert rational_factor(f).coeffs == (1, 1, 1)
+    assert galois_certificate(f).witnesses == {"factor": [1, 1, 1]}
+    assert rational_factor(parse_poly("x + 5")) is None
+    # x divides f: the constant term 0 of the factor x divides f(0) = 0
+    assert rational_factor(parse_poly("x^3 + x")).coeffs in ((0, 1), (1, 0, 1))
+    with pytest.raises(DomainError):
+        rational_factor(parse_poly("x^3 - 3*x + 2"))  # (x - 1)^2 (x + 2)
 
 
 def test_example_polynomial_is_reducible():

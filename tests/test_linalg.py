@@ -113,14 +113,20 @@ def test_solve_exact_and_overdetermined():
 
 
 _SYMPY_FREE = """
-import sys
+import contextlib, io, sys
 from lamadic.classnum import demjanenko_det, h_minus
+from lamadic.cli import run
 from lamadic.lattices import lattice_index_check, u_reduction_order
 
 assert h_minus(101) == 3547404378125
 demjanenko_det(23, 4)
 lattice_index_check(13, 5)
 u_reduction_order(11, 3, 10)
+# one input certified symmetric, one reducible
+for poly, codes in (("x^8 + x - 1", [0, 0]), ("x^8 + x + 1", [3, 3])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [run([command, "--ell", "11", "--poly", poly, "--json"])
+                for command in ("check-curve", "division-degree")] == codes
 print("sympy" in sys.modules)
 """
 

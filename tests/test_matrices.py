@@ -27,7 +27,7 @@ from lamadic.matrices import (
     su_dimension_and_basis,
     weil_gram_and_epsilon,
 )
-from ring_oracles import det_cofactor
+from ring_oracles import det_cofactor, filtration_order_sum
 
 
 def rand_mat(ctx, d, rng):
@@ -46,7 +46,7 @@ def test_digit_matrices_roundtrip():
     rng = random.Random(1)
     ctx = RingCtx(5, 3)
     a = rand_mat(ctx, 2, rng)
-    rebuilt = MatLocal.from_digit_matrices(ctx, 2, a.digit_matrices())
+    rebuilt = MatLocal.from_digit_matrices(ctx, 2, [a.digit(k) for k in range(ctx.precision)])
     assert rebuilt == a
 
 
@@ -206,6 +206,22 @@ def test_filtration_exponent_bounds():
         filtration_order_exponent(3, 2, 3, 0)
     with pytest.raises(ValueError):
         filtration_order_exponent(3, 2, 3, 4)
+
+
+def test_filtration_exponent_closed_form_matches_level_sum():
+    for d in range(1, 9):
+        for n in range(1, 30):
+            for k in range(1, n + 1):
+                for group in ("SU", "U"):
+                    assert filtration_order_exponent(3, d, n, k, group) == \
+                        filtration_order_sum(d, n, k, group), (d, n, k, group)
+
+
+def test_filtration_exponent_at_huge_level():
+    # d = 2: each odd level adds C(2,2) = 1 and each even level C(3,2) - 1 = 2
+    n = 10**12
+    assert filtration_order_exponent(5, 2, n, 1) == (n // 2 - 1) + 2 * (n // 2)
+    assert filtration_order_exponent(5, 2, n, 1, "U") == (n // 2 - 1) + 3 * (n // 2)
 
 
 def test_su_level_one_exhaustive_count():
