@@ -45,6 +45,22 @@ from .curves import (
 )
 
 
+# Upper limits of lift-check's flags, and of selftest's --trials.  A
+# lift-check call with all four at their limits takes about 10 s.
+MAX_LIFT_ELL = 31
+MAX_LIFT_D = 9
+MAX_LIFT_N = 16
+MAX_TRIALS = 20
+
+
+def _in_range(flag: str, value: int, low: int, high: int | None = None) -> int:
+    """value, or DomainError naming the flag and its limits."""
+    if value < low or (high is not None and value > high):
+        bounds = f"between {low} and {high}" if high is not None else f"at least {low}"
+        raise DomainError(f"{flag} must be {bounds}, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -161,11 +177,11 @@ def _cmd_verify_commutator(args):
 
 
 def _cmd_lift_check(args):
-    trials = args.trials or 20
+    _in_range("--ell", args.ell, 3, MAX_LIFT_ELL)
+    _in_range("--d", args.d, 1, MAX_LIFT_D)
+    n = _in_range("--n", args.n, 2, MAX_LIFT_N)
+    trials = _in_range("--trials", 20 if args.trials is None else args.trials, 1, MAX_TRIALS)
     rng = random.Random(args.seed)
-    n = args.n
-    if n < 2:
-        raise DomainError("need n >= 2")
     form1 = HermitianForm.standard(RingCtx(args.ell, 1), args.d)
     passed = 0
     for _ in range(trials):
@@ -193,7 +209,7 @@ def _cmd_check_curve(args):
     check_ell(args.ell, f.degree)
     if not f.is_monic:
         raise DomainError("polynomial must be monic")
-    budget = args.budget or 200000
+    budget = _in_range("--budget", 200000 if args.budget is None else args.budget, 0)
     disc = discriminant(f)
     if disc == 0:
         raise HypothesisError("polynomial is not separable")
@@ -222,7 +238,7 @@ def _cmd_division_degree(args):
     f = parse_poly(args.poly)
     rep = division_degree_report(
         args.ell, f,
-        budget=args.budget or 200000,
+        budget=_in_range("--budget", 200000 if args.budget is None else args.budget, 0),
         override_hypotheses=args.override_hypotheses,
     )
     if args.json:
@@ -237,6 +253,7 @@ def _cmd_division_degree(args):
 
 
 def _cmd_selftest(args):
+    trials = _in_range("--trials", 5 if args.trials is None else args.trials, 1, MAX_TRIALS)
     rng = random.Random(args.seed)
     results = {}
 
@@ -261,7 +278,7 @@ def _cmd_selftest(args):
 
     def lift_trials():
         form1 = HermitianForm.standard(RingCtx(3, 1), 2)
-        for _ in range(args.trials or 5):
+        for _ in range(trials):
             a = random_su_element(form1, 3, rng)
             form3 = HermitianForm.standard(RingCtx(3, 3), 2)
             if classify_membership(a, form3).kind != "SU":

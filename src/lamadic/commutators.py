@@ -247,11 +247,7 @@ def series_evaluate(p: FreeSeries, assignment, ctx: RingCtx, dim: int) -> MatLoc
 
 
 def group_commutator(a: MatLocal, b: MatLocal) -> MatLocal:
-    # The Neumann series converges (and is cheaper) for level >= 1 members;
-    # the two inversion routes are cross-checked in the test suite.
-    inv_a = a.inverse_neumann() if a.filtration_level() >= 1 else a.inverse()
-    inv_b = b.inverse_neumann() if b.filtration_level() >= 1 else b.inverse()
-    return a * b * inv_a * inv_b
+    return a * b * a.inverse() * b.inverse()
 
 
 def matrix_commutator_check(a: MatLocal, b: MatLocal) -> bool:

@@ -400,6 +400,13 @@ def _hensel_lift(f, g, p, k):
     return g
 
 
+# The recombination in rational_factor tries products of subsets of the
+# factors mod p, a number exponential in their count.  This bounds the
+# subsets examined: 16 factors (the degree-32 Swinnerton-Dyer polynomial)
+# need 39,202 of them, and 32 factors about 2.5e9.
+MAX_RECOMBINATIONS = 100_000
+
+
 def rational_factor(f: IntPoly):
     """A proper monic factor of the monic f in Z[x], or None when f is
     irreducible (Zassenhaus; Cohen, A Course in Computational Algebraic
@@ -409,8 +416,8 @@ def rational_factor(f: IntPoly):
     first five odd primes where f stays squarefree is lifted past twice
     the Mignotte bound 2^r ||f||_2 on the coefficients of a factor, and
     products of at most half the lifted factors are tried by exact
-    division.  The random splits are seeded by p, so the witness is
-    deterministic."""
+    division; past MAX_RECOMBINATIONS products it raises DomainError.  The
+    random splits are seeded by p, so the witness is deterministic."""
     if not f.is_monic:
         raise DomainError("polynomial must be monic")
     if f.degree < 2:
@@ -440,8 +447,14 @@ def rational_factor(f: IntPoly):
         return c - q if 2 * c > q else c
 
     lifted = [_hensel_lift(f.coeffs, g, p, k) for g in factors]
+    examined = 0
     for size in range(1, len(lifted) // 2 + 1):
         for subset in combinations(lifted, size):
+            examined += 1
+            if examined > MAX_RECOMBINATIONS:
+                raise DomainError(
+                    f"recombining {len(lifted)} factors mod {p} needs more than "
+                    f"MAX_RECOMBINATIONS = {MAX_RECOMBINATIONS} products")
             # a factor's constant term divides f(0): a cheap test before the product
             c0 = symmetric(prod(h[0] for h in subset) % q)
             if c0 and f.coeffs[0] % c0:

@@ -121,20 +121,6 @@ def infinity_type_apply(r: int, x: CycloElt, variant: str = "T") -> CycloElt:
     return div_by_int(acc, 2)
 
 
-def t_doubleprime_apply(r: int, x: CycloElt) -> CycloElt:
-    """sum over the half-system of 2 n'(j) sigma_j, on anti-fixed inputs;
-    this is twice the T' action restricted to the anti-fixed part."""
-    ctx = x.ctx
-    if not is_anti_fixed(x):
-        raise DomainError("input must be anti-fixed")
-    acc = CycloElt.zero(ctx)
-    for j in range(1, (ctx.ell - 1) // 2 + 1):
-        c = _twice_n_prime(ctx.ell, r, j)
-        if c:
-            acc = acc + x.galois(j) * c
-    return acc
-
-
 def decompose_unit(d: CycloElt, r: int):
     """Factor a member as (-zeta)^e * rho * exp(x) with rho Galois-stable
     and x anti-fixed; returns (e, rho, x).  Finite-precision version of the

@@ -52,14 +52,6 @@ def mat_scale_mod(c, a, ell):
     return [[(c * x) % ell for x in row] for row in a]
 
 
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def mat_eye(d):
-    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-
 def mat_zero(d):
     return [[0] * d for _ in range(d)]
 
@@ -209,11 +201,9 @@ class MatLocal:
         """(I + M)^(-1) = sum (-M)^k for A = I + M with M = 0 mod lambda."""
         d = self.dim
         ident = MatLocal.identity(self.ctx, d)
-        m = self - ident
-        if m.filtration_level() == 0 and min(
-            e.ord_lambda for row in m.entries for e in row
-        ) < 1:
+        if self.filtration_level() < 1:
             raise MembershipError("Neumann inverse needs A = I mod lambda")
+        m = self - ident
         total = ident
         power = ident
         for _ in range(self.ctx.precision):
@@ -505,19 +495,6 @@ def su_dimension_and_basis(form: HermitianForm, parity_n: int, group: str = "SU"
     return dim, basis
 
 
-def check_su_slice_predicate(m, form: HermitianForm, parity_n: int, group: str = "SU") -> bool:
-    """The defining predicate Gamma A = (-1)^n A^T Gamma (and tr A = 0 for SU)."""
-    ell = form.ctx.ell
-    gam = [[form.gamma[i] if i == j else 0 for j in range(form.dim)] for i in range(form.dim)]
-    left = mat_mul_mod(gam, m, ell)
-    right = mat_scale_mod((-1) ** parity_n, mat_mul_mod(mat_transpose(m), gam, ell), ell)
-    if left != right:
-        return False
-    if group == "SU" and sum(m[i][i] for i in range(form.dim)) % ell != 0:
-        return False
-    return True
-
-
 def filtration_order_exponent(ell: int, d: int, n: int, k: int, group: str = "SU") -> int:
     """Exponent e with |G(V/lambda^n)_k| = ell^e for G in {SU, U}: the sum
     of the slice dimensions at the levels k+1, ..., n, counted by parity."""
@@ -535,31 +512,37 @@ def filtration_order_exponent(ell: int, d: int, n: int, k: int, group: str = "SU
 def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     """Lift a member of SU(V/lambda^(n-1))_1 to SU(V/lambda^n)_1.
 
-    Measures the defect X of an arbitrary lift via A'^dagger Gamma A' =
-    Gamma + lambda^(n-1) X, solves X = Gamma Y + (-1)^(n-1) Y^T Gamma with
-    Y = (1/2) Gamma^(-1) X, fixes the trace with a multiple of E_11, and
-    returns A' - lambda^(n-1) Y.
+    Measures the defect of the padded lift A' as A'^dagger Gamma A' =
+    Gamma + lambda^(n-1) X.  Its lower digits and det(A') mod lambda^(n-1)
+    are the membership test.  Solves X = Gamma Y + (-1)^(n-1) Y^T Gamma
+    with Y = (1/2) Gamma^(-1) X, fixes the trace with a multiple of E_11,
+    and returns A' - lambda^(n-1) Y.
     """
     ell = a.ctx.ell
     n = a.ctx.precision + 1
+    if a.dim != form.dim:
+        raise ValueError("dimension mismatch")
     if a.filtration_level() < 1:
         raise MembershipError("lift_su needs A = I mod lambda")
-    verdict = classify_membership(a, form)
-    if verdict.kind != "SU":
-        raise MembershipError(f"lift_su needs an SU member, got {verdict.kind}")
     form_n = HermitianForm(form.ctx.at_precision(n), form.gamma, form.sign)
     a_prime = a.pad_zero(n)
     delta = a_prime.dagger() * form_n.gram_times(a_prime) - form_n.gamma_matrix()
-    x = delta.digit(n - 1)
     if any(any(e.digits[:n - 1]) for row in delta.entries for e in row):
-        raise CheckFailed("defect must vanish below the top digit")
-    c = det_local(a_prime).digits[n - 1]
+        raise MembershipError("lift_su needs a member of U with multiplier 1")
+    det = det_local(a_prime)
+    dl = det.truncate(n - 1)
+    one = CycloElt.one(dl.ctx)
+    if dl.conjugate() * dl != one:
+        raise CheckFailed("conj(det)*det != 1")
+    if dl != one:
+        raise MembershipError("lift_su needs an SU member, got U")
+    x = delta.digit(n - 1)
     inv2 = pow(2, -1, ell)
     ginv = form_n.gamma_inv_mod()
     y = [[inv2 * ginv[i] * x[i][j] % ell for j in range(a.dim)] for i in range(a.dim)]
     if n % 2 == 0:
         tr_y = sum(y[i][i] for i in range(a.dim)) % ell
-        y[0][0] = (y[0][0] + (c - tr_y)) % ell
+        y[0][0] = (y[0][0] + (det.digits[n - 1] - tr_y)) % ell
     correction = MatLocal.from_digit_matrices(
         form_n.ctx, a.dim, [mat_zero(a.dim)] * (n - 1) + [y]
     )
@@ -568,23 +551,20 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
 
 def random_su_element(form: HermitianForm, precision: int, rng) -> MatLocal:
     """Random member of SU(V/lambda^n)_1, built by lifting with random
-    twists by level slices I + lambda^m * S, S in su^(m+1)."""
+    twists by level slices I + lambda^m * S, S in su^(m+1).  A lift is
+    I mod lambda, so the twisted lift is A + lambda^m * S mod lambda^(m+1)."""
     ell = form.ctx.ell
     d = form.dim
     a = MatLocal.identity(form.ctx.at_precision(1), d)
     for m in range(1, precision):
         form_m = HermitianForm(form.ctx.at_precision(m), form.gamma, form.sign)
         a = lift_su(a, form_m)
-        basis = su_basis(HermitianForm(form.ctx.at_precision(m + 1), form.gamma, form.sign), m + 1)
         s = mat_zero(d)
-        for b in basis:
+        for b in su_basis(form_m, m + 1):
             coef = rng.randrange(ell)
             if coef:
                 s = mat_add_mod(s, mat_scale_mod(coef, b, ell), ell)
-        twist = MatLocal.from_digit_matrices(
-            form.ctx.at_precision(m + 1), d, [mat_eye(d)] + [mat_zero(d)] * (m - 1) + [s]
-        )
-        a = a * twist
+        a = a + MatLocal.from_digit_matrices(a.ctx, d, [mat_zero(d)] * m + [s])
     return a
 
 

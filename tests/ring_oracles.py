@@ -2,13 +2,16 @@
 layers against.  They share no code path with the implementation: products
 are schoolbook multiplication mod Phi_ell written here, membership in
 lambda^n is decided through the norm, determinants by cofactor expansion,
-filtration orders by summing the slice dimensions level by level, and
-trinomial discriminants by their closed form.
+filtration orders by summing the slice dimensions level by level,
+trinomial discriminants by their closed form, slice membership and the
+half-system T'' action from their defining formulas, and random SU members
+by multiplying each lift by its twist.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+from lamadic.matrices import HermitianForm, MatLocal, lift_su, su_basis
 from lamadic.ring import CycloElt
 
 
@@ -190,3 +193,48 @@ def filtration_order_sum(d, n, k, group="SU"):
     ones, less the trace condition for SU."""
     return sum(d * (d - 1) // 2 if level % 2 else d * (d + 1) // 2 - (group == "SU")
                for level in range(k + 1, n + 1))
+
+
+def su_slice_predicate(m, gamma, ell, parity_n, group="SU"):
+    """Gamma M = (-1)^n M^T Gamma over F_ell, and tr M = 0 for SU, for the
+    diagonal Gram matrix Gamma = diag(gamma)."""
+    d = len(gamma)
+    sign = (-1) ** parity_n
+    if any((gamma[i] * m[i][j] - sign * m[j][i] * gamma[j]) % ell
+           for i in range(d) for j in range(d)):
+        return False
+    return group != "SU" or sum(m[i][i] for i in range(d)) % ell == 0
+
+
+def t_doubleprime_apply(r, x):
+    """sum over the half-system j = 1..(ell-1)/2 of 2 n'(j) sigma_j on an
+    anti-fixed x, with 2 n'(j) = 2 floor(r (ell - j) / ell) - (r - 1)."""
+    ell = x.ctx.ell
+    if not (x + x.conjugate()).is_zero():
+        raise ValueError("input must be anti-fixed")
+    acc = CycloElt.zero(x.ctx)
+    for j in range(1, (ell - 1) // 2 + 1):
+        acc = acc + x.galois(j) * (2 * (r * (ell - j) // ell) - (r - 1))
+    return acc
+
+
+def random_su_element_by_twist_products(form, precision, rng):
+    """random_su_element as a product: each lift is multiplied by the twist
+    I + lambda^m S through a full matrix product, drawing S the same way.
+    It shares the lift and the slice basis with lamadic and checks only
+    that adding lambda^m S equals the product."""
+    ell, d = form.ctx.ell, form.dim
+    a = MatLocal.identity(form.ctx.at_precision(1), d)
+    for m in range(1, precision):
+        form_m = HermitianForm(form.ctx.at_precision(m), form.gamma, form.sign)
+        a = lift_su(a, form_m)
+        s = [[0] * d for _ in range(d)]
+        for b in su_basis(form_m, m + 1):
+            coef = rng.randrange(ell)
+            if coef:
+                s = [[(x + coef * y) % ell for x, y in zip(rs, rb)] for rs, rb in zip(s, b)]
+        eye = [[int(i == j) for j in range(d)] for i in range(d)]
+        zero = [[0] * d for _ in range(d)]
+        twist = MatLocal.from_digit_matrices(a.ctx, d, [eye] + [zero] * (m - 1) + [s])
+        a = a * twist
+    return a

@@ -85,6 +85,49 @@ def test_lift_check(capsys):
     assert code == 0 and data["passed"] == 3
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--trials", "0"), "--trials must be between 1 and 20, got 0"),
+    (("--trials", "-2"), "--trials must be between 1 and 20, got -2"),
+    (("--trials", "21"), "--trials must be between 1 and 20, got 21"),
+    (("--d", "0"), "--d must be between 1 and 9, got 0"),
+    (("--d", "10"), "--d must be between 1 and 9, got 10"),
+    (("--n", "1"), "--n must be between 2 and 16, got 1"),
+    (("--n", "17"), "--n must be between 2 and 16, got 17"),
+    (("--ell", "37"), "--ell must be between 3 and 31, got 37"),
+])
+def test_lift_check_limits_exit_2(capsys, flags, message):
+    argv = dict(zip(("--ell", "--d", "--n"), ("3", "2", "3")))
+    argv.update([flags])
+    code, out, err = invoke(capsys, "lift-check", *(x for kv in argv.items() for x in kv))
+    assert code == 2 and not out
+    assert err == f"error: DomainError: {message}\n"
+
+
+def test_selftest_trials_limits_exit_2(capsys):
+    for trials in ("0", "21"):
+        code, _, err = invoke(capsys, "selftest", "--trials", trials)
+        assert code == 2 and "--trials must be between 1 and 20" in err
+
+
+def test_budget_zero_is_not_replaced_by_the_default(capsys, monkeypatch):
+    import lamadic.cli as cli
+
+    seen = []
+    find = cli.find_simple_prime
+    report = cli.division_degree_report
+    monkeypatch.setattr(cli, "find_simple_prime",
+                        lambda disc, ell, budget: seen.append(budget) or find(disc, ell, budget))
+    monkeypatch.setattr(cli, "division_degree_report",
+                        lambda *a, budget, **kw: seen.append(budget) or report(*a, budget=budget, **kw))
+    for sub in ("check-curve", "division-degree"):
+        invoke(capsys, sub, "--ell", "3", "--poly", "x^5 - x - 1", "--budget", "0")
+        invoke(capsys, sub, "--ell", "3", "--poly", "x^5 - x - 1")
+    assert seen == [0, 200000, 0, 200000]
+    code, _, err = invoke(capsys, "check-curve", "--ell", "3", "--poly", "x^5 - x - 1",
+                          "--budget", "-1")
+    assert code == 2 and "--budget must be at least 0, got -1" in err
+
+
 def test_lattice_index(capsys):
     code, out, _ = invoke(capsys, "lattice-index", "--ell", "11", "--r", "8", "--json")
     assert code == 0 and json.loads(out)["t"] == 0

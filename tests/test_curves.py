@@ -246,6 +246,18 @@ def test_rational_factor_on_swinnerton_dyer_polynomials(radicands):
     assert _sympy_factors(coeffs) == [(f.degree, 1)]
 
 
+def test_rational_factor_bounds_the_recombination():
+    # degree 64: 32 factors mod 19 and about 2.5e9 subsets to try; the
+    # discriminant alone takes about 3 s, and galois_certificate computes it
+    # once more inside rational_factor
+    f = IntPoly(tuple(_swinnerton_dyer((2, 3, 5, 7, 11, 13))))
+    for fn in (rational_factor, galois_certificate):
+        start = time.monotonic()
+        with pytest.raises(DomainError, match="MAX_RECOMBINATIONS = 100000"):
+            fn(f)
+        assert time.monotonic() - start < 10.0
+
+
 def test_rational_factor_splits_equal_degree_blocks():
     # g(x) g(x+1) g(x+2) with g = x^3 + x + 1; mod 5 and mod 7 the three
     # cubics stay irreducible and share one distinct-degree block

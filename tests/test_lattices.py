@@ -14,7 +14,6 @@ from lamadic.lattices import (
     is_anti_fixed,
     is_galois_stable,
     lattice_index_check,
-    t_doubleprime_apply,
     t_doubleprime_matrix,
     torsion_reduction_order,
     u_lr_member,
@@ -22,6 +21,7 @@ from lamadic.lattices import (
     u_reduction_order,
 )
 from lamadic.classnum import kappa_and_t, n_of
+from ring_oracles import t_doubleprime_apply
 
 
 def test_membership_basics():

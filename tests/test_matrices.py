@@ -14,7 +14,6 @@ from lamadic.matrices import (
     HermitianForm,
     MatLocal,
     MembershipError,
-    check_su_slice_predicate,
     classify_membership,
     det_base,
     det_local,
@@ -27,7 +26,12 @@ from lamadic.matrices import (
     su_dimension_and_basis,
     weil_gram_and_epsilon,
 )
-from ring_oracles import det_cofactor, filtration_order_sum
+from ring_oracles import (
+    det_cofactor,
+    filtration_order_sum,
+    random_su_element_by_twist_products,
+    su_slice_predicate,
+)
 
 
 def rand_mat(ctx, d, rng):
@@ -196,7 +200,7 @@ def test_su_basis_satisfies_predicate():
                         dim, basis = su_dimension_and_basis(form, parity, group)
                         assert len(basis) == dim
                         for b in basis:
-                            assert check_su_slice_predicate(b, form, parity, group)
+                            assert su_slice_predicate(b, form.gamma, ell, parity, group)
 
 
 def test_filtration_exponent_bounds():
@@ -258,6 +262,40 @@ def test_lift_su_rejects_non_members():
     z = CycloElt.zeta(ctx, 1)
     with pytest.raises(MembershipError):
         lift_su(MatLocal.identity(ctx, 2).scale(z), form)
+
+
+def test_lift_su_rejects_gu_members_and_level_one_non_members():
+    ctx = RingCtx(3, 3)
+    form = HermitianForm.standard(ctx, 2)
+    scalar = MatLocal.identity(ctx, 2).scale(CycloElt.from_int(4, ctx))
+    v = classify_membership(scalar, form)
+    assert v.kind == "GU" and v.multiplier == CycloElt.from_int(16, ctx)
+    with pytest.raises(MembershipError):
+        lift_su(scalar, form)
+    one, zero, lam = CycloElt.one(ctx), CycloElt.zero(ctx), CycloElt.lam(ctx, 1)
+    shear = MatLocal.from_rows([[one, lam], [zero, one]])
+    assert shear.filtration_level() == 1
+    assert classify_membership(shear, form).kind == "none"
+    with pytest.raises(MembershipError):
+        lift_su(shear, form)
+    with pytest.raises(ValueError):
+        lift_su(MatLocal.identity(ctx, 3), form)
+
+
+@pytest.mark.parametrize("ell, d", [(3, 2), (3, 4), (5, 3), (7, 2)])
+def test_random_su_element_matches_twist_products(ell, d):
+    for sign in (1, -1):
+        form1 = HermitianForm.standard(RingCtx(ell, 1), d, sign)
+        for seed in range(4):
+            got = random_su_element(form1, 5, random.Random(seed))
+            want = random_su_element_by_twist_products(form1, 5, random.Random(seed))
+            assert got == want and got.ctx == want.ctx
+
+
+def test_inverse_neumann_needs_a_level_one_matrix():
+    ctx = RingCtx(5, 3)
+    with pytest.raises(MembershipError):
+        MatLocal.identity(ctx, 2).scale(2).inverse_neumann()
 
 
 def test_inverse_routes_agree():
