@@ -6,6 +6,7 @@ argument errors (1), computation errors (2), and hypothesis failures (3).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -51,6 +52,12 @@ MAX_LIFT_ELL = 31
 MAX_LIFT_D = 9
 MAX_LIFT_N = 16
 MAX_TRIALS = 20
+# Upper limit of --budget, the Pollard-rho steps spent on a composite part of
+# the discriminant.  Brent's rounds double in length, and a round once begun
+# runs to its end after as many uncounted squarings, so any budget up to
+# 2^22 costs at most about 2^23 squarings: 7 s on a 40-digit semiprime.
+# 5,000,000 begins a round of 2^22 steps and takes 17 s.
+MAX_BUDGET = 4_000_000
 
 
 def _in_range(flag: str, value: int, low: int, high: int | None = None) -> int:
@@ -59,6 +66,10 @@ def _in_range(flag: str, value: int, low: int, high: int | None = None) -> int:
         bounds = f"between {low} and {high}" if high is not None else f"at least {low}"
         raise DomainError(f"{flag} must be {bounds}, got {value}")
     return value
+
+
+def _budget(args) -> int:
+    return _in_range("--budget", 200000 if args.budget is None else args.budget, 0, MAX_BUDGET)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,7 +84,9 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process."""
     p = _Parser(prog="lamadic", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -209,7 +222,7 @@ def _cmd_check_curve(args):
     check_ell(args.ell, f.degree)
     if not f.is_monic:
         raise DomainError("polynomial must be monic")
-    budget = _in_range("--budget", 200000 if args.budget is None else args.budget, 0)
+    budget = _budget(args)
     disc = discriminant(f)
     if disc == 0:
         raise HypothesisError("polynomial is not separable")
@@ -238,7 +251,7 @@ def _cmd_division_degree(args):
     f = parse_poly(args.poly)
     rep = division_degree_report(
         args.ell, f,
-        budget=_in_range("--budget", 200000 if args.budget is None else args.budget, 0),
+        budget=_budget(args),
         override_hypotheses=args.override_hypotheses,
     )
     if args.json:

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, zip_longest
+from functools import cache
+from itertools import combinations, compress, zip_longest
 from math import factorial, gcd, isqrt, prod
 
 from .linalg import det
@@ -174,6 +176,35 @@ def discriminant(f: IntPoly) -> int:
 # Factorization and the simple-prime search.
 
 
+# Trial division and the walk over small primes read one table of the
+# primes below this limit.
+SMALL_PRIME_LIMIT = 100_000
+
+
+@cache
+def _small_primes():
+    """The primes below SMALL_PRIME_LIMIT, in increasing order, sieved on
+    first use."""
+    sieve = bytearray([1]) * SMALL_PRIME_LIMIT
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(SMALL_PRIME_LIMIT - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, SMALL_PRIME_LIMIT, i)))
+    return list(compress(range(SMALL_PRIME_LIMIT), sieve))
+
+
+def _next_prime(p: int) -> int:
+    """The least prime above p: from the table below SMALL_PRIME_LIMIT, by
+    ring.is_prime above it."""
+    table = _small_primes()
+    if p < table[-1]:
+        return table[bisect_right(table, p)]
+    q = p + 1
+    while not is_prime(q):
+        q += 1
+    return q
+
+
 def _pollard_brent(n: int, rng: random.Random, budget: int):
     """Brent-cycle Pollard rho; returns a nontrivial factor or None.  The
     budget bounds the steps of all restarts together."""
@@ -211,15 +242,15 @@ def _pollard_brent(n: int, rng: random.Random, budget: int):
 
 
 def factorize(n: int, budget: int = 200000, seed: int = 0):
-    """(factor dict, leftover composite or 1).  Trial division to 10^5,
-    then budgeted rho, with primality from ring.is_prime (exact below
-    3.3e24, Baillie-PSW above)."""
+    """(factor dict, leftover composite or 1).  Trial division by the
+    primes below SMALL_PRIME_LIMIT, then budgeted rho, with primality from
+    ring.is_prime (exact below 3.3e24, Baillie-PSW above)."""
     if n == 0:
         raise DomainError("cannot factor zero")
     n = abs(n)
     rng = random.Random(seed)
     factors = {}
-    for p in range(2, 100000):
+    for p in _small_primes():
         if p * p > n:
             break
         while n % p == 0:
@@ -361,8 +392,11 @@ def cycle_type_mod_p(f: IntPoly, p: int):
     """Degrees of the irreducible factors of f mod p (with multiplicity
     by degree count), or None when f mod p is not squarefree."""
     blocks = _distinct_degree(f, p)
-    if blocks is None:
-        return None
+    return None if blocks is None else _cycle_type(f, blocks)
+
+
+def _cycle_type(f: IntPoly, blocks):
+    """The factor degrees of f mod p read from its distinct-degree blocks."""
     out = sorted(d for d, g in blocks for _ in range((len(g) - 1) // d))
     if sum(out) != f.degree:
         raise CheckFailed(f"factor degrees {out} do not add up to {f.degree}")
@@ -424,16 +458,31 @@ def rational_factor(f: IntPoly):
         return None
     if discriminant(f) == 0:
         raise DomainError("polynomial is not squarefree")
+    return _zassenhaus(f, _first_blocks(f))
+
+
+def _first_blocks(f: IntPoly):
+    """[(p, distinct-degree blocks of f mod p)] at the first five odd primes
+    where f stays squarefree.  For a monic f these are the first five odd
+    primes that do not divide the discriminant."""
     choices = []
     p = 2
     while len(choices) < 5:
         p = _next_prime(p)
         blocks = _distinct_degree(f, p)
         if blocks is not None:
-            count = sum((len(g) - 1) // d for d, g in blocks)
-            choices.append((count, p, blocks))
-    count, p, blocks = min(choices, key=lambda c: c[0])
-    if count == 1:
+            choices.append((p, blocks))
+    return choices
+
+
+def _zassenhaus(f: IntPoly, choices):
+    """rational_factor's answer for the monic squarefree f, from the
+    distinct-degree blocks of _first_blocks(f)."""
+    def count(blocks):
+        return sum((len(g) - 1) // d for d, g in blocks)
+
+    p, blocks = min(choices, key=lambda c: count(c[1]))
+    if count(blocks) == 1:
         return None
     rng = random.Random(p)
     factors = [h for d, g in blocks for h in _equal_degree(g, d, p, rng)]
@@ -488,25 +537,38 @@ def galois_certificate(f: IntPoly, budget: int = 500) -> GaloisVerdict:
     A primitive group containing a transposition is the full symmetric
     group, so the three witnesses together are conclusive.  A reducible
     f (monic, as rational_factor requires) has a proper factor as witness.
+
+    The first five primes sampled are the ones whose distinct-degree blocks
+    rational_factor's search examines, so their cycle types are read from
+    those blocks; only the primes after them are factored again.
     """
     r = f.degree
     disc = discriminant(f)
     if disc == 0:
         raise DomainError("polynomial is not squarefree")
-    factor = rational_factor(f)
+    if not f.is_monic:
+        raise DomainError("polynomial must be monic")
+    first = _first_blocks(f)
+    factor = _zassenhaus(f, first)
     if factor is not None:
         return GaloisVerdict("reducible", {"factor": list(factor.coeffs)})
+
+    def cycle_types():
+        """(p, cycle type of f mod p) for the odd primes p not dividing disc."""
+        for p, blocks in first:
+            yield p, _cycle_type(f, blocks)
+        p = first[-1][0]
+        while True:
+            p = _next_prime(p)
+            if disc % p:
+                yield p, cycle_type_mod_p(f, p)
+
     witnesses = {"irreducible": None, "transposition": None, "prime_cycle": None}
-    p = 2
-    sampled = 0
-    while sampled < budget and not all(v is not None for v in witnesses.values()):
-        p = _next_prime(p)
-        if disc % p == 0:
-            continue
-        sampled += 1
-        ct = cycle_type_mod_p(f, p)
-        if ct is None:
-            continue
+    sampled = cycle_types()
+    for _ in range(budget):
+        if all(v is not None for v in witnesses.values()):
+            break
+        p, ct = next(sampled)
         if witnesses["irreducible"] is None and ct == [r]:
             witnesses["irreducible"] = {"p": p, "cycle_type": ct}
         evens = [c for c in ct if c % 2 == 0]
@@ -519,13 +581,6 @@ def galois_certificate(f: IntPoly, budget: int = 500) -> GaloisVerdict:
     if all(v is not None for v in witnesses.values()):
         return GaloisVerdict("symmetric", witnesses)
     return GaloisVerdict("inconclusive", witnesses)
-
-
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while not is_prime(q):
-        q += 1
-    return q
 
 
 # ---------------------------------------------------------------------------

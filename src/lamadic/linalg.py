@@ -8,6 +8,7 @@ Matrices are lists of rows of Python integers (Fractions for `solve`).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .ring import DomainError
 
@@ -71,32 +72,39 @@ def lattice_index(g: int, columns) -> int:
     """|Z^g / span(columns)| for integer columns of length g; DomainError
     when the span has rank < g, so that the quotient is infinite.
 
-    With M the g x k matrix of the columns, D = |det M| (k = g) or
-    D = det(M M^T) (any k) is nonzero exactly when the rank is g, and
-    D Z^g lies in the span because M adj(M) = D I, resp. M M^T adj(M M^T)
-    = D I.  The quotient is therefore that of (Z/D)^g, and Hermite
-    elimination modulo D triangularizes the span one coordinate at a time:
-    the pivot of coordinate i is the gcd of D and the coordinate-i entries
-    (D e_i lies in the span), and the index is the product of the pivots.
+    With M the g x k matrix of the columns and M_g its first g columns, take
+    D = |det M_g| when it is nonzero, and D = det(M M^T) otherwise; the
+    latter is nonzero exactly when the rank is g.  D Z^g lies in the span,
+    because M_g adj(M_g) = D I, resp. M M^T adj(M M^T) = D I.  The quotient
+    is therefore that of (Z/D)^g, and Hermite elimination modulo D
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.2)
+    triangularizes the span one coordinate at a time: the pivot of
+    coordinate i is the gcd of D and the coordinate-i entries (D e_i lies
+    in the span), and the index is the product of the pivots.
     """
-    if len(columns) == g:
-        big_d = abs(det(list(zip(*columns))))
-    else:
+    big_d = abs(det(list(zip(*columns[:g])))) if len(columns) >= g else 0
+    if big_d == 0:
         big_d = det([[sum(c[i] * c[j] for c in columns) for j in range(g)] for i in range(g)])
     if big_d == 0:
         raise DomainError("infinite quotient")
     vectors = [[x % big_d for x in c] for c in columns]
     index = 1
     for i in range(g):
-        # the pivot starts as D e_i; Euclid's steps on coordinate i fold
-        # every column into it and leave the column with a zero there
+        # the pivot starts as D e_i; each column folds into it by one step
+        # (pivot, v) -> (s pivot + t v, (a/h) v - (b/h) pivot) of determinant
+        # 1, with a, b their coordinate i and h = gcd(a, b) = s a + t b, which
+        # leaves the column with a zero there
         pivot = [0] * g
         pivot[i] = big_d
         rest = []
         for v in vectors:
-            while v[i]:
-                q = pivot[i] // v[i]
-                pivot, v = v, [(a - q * b) % big_d for a, b in zip(pivot, v)]
+            if v[i]:
+                a, b = pivot[i], v[i]
+                h = gcd(a, b)
+                t = pow(b // h, -1, a // h)
+                s, a, b = (h - t * b) // a, a // h, b // h
+                pivot, v = ([(s * x + t * y) % big_d for x, y in zip(pivot, v)],
+                            [(a * y - b * x) % big_d for x, y in zip(pivot, v)])
             if any(v):
                 rest.append(v)
         index *= pivot[i]

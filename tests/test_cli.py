@@ -1,9 +1,10 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from lamadic.cli import run
+from lamadic.cli import MAX_BUDGET, run
 
 
 def invoke(capsys, *argv):
@@ -125,7 +126,20 @@ def test_budget_zero_is_not_replaced_by_the_default(capsys, monkeypatch):
     assert seen == [0, 200000, 0, 200000]
     code, _, err = invoke(capsys, "check-curve", "--ell", "3", "--poly", "x^5 - x - 1",
                           "--budget", "-1")
-    assert code == 2 and "--budget must be at least 0, got -1" in err
+    assert code == 2 and "--budget must be between 0 and 4000000, got -1" in err
+
+
+def test_budget_upper_limit_exits_2(capsys):
+    for sub in ("check-curve", "division-degree"):
+        code, out, _ = invoke(capsys, sub, "--ell", "3", "--poly", "x^5 - x - 1",
+                              "--budget", str(MAX_BUDGET + 1), "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == (
+            f"DomainError: --budget must be between 0 and {MAX_BUDGET}, got {MAX_BUDGET + 1}")
+        # the limit itself is accepted
+        code, _, _ = invoke(capsys, sub, "--ell", "3", "--poly", "x^5 - x - 1",
+                            "--budget", str(MAX_BUDGET))
+        assert code == 0
 
 
 def test_lattice_index(capsys):
@@ -204,3 +218,17 @@ def test_selftest_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["ok"] is True
+
+
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "curve_golden.json").read_text())
+
+
+@pytest.mark.parametrize("record", _GOLDEN, ids=lambda r: f"{r['argv'][0]}:{r['argv'][4]}"
+                         + (":override" if "--override-hypotheses" in r["argv"] else ""))
+def test_curve_commands_match_recorded_output(capsys, record):
+    # --json output recorded byte for byte: a symmetric, a reducible and an
+    # inconclusive f, two discriminants with a 19- and a 21-digit prime,
+    # and discriminants with the prime 99991 (the largest below 10^5, found
+    # by trial division) and 101279 (past 10^5, so left to rho)
+    code, out, _ = invoke(capsys, *record["argv"])
+    assert (code, out) == (record["code"], record["stdout"])

@@ -2,12 +2,13 @@ import json
 import random
 import time
 from itertools import zip_longest
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from lamadic.ring import DomainError
 from lamadic.curves import (
+    _next_prime,
     _pollard_brent,
     HypothesisError,
     IntPoly,
@@ -82,6 +83,39 @@ def test_factorize_large_semiprime():
     factors, leftover = factorize(n, budget=500000)
     assert leftover == 1
     assert factors == {1000003: 1, 1000033: 1}
+
+
+def test_factorize_matches_sympy_at_the_prime_table_boundary():
+    # trial division reads the primes below 10^5: 99991 is the last of them
+    # and 100003 the first prime past them, so it is left to rho
+    from sympy import factorint, isprime
+
+    def below_table(factors):
+        return {p: e for p, e in factors.items() if p < 10**5}
+
+    rng = random.Random(34)
+    for n in [rng.randrange(1, 10**30) for _ in range(300)]:
+        factors, leftover = factorize(n, budget=2000)
+        trial = factorint(n, limit=10**5, use_rho=False, use_pm1=False, use_ecm=False)
+        assert below_table(factors) == below_table(trial), n
+        # the rest are primes, and a leftover is a composite rho did not split
+        assert all(isprime(p) for p in factors), n
+        assert prod(p**e for p, e in factors.items()) * leftover == n
+        assert leftover == 1 or not isprime(leftover), n
+    for big in (99991, 99991**2, 100003, 99991 * 100003, 100003**2):
+        for n in (big, big * rng.randrange(1, 10**3), big * rng.randrange(1, 10**8)):
+            assert factorize(n, budget=20000) == (factorint(n), 1), n
+
+
+def test_next_prime_across_the_prime_table_boundary():
+    from sympy import nextprime
+
+    assert _next_prime(2) == 3
+    assert _next_prime(99989) == 99991
+    assert _next_prime(99991) == 100003
+    assert _next_prime(100000) == 100003
+    for p in (97, 99990, 99992, 100003, 10**6):
+        assert _next_prime(p) == nextprime(p)
 
 
 class _CountingModulus(int):

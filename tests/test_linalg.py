@@ -65,7 +65,7 @@ def _smith_order(g, columns):
 
 def test_lattice_index_matches_smith_form():
     rng = random.Random(33)
-    infinite = 0
+    cases = []
     for _ in range(200):
         g = rng.randint(1, 5)
         k = rng.randint(max(1, g - 1), g + 3)
@@ -73,6 +73,26 @@ def test_lattice_index_matches_smith_form():
         if rng.random() < 0.3:  # force rank deficiency or large torsion
             cols = [[3 * x for x in c] for c in cols] if rng.random() < 0.5 else [
                 [x * c[0] for x in cols[0]] for c in cols]
+        cases.append((g, cols))
+    for _ in range(30):
+        g = rng.randint(2, 5)
+        lead = _rand_matrix(rng, g, g, -6, 6)
+        extra = _rand_matrix(rng, rng.randint(1, 3), g, -6, 6)
+        # a nonsingular leading block followed by extra columns
+        cases.append((g, lead + extra))
+        # a singular leading block, with and without rank g overall
+        lead[-1] = [a - 2 * b for a, b in zip(lead[0], lead[1])]
+        cases.append((g, lead + extra))
+        cases.append((g, lead + [[a + b for a, b in zip(lead[0], lead[1])]]))
+    cases += [
+        (3, [[2, 0, 0], [4, 0, 0], [0, 3, 0], [0, 0, 5], [1, 6, 0]]),  # 15
+        (3, [[1, 2, 3], [2, 4, 6], [0, 0, 7]]),  # rank 2
+        (3, [[1, 0, 0], [0, 1, 0]]),  # fewer columns than g
+        (0, []),
+        (0, [[], []]),
+    ]
+    infinite = 0
+    for g, cols in cases:
         want = _smith_order(g, cols)
         if want is None:
             infinite += 1
