@@ -35,7 +35,6 @@ from .commutators import (
     central_commutator_check,
     eij_bracket_table,
     matrix_commutator_check,
-    series_mul,
     su_commutator_span_check,
     verify_commutator_identity,
 )

@@ -14,16 +14,11 @@ from functools import lru_cache
 from math import lcm
 
 from . import linalg
-from .ring import CheckFailed, DomainError, is_prime
-
-
-def _check_ell(ell: int):
-    if ell < 3 or not is_prime(ell):
-        raise DomainError(f"ell = {ell} must be an odd prime")
+from .ring import CheckFailed, DomainError, check_odd_prime, is_prime
 
 
 def _check_r(ell: int, r: int):
-    _check_ell(ell)
+    check_odd_prime(ell)
     if r % ell == 0:
         raise DomainError(f"ell = {ell} must not divide r = {r}")
 
@@ -40,6 +35,13 @@ def n_of(ell: int, r: int, j: int) -> int:
 def n_prime(ell: int, r: int, j: int) -> Fraction:
     """n'(j) = n(j) - (r-1)/2, half-integral exactly when r is even."""
     return Fraction(n_of(ell, r, j)) - Fraction(r - 1, 2)
+
+
+def twice_n_prime(ell: int, r: int) -> dict:
+    """{j: 2 n'(j) = 2 n(j) - (r - 1)} for the units j = 1..ell-1, integers
+    for every r; ell and r are checked once for the whole table."""
+    _check_r(ell, r)
+    return {j: 2 * ((r * (ell - j)) // ell) - (r - 1) for j in range(1, ell)}
 
 
 def c_lr(ell: int, r: int):
@@ -86,7 +88,7 @@ def h_minus(ell: int) -> int:
     G over the roots of x^h + 1, so the resultant is the determinant of
     the negacyclic matrix of G, the matrix of multiplication by G in
     Z[x]/(x^h + 1)."""
-    _check_ell(ell)
+    check_odd_prime(ell)
     if ell > H_MINUS_MAX_ELL:
         raise DomainError(f"ell = {ell} exceeds the limit {H_MINUS_MAX_ELL} for h^-")
     h = (ell - 1) // 2
@@ -164,9 +166,10 @@ class DemjanenkoReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def half_system_matrix(ell: int, r: int, reps=None):
-    """[n'(i * j^(-1) mod ell)] over the chosen half-system representatives."""
-    _check_r(ell, r)
+def _twice_half_system(ell: int, r: int, reps):
+    """(reps, [2 n'(i * j^(-1) mod ell)]): the half-system matrix doubled to
+    integers."""
+    weights = twice_n_prime(ell, r)
     if reps is None:
         reps = tuple(range(1, (ell - 1) // 2 + 1))
     reps = tuple(reps)
@@ -174,29 +177,38 @@ def half_system_matrix(ell: int, r: int, reps=None):
         {x % ell for x in reps} | {(-x) % ell for x in reps}
     ) != ell - 1:
         raise DomainError("reps must represent the units modulo +-1")
-    return reps, [
-        [n_prime(ell, r, i * pow(j, -1, ell) % ell) for j in reps] for i in reps
-    ]
+    inverses = [pow(j, -1, ell) for j in reps]
+    return reps, [[weights[i * jinv % ell] for jinv in inverses] for i in reps]
+
+
+def half_system_matrix(ell: int, r: int, reps=None):
+    """[n'(i * j^(-1) mod ell)] over the chosen half-system representatives."""
+    reps, twice = _twice_half_system(ell, r, reps)
+    return reps, [[Fraction(x, 2) for x in row] for row in twice]
 
 
 def demjanenko_det(ell: int, r: int, reps=None) -> DemjanenkoReport:
     """The half-system determinant with the class-number identity checked:
-    |det| = h^- * c_{l,r} / (2 ell).  The sign is recorded, not checked."""
-    reps, matrix = half_system_matrix(ell, r, reps)
-    det = fraction_det(matrix)
+    |det| = h^- * c_{l,r} / (2 ell).  The sign is recorded, not checked.
+
+    det is the Bareiss determinant of the integer matrix [2 n'] divided by
+    2^g, and t is ord_ell of that integer."""
+    reps, twice = _twice_half_system(ell, r, reps)
+    g = len(reps)
+    twice_det = linalg.det(twice)
+    det = Fraction(twice_det, 2**g)
     r_ell, c = c_lr(ell, r)
     h = h_minus(ell)
     expected = Fraction(h * c, 2 * ell)
     if abs(det) != expected:
         raise CheckFailed(f"determinant magnitude {abs(det)} != h^- c / (2 ell) = {expected}")
-    g = len(reps)
-    t = ord_p(det * 2**g, ell)
+    t = ord_p(twice_det, ell)
     kappa_bound = ord_p(Fraction(h * c), ell) - 1
     return DemjanenkoReport(
         ell=ell,
         r=r,
         reps=reps,
-        matrix=tuple(tuple(row) for row in matrix),
+        matrix=tuple(tuple(Fraction(x, 2) for x in row) for row in twice),
         det=det,
         r_ell=r_ell,
         c_lr=c,

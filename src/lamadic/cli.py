@@ -1,6 +1,7 @@
 """Command-line front end: every computation as a subcommand, with text or
-JSON output, a deterministic seed, and an exit-code taxonomy that separates
-argument errors (1), computation errors (2), and hypothesis failures (3).
+JSON output, a deterministic seed for the randomized ones, and an exit-code
+taxonomy that separates argument errors (1), computation errors (2), and
+hypothesis failures (3).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 from .ring import RingCtx, CycloElt, RingError, DomainError
 from .matrices import (
     HermitianForm,
-    MatLocal,
     classify_membership,
     filtration_order_exponent,
     legendre,
@@ -23,7 +23,6 @@ from .matrices import (
     weil_gram_and_epsilon,
 )
 from .commutators import (
-    matrix_commutator_check,
     su_commutator_span_check,
     verify_commutator_identity,
 )
@@ -35,13 +34,12 @@ from .lattices import (
     u_reduction_order,
 )
 from .curves import (
+    RHO_BUDGET,
     HypothesisError,
     PolySyntaxError,
-    check_ell,
-    discriminant,
+    check_curve_input,
+    curve_hypotheses,
     division_degree_report,
-    find_simple_prime,
-    galois_certificate,
     parse_poly,
 )
 
@@ -69,7 +67,7 @@ def _in_range(flag: str, value: int, low: int, high: int | None = None) -> int:
 
 
 def _budget(args) -> int:
-    return _in_range("--budget", 200000 if args.budget is None else args.budget, 0, MAX_BUDGET)
+    return _in_range("--budget", RHO_BUDGET if args.budget is None else args.budget, 0, MAX_BUDGET)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,49 +88,52 @@ def build_parser() -> _Parser:
     p = _Parser(prog="lamadic", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *flags):
+    def add(name, handler, help_text, *flags):
         sp = sub.add_parser(name, help=help_text)
         for flag, kind, required in flags:
             sp.add_argument(flag, type=kind, required=required)
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.set_defaults(handler=handler)
         return sp
 
-    add("eps", "square class of r modulo ell", ("--ell", int, True), ("--r", int, True))
-    add("c-lr", "the order r_ell and the constant c", ("--ell", int, True), ("--r", int, True))
-    add("h-minus", "relative class number", ("--ell", int, True))
-    add("demjanenko", "half-system determinant report", ("--ell", int, True), ("--r", int, True))
-    add("kappa", "index bound and exact exponent", ("--ell", int, True), ("--r", int, True))
+    add("eps", _cmd_eps, "square class of r modulo ell", ("--ell", int, True), ("--r", int, True))
+    add("c-lr", _cmd_c_lr, "the order r_ell and the constant c",
+        ("--ell", int, True), ("--r", int, True))
+    add("h-minus", _cmd_h_minus, "relative class number", ("--ell", int, True))
+    add("demjanenko", _cmd_demjanenko, "half-system determinant report",
+        ("--ell", int, True), ("--r", int, True))
+    add("kappa", _cmd_kappa, "index bound and exact exponent",
+        ("--ell", int, True), ("--r", int, True))
     add(
-        "su-order",
+        "su-order", _cmd_su_order,
         "exponent e with |SU(V/lambda^n)_k| = ell^e",
         ("--ell", int, True), ("--d", int, True), ("--n", int, True), ("--k", int, True),
     )
-    add("verify-commutator", "symbolic commutator identity", ("--n", int, True))
+    add("verify-commutator", _cmd_verify_commutator, "symbolic commutator identity",
+        ("--n", int, True))
     add(
-        "lift-check",
+        "lift-check", _cmd_lift_check,
         "randomized constructive-lift verification",
         ("--ell", int, True), ("--d", int, True), ("--n", int, True), ("--trials", int, False),
-    )
-    add("lattice-index", "cokernel exponent cross-check", ("--ell", int, True), ("--r", int, True))
-    ccur = add(
-        "check-curve",
+    ).add_argument("--seed", type=int, default=0)
+    add("lattice-index", _cmd_lattice_index, "cokernel exponent cross-check",
+        ("--ell", int, True), ("--r", int, True))
+    add(
+        "check-curve", _cmd_check_curve,
         "hypothesis checks for a monic integer polynomial",
         ("--ell", int, True), ("--poly", str, True), ("--budget", int, False),
     )
-    ddeg = add(
-        "division-degree",
+    add(
+        "division-degree", _cmd_division_degree,
         "degree report for the torsion field",
         ("--ell", int, True), ("--poly", str, True), ("--budget", int, False),
-    )
-    ddeg.add_argument("--override-hypotheses", action="store_true")
-    add("selftest", "run the property grid", ("--trials", int, False))
+    ).add_argument("--override-hypotheses", action="store_true")
+    add("selftest", _cmd_selftest, "run the property grid",
+        ("--trials", int, False)).add_argument("--seed", type=int, default=0)
     return p
 
 
 def _cmd_eps(args):
-    if args.r % args.ell == 0:
-        raise DomainError("ell must not divide r")
     _, square_class, eps = weil_gram_and_epsilon(args.ell, args.r)
     _emit(args, {"ell": args.ell, "r": args.r, "epsilon": eps,
                  "gram_square_class": square_class}, str(eps))
@@ -154,13 +155,9 @@ def _cmd_h_minus(args):
 
 def _cmd_demjanenko(args):
     rep = demjanenko_det(args.ell, args.r)
-    if args.json:
-        print(json.dumps(rep.to_json_dict(), sort_keys=True))
-    else:
-        print(
-            f"det = {rep.det}, h_minus = {rep.h_minus}, c = {rep.c_lr}, "
-            f"kappa_bound = {rep.kappa_bound}, t = {rep.t}"
-        )
+    _emit(args, rep.to_json_dict(),
+          f"det = {rep.det}, h_minus = {rep.h_minus}, c = {rep.c_lr}, "
+          f"kappa_bound = {rep.kappa_bound}, t = {rep.t}")
     return 0
 
 
@@ -219,31 +216,21 @@ def _cmd_lattice_index(args):
 
 def _cmd_check_curve(args):
     f = parse_poly(args.poly)
-    check_ell(args.ell, f.degree)
-    if not f.is_monic:
-        raise DomainError("polynomial must be monic")
-    budget = _budget(args)
-    disc = discriminant(f)
-    if disc == 0:
-        raise HypothesisError("polynomial is not separable")
-    simple_p, proven = find_simple_prime(disc, args.ell, budget)
-    verdict = galois_certificate(f)
+    check_curve_input(args.ell, f)
+    hyp = curve_hypotheses(args.ell, f, _budget(args))
+    status, simple_p = hyp.galois.status, hyp.simple_prime
     payload = {
         "ell": args.ell,
         "poly": str(f),
-        "disc": disc,
+        "disc": hyp.disc,
         "simple_prime": simple_p,
-        "simple_prime_proven": proven,
-        "galois": verdict.status,
+        "simple_prime_proven": hyp.simple_prime_proven,
+        "galois": status,
         "epsilon": legendre(f.degree, args.ell),
     }
-    ok = verdict.status == "symmetric" and simple_p is not None
-    _emit(args, payload,
-          f"disc = {disc}, simple prime = {simple_p}, galois = {verdict.status}")
-    if not ok:
-        raise HypothesisError(
-            f"galois = {verdict.status}, simple prime = {simple_p}"
-        )
+    _emit(args, payload, f"disc = {hyp.disc}, simple prime = {simple_p}, galois = {status}")
+    if status != "symmetric" or simple_p is None:
+        raise HypothesisError(f"galois = {status}, simple prime = {simple_p}")
     return 0
 
 
@@ -254,14 +241,12 @@ def _cmd_division_degree(args):
         budget=_budget(args),
         override_hypotheses=args.override_hypotheses,
     )
-    if args.json:
-        print(json.dumps(rep.to_json_dict(), sort_keys=True))
-    else:
-        print(f"degree = {rep.degree_coeff} * {args.ell}^{rep.degree_ell_exponent}")
-        if rep.discrepancy is not None:
-            print(f"reference = {rep.reference['coeff']} * "
-                  f"{args.ell}^{rep.reference['ell_exponent']}; "
-                  f"exponent difference {rep.discrepancy['ell_exponent_difference']}")
+    text = f"degree = {rep.degree_coeff} * {args.ell}^{rep.degree_ell_exponent}"
+    if rep.discrepancy is not None:
+        text += (f"\nreference = {rep.reference['coeff']} * "
+                 f"{args.ell}^{rep.reference['ell_exponent']}; "
+                 f"exponent difference {rep.discrepancy['ell_exponent_difference']}")
+    _emit(args, rep.to_json_dict(), text)
     return 0
 
 
@@ -307,30 +292,10 @@ def _cmd_selftest(args):
     check("reduction_order_positive", lambda: u_reduction_order(5, 2, 4)[0] > 0)
     check("eps_example", lambda: legendre(8, 11) == -1)
     ok = all(results.values())
-    payload = {"seed": args.seed, "results": results, "ok": ok}
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for name in sorted(results):
-            print(f"{'PASS' if results[name] else 'FAIL'} {name}")
-        print("OK" if ok else "FAILED")
+    lines = [f"{'PASS' if results[name] else 'FAIL'} {name}" for name in sorted(results)]
+    _emit(args, {"seed": args.seed, "results": results, "ok": ok},
+          "\n".join(lines + ["OK" if ok else "FAILED"]))
     return 0 if ok else 2
-
-
-_COMMANDS = {
-    "eps": _cmd_eps,
-    "c-lr": _cmd_c_lr,
-    "h-minus": _cmd_h_minus,
-    "demjanenko": _cmd_demjanenko,
-    "kappa": _cmd_kappa,
-    "su-order": _cmd_su_order,
-    "verify-commutator": _cmd_verify_commutator,
-    "lift-check": _cmd_lift_check,
-    "lattice-index": _cmd_lattice_index,
-    "check-curve": _cmd_check_curve,
-    "division-degree": _cmd_division_degree,
-    "selftest": _cmd_selftest,
-}
 
 
 def run(argv=None) -> int:
@@ -340,14 +305,14 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except HypothesisError as e:
         _error(args, str(e), 3)
         return 3
     except PolySyntaxError as e:
         _error(args, str(e), 1)
         return 1
-    except (RingError, DomainError, ValueError, ArithmeticError, AssertionError) as e:
+    except (RingError, DomainError, ValueError, ArithmeticError) as e:
         _error(args, f"{type(e).__name__}: {e}", 2)
         return 2
 

@@ -132,10 +132,6 @@ class FreeSeries:
         return "FreeSeries(" + " + ".join(bits) + ")"
 
 
-def series_mul(p: FreeSeries, q: FreeSeries) -> FreeSeries:
-    return p * q
-
-
 # ---------------------------------------------------------------------------
 # The symbolic commutator identity.
 
@@ -152,11 +148,11 @@ def commutator_alphabet(n: int):
 
 
 @lru_cache(maxsize=None)
-def commutator_case_expression(n: int, alphabet=None) -> FreeSeries:
+def commutator_case_expression(n: int) -> FreeSeries:
     """The case-split closed form for ABA^(-1)B^(-1) with A, B = I + higher
-    terms starting at t-degree floor((n-1)/2)."""
+    terms starting at t-degree floor((n-1)/2), over commutator_alphabet(n)."""
     big_n = (n - 1) // 2
-    alphabet = alphabet or commutator_alphabet(n)
+    alphabet = commutator_alphabet(n)
     sym = lambda name, deg=0: FreeSeries.symbol(alphabet, n, name, deg)
     one = FreeSeries.one(alphabet, n)
     a = {i: sym(f"A{i}") for i in range(big_n, n)}
@@ -190,7 +186,7 @@ def commutator_residual(n: int) -> FreeSeries:
     for i in range(big_n, n):
         aa = aa + FreeSeries.symbol(alphabet, n, f"A{i}", i)
         bb = bb + FreeSeries.symbol(alphabet, n, f"B{i}", i)
-    comm = commutator_case_expression(n, alphabet)
+    comm = commutator_case_expression(n)
     return aa * bb - comm * bb * aa
 
 
@@ -260,20 +256,18 @@ def matrix_commutator_check(a: MatLocal, b: MatLocal) -> bool:
     ctx = a.ctx
     n = ctx.precision
     big_n = (n - 1) // 2
-    if a.filtration_level() < big_n or b.filtration_level() < big_n:
+    level_a, level_b = a.filtration_level(), b.filtration_level()
+    if level_a < big_n or level_b < big_n:
         raise MembershipError(f"both matrices must be trivial mod lambda^{big_n}")
     comm = group_commutator(a, b)
-    alphabet = commutator_alphabet(n)
     assignment = {}
     for i in range(big_n, n):
         assignment[f"A{i}"] = a.digit(i)
         assignment[f"B{i}"] = b.digit(i)
-    expected = series_evaluate(
-        commutator_case_expression(n, alphabet), assignment, ctx, a.dim
-    )
+    expected = series_evaluate(commutator_case_expression(n), assignment, ctx, a.dim)
     if comm != expected:
         return False
-    if a.filtration_level() + b.filtration_level() >= n:
+    if level_a + level_b >= n:
         if comm != MatLocal.identity(ctx, a.dim):
             return False
     return True

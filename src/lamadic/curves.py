@@ -10,7 +10,7 @@ import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, compress, zip_longest
 from math import factorial, gcd, isqrt, prod
 
@@ -52,6 +52,11 @@ class IntPoly:
     @property
     def is_monic(self) -> bool:
         return self.coeffs[-1] == 1
+
+    @cached_property
+    def disc(self) -> int:
+        """The discriminant, computed on first use and kept."""
+        return discriminant(self)
 
     def derivative(self) -> "IntPoly":
         if self.degree == 0:
@@ -179,6 +184,9 @@ def discriminant(f: IntPoly) -> int:
 # Trial division and the walk over small primes read one table of the
 # primes below this limit.
 SMALL_PRIME_LIMIT = 100_000
+# The Pollard-rho steps spent on a composite part of a discriminant when the
+# caller names no budget.
+RHO_BUDGET = 200_000
 
 
 @cache
@@ -241,14 +249,15 @@ def _pollard_brent(n: int, rng: random.Random, budget: int):
     return None
 
 
-def factorize(n: int, budget: int = 200000, seed: int = 0):
+def factorize(n: int, budget: int = RHO_BUDGET):
     """(factor dict, leftover composite or 1).  Trial division by the
     primes below SMALL_PRIME_LIMIT, then budgeted rho, with primality from
-    ring.is_prime (exact below 3.3e24, Baillie-PSW above)."""
+    ring.is_prime (exact below 3.3e24, Baillie-PSW above).  Rho's walks are
+    seeded by 0, so the answer is deterministic."""
     if n == 0:
         raise DomainError("cannot factor zero")
     n = abs(n)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     factors = {}
     for p in _small_primes():
         if p * p > n:
@@ -273,7 +282,7 @@ def factorize(n: int, budget: int = 200000, seed: int = 0):
     return factors, leftover
 
 
-def find_simple_prime(disc: int, exclude_ell: int, budget: int = 200000):
+def find_simple_prime(disc: int, exclude_ell: int, budget: int = RHO_BUDGET):
     """A prime p not in {2, exclude_ell} with ord_p(disc) = 1; returns
     (prime or None, proven) where proven reports a complete factorization."""
     if disc == 0:
@@ -456,7 +465,7 @@ def rational_factor(f: IntPoly):
         raise DomainError("polynomial must be monic")
     if f.degree < 2:
         return None
-    if discriminant(f) == 0:
+    if f.disc == 0:
         raise DomainError("polynomial is not squarefree")
     return _zassenhaus(f, _first_blocks(f))
 
@@ -543,7 +552,7 @@ def galois_certificate(f: IntPoly, budget: int = 500) -> GaloisVerdict:
     those blocks; only the primes after them are factored again.
     """
     r = f.degree
-    disc = discriminant(f)
+    disc = f.disc
     if disc == 0:
         raise DomainError("polynomial is not squarefree")
     if not f.is_monic:
@@ -635,19 +644,46 @@ class CurveReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def check_ell(ell: int, degree: int):
-    """ell must be an odd prime that does not divide the degree."""
+def check_curve_input(ell: int, f: IntPoly):
+    """ell must be an odd prime that does not divide the degree, and f must
+    be monic: the checks both curve commands make first."""
     if not is_prime(ell) or ell < 3:
         raise DomainError("ell must be an odd prime")
-    if degree % ell == 0:
+    if f.degree % ell == 0:
         raise DomainError("ell must not divide the degree")
+    if not f.is_monic:
+        raise DomainError("polynomial must be monic")
+
+
+@dataclass(frozen=True)
+class CurveHypotheses:
+    """The main theorem's hypotheses on f as checked, with their evidence."""
+
+    disc: int
+    disc_factors: dict
+    disc_leftover: int
+    simple_prime: int | None
+    simple_prime_proven: bool
+    galois: GaloisVerdict
+
+
+def curve_hypotheses(ell: int, f: IntPoly, budget: int = RHO_BUDGET) -> CurveHypotheses:
+    """Check the hypotheses on an f that passed check_curve_input: f is
+    separable (else HypothesisError), a prime p not in {2, ell} has
+    ord_p(disc) = 1, and the Galois group is symmetric.  The last two are
+    reported, not raised; the caller decides what a failure means."""
+    disc = f.disc
+    if disc == 0:
+        raise HypothesisError("polynomial is not separable")
+    factors, leftover = factorize(disc, budget)
+    simple_p, proven = _choose_simple_prime(disc, factors, leftover, ell)
+    return CurveHypotheses(disc, factors, leftover, simple_p, proven, galois_certificate(f))
 
 
 def division_degree_report(
     ell: int,
     f: IntPoly,
-    budget: int = 200000,
-    galois_budget: int = 500,
+    budget: int = RHO_BUDGET,
     override_hypotheses: bool = False,
 ) -> CurveReport:
     """Assemble the degree of the ell-torsion field as
@@ -660,27 +696,19 @@ def division_degree_report(
     a structured discrepancy record.
     """
     r = f.degree
-    check_ell(ell, r)
-    if not f.is_monic:
-        raise DomainError("polynomial must be monic")
+    check_curve_input(ell, f)
     if r < 4:
         raise HypothesisError("need degree >= 4")
-    disc = discriminant(f)
-    if disc == 0:
-        raise HypothesisError("polynomial is not separable")
-    eps = legendre(r, ell)
-    factors, leftover = factorize(disc, budget)
-    simple_p, proven = _choose_simple_prime(disc, factors, leftover, ell)
-    galois = galois_certificate(f, galois_budget)
+    hyp = curve_hypotheses(ell, f, budget)
     if not override_hypotheses:
-        if galois.status != "symmetric":
+        if hyp.galois.status != "symmetric":
             raise HypothesisError(
-                f"Galois group not certified symmetric: {galois.status}"
+                f"Galois group not certified symmetric: {hyp.galois.status}"
             )
-        if simple_p is None:
+        if hyp.simple_prime is None:
             raise HypothesisError(
                 "no prime of discriminant-valuation one found"
-                + (" (proven absent)" if proven else " (budget exhausted)")
+                + (" (proven absent)" if hyp.simple_prime_proven else " (budget exhausted)")
             )
         kappa, t = kappa_and_t(ell, r)
         if kappa != 0 or t != 0:
@@ -717,13 +745,13 @@ def division_degree_report(
     return CurveReport(
         ell=ell,
         poly=f,
-        epsilon=eps,
-        disc=disc,
-        disc_factors=factors,
-        disc_leftover=leftover,
-        simple_prime=simple_p,
-        simple_prime_proven=proven,
-        galois=galois,
+        epsilon=legendre(r, ell),
+        disc=hyp.disc,
+        disc_factors=hyp.disc_factors,
+        disc_leftover=hyp.disc_leftover,
+        simple_prime=hyp.simple_prime,
+        simple_prime_proven=hyp.simple_prime_proven,
+        galois=hyp.galois,
         degree_coeff=coeff,
         degree_ell_exponent=ell_exp,
         components=components,

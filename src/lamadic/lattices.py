@@ -8,7 +8,6 @@ determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from . import linalg
 from .ring import (
@@ -25,16 +24,11 @@ from .ring import (
     zeta_poly_add,
     zeta_poly_galois,
 )
-from .classnum import n_of, demjanenko_det, ord_p
+from .classnum import demjanenko_det, fraction_det, ord_p, twice_n_prime
 
 
 # ---------------------------------------------------------------------------
 # Exact Z[zeta] helpers on the power basis 1, zeta, ..., zeta^(ell-2).
-
-
-def _twice_n_prime(ell: int, r: int, j: int) -> int:
-    """2 n'(j) = 2 n(j) - (r - 1), an integer for every r."""
-    return 2 * n_of(ell, r, j) - (r - 1)
 
 
 def anti_fixed_basis_coords(ell: int):
@@ -108,14 +102,13 @@ def infinity_type_apply(r: int, x: CycloElt, variant: str = "T") -> CycloElt:
     ctx = x.ctx
     if x.ord_lambda < 2:
         raise DomainError("log coordinates must have lambda-order >= 2")
+    if variant not in ("T", "Tprime"):
+        raise ValueError(f"unknown variant {variant!r}")
+    # 2 n(j) = 2 n'(j) + (r - 1)
+    shift = r - 1 if variant == "T" else 0
     acc = CycloElt.zero(ctx)
-    for j in range(1, ctx.ell):
-        if variant == "T":
-            coef = 2 * n_of(ctx.ell, r, j)
-        elif variant == "Tprime":
-            coef = _twice_n_prime(ctx.ell, r, j)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+    for j, twice in twice_n_prime(ctx.ell, r).items():
+        coef = twice + shift
         if coef:
             acc = acc + x.galois(j) * coef
     return div_by_int(acc, 2)
@@ -189,11 +182,12 @@ def _t_doubleprime_solve(ell: int, r: int, basis):
     """Coordinates, in the given zeta-coordinate basis, of the images of its
     vectors under sum over the half-system of 2 n'(j) sigma_j; one column
     per basis vector."""
+    weights = twice_n_prime(ell, r)
     images = []
     for b in basis:
         img = (0,) * (ell - 1)
         for j in range(1, (ell - 1) // 2 + 1):
-            c = _twice_n_prime(ell, r, j)
+            c = weights[j]
             if c:
                 img = zeta_poly_add(img, tuple(c * x for x in zeta_poly_galois(b, j, ell)))
         images.append(img)
@@ -218,8 +212,9 @@ def infinity_type_matrix_check(ell: int, r: int) -> bool:
         raw[ell - i] -= 1
         basis.append(reduce_zeta_poly(raw, ell))
     cols = _t_doubleprime_solve(ell, r, basis)
+    weights = twice_n_prime(ell, r)
     return all(
-        col[kdx] == _twice_n_prime(ell, r, pow(i, -1, ell) * k % ell)
+        col[kdx] == weights[pow(i, -1, ell) * k % ell]
         for i, col in zip(half, cols)
         for kdx, k in enumerate(half)
     )
@@ -230,13 +225,11 @@ def lattice_index_check(ell: int, r: int):
     checked against ord_ell of the doubled half-system determinant.
 
     The matrix has denominators prime to ell, so on Z_ell^g its cokernel
-    has order ell^t' with t' = ord_ell of the determinant of the matrix
-    scaled to integers."""
+    has order ell^t' with t' = ord_ell of its determinant."""
     m = t_doubleprime_matrix(ell, r)
-    den = lcm(*(x.denominator for row in m for x in row))
-    if den % ell == 0:
+    if any(x.denominator % ell == 0 for row in m for x in row):
         raise DomainError("denominators must be prime to ell")
-    t_prime = ord_p(linalg.det([[int(x * den) for x in row] for row in m]), ell)
+    t_prime = ord_p(fraction_det(m), ell)
     rep = demjanenko_det(ell, r)
     if t_prime != rep.t:
         raise CheckFailed(f"cokernel exponent {t_prime} != determinant order {rep.t}")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from operator import mul
 
 from .linalg import echelon_mod
@@ -15,8 +15,10 @@ from .ring import (
     CheckFailed,
     CycloElt,
     ContextMismatch,
+    DomainError,
     RingCtx,
     RingError,
+    check_odd_prime,
     div_by_int,
     pack,
     product_width,
@@ -30,10 +32,6 @@ class MembershipError(RingError):
 
 # ---------------------------------------------------------------------------
 # Small helpers over F_ell (plain integer matrices taken mod ell).
-
-
-def mat_mod(rows, ell):
-    return [[x % ell for x in row] for row in rows]
 
 
 def mat_mul_mod(a, b, ell):
@@ -155,12 +153,6 @@ class MatLocal:
         d = self.dim
         return MatLocal.from_rows(
             [[self.entries[j][i].conjugate() for j in range(d)] for i in range(d)]
-        )
-
-    def transpose(self) -> "MatLocal":
-        d = self.dim
-        return MatLocal.from_rows(
-            [[self.entries[j][i] for j in range(d)] for i in range(d)]
         )
 
     def truncate(self, n: int) -> "MatLocal":
@@ -328,7 +320,7 @@ class HermitianForm:
         for g in self.gamma:
             if g % self.ctx.ell == 0:
                 raise ValueError("Gram entries must be units")
-        if self.sign != legendre(_prod(self.gamma), self.ctx.ell):
+        if self.sign != legendre(prod(self.gamma), self.ctx.ell):
             raise ValueError("sign must match the square class of prod(gamma)")
 
     @property
@@ -371,13 +363,6 @@ class HermitianForm:
             "gamma": list(self.gamma),
             "sign": self.sign,
         }
-
-
-def _prod(xs):
-    p = 1
-    for x in xs:
-        p *= x
-    return p
 
 
 @dataclass(frozen=True)
@@ -431,8 +416,9 @@ def weil_gram_and_epsilon(ell: int, r: int, c: int = 1):
     the unknown unit c (the two forms are then similitude-equivalent), so
     the class is reported without the cross-assertion.
     """
+    check_odd_prime(ell)
     if r % ell == 0:
-        raise ValueError("requires ell not dividing r")
+        raise DomainError("ell must not divide r")
     if c % ell == 0:
         raise ValueError("c must be a unit mod ell")
     d = r - 1
@@ -471,7 +457,7 @@ def su_basis(form: HermitianForm, parity_n: int, group: str = "SU"):
             m = mat_zero(d)
             m[i][j] = ginv[i]
             m[j][i] = (sign * ginv[j]) % ell
-            basis.append(mat_mod(m, ell))
+            basis.append(m)
     if parity_n % 2 == 0:
         if group == "SU":
             for i in range(d - 1):
@@ -498,6 +484,9 @@ def su_dimension_and_basis(form: HermitianForm, parity_n: int, group: str = "SU"
 def filtration_order_exponent(ell: int, d: int, n: int, k: int, group: str = "SU") -> int:
     """Exponent e with |G(V/lambda^n)_k| = ell^e for G in {SU, U}: the sum
     of the slice dimensions at the levels k+1, ..., n, counted by parity."""
+    check_odd_prime(ell)
+    if d < 1:
+        raise DomainError(f"d = {d} must be at least 1")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     odd_levels = (n + 1) // 2 - (k + 1) // 2

@@ -125,6 +125,12 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+def check_odd_prime(ell: int):
+    """DomainError naming ell unless it is an odd prime."""
+    if ell < 3 or not is_prime(ell):
+        raise DomainError(f"ell = {ell} must be an odd prime")
+
+
 @dataclass(frozen=True)
 class RingCtx:
     """Ambient ring O/lambda^n: an odd prime ell and a truncation level."""

@@ -111,15 +111,12 @@ def test_selftest_trials_limits_exit_2(capsys):
 
 
 def test_budget_zero_is_not_replaced_by_the_default(capsys, monkeypatch):
-    import lamadic.cli as cli
+    import lamadic.curves as curves
 
     seen = []
-    find = cli.find_simple_prime
-    report = cli.division_degree_report
-    monkeypatch.setattr(cli, "find_simple_prime",
-                        lambda disc, ell, budget: seen.append(budget) or find(disc, ell, budget))
-    monkeypatch.setattr(cli, "division_degree_report",
-                        lambda *a, budget, **kw: seen.append(budget) or report(*a, budget=budget, **kw))
+    factorize = curves.factorize
+    monkeypatch.setattr(curves, "factorize",
+                        lambda n, budget: seen.append(budget) or factorize(n, budget))
     for sub in ("check-curve", "division-degree"):
         invoke(capsys, sub, "--ell", "3", "--poly", "x^5 - x - 1", "--budget", "0")
         invoke(capsys, sub, "--ell", "3", "--poly", "x^5 - x - 1")
@@ -145,6 +142,95 @@ def test_budget_upper_limit_exits_2(capsys):
 def test_lattice_index(capsys):
     code, out, _ = invoke(capsys, "lattice-index", "--ell", "11", "--r", "8", "--json")
     assert code == 0 and json.loads(out)["t"] == 0
+
+
+def test_curve_commands_compute_the_discriminant_once(capsys, monkeypatch):
+    # only discriminant calls resultant, so a call through any module's
+    # binding of discriminant is counted
+    import lamadic.curves as curves
+
+    calls = []
+    resultant = curves.resultant
+    monkeypatch.setattr(curves, "resultant", lambda f, g: calls.append(1) or resultant(f, g))
+    for sub in ("check-curve", "division-degree"):
+        calls.clear()
+        code, _, _ = invoke(capsys, sub, "--ell", "11", "--poly", "x^8 + x - 1")
+        assert code == 0 and len(calls) == 1, sub
+
+
+# One fault per input, with the exit code and --json output of both curve
+# commands: check-curve validates ell, then monicity, then --budget, then
+# separability; division-degree validates --budget first and rejects a
+# degree below 4 after monicity.
+def _fault(code, error):
+    return code, {"code": code, "error": error}
+
+
+_FAULTS = [
+    (("--ell", "9", "--poly", "x^5 - x - 1"),
+     _fault(2, "DomainError: ell must be an odd prime"),
+     _fault(2, "DomainError: ell must be an odd prime")),
+    (("--ell", "5", "--poly", "x^5 - x - 1"),
+     _fault(2, "DomainError: ell must not divide the degree"),
+     _fault(2, "DomainError: ell must not divide the degree")),
+    (("--ell", "3", "--poly", "2*x^5 - x - 1"),
+     _fault(2, "DomainError: polynomial must be monic"),
+     _fault(2, "DomainError: polynomial must be monic")),
+    (("--ell", "5", "--poly", "x^3 - x - 1"),
+     (0, {"disc": -23, "ell": 5, "epsilon": -1, "galois": "symmetric",
+          "poly": "x^3 - x - 1", "simple_prime": 23, "simple_prime_proven": True}),
+     _fault(3, "need degree >= 4")),
+    (("--ell", "3", "--poly", "x^5 - 2*x^3 + x"),
+     _fault(3, "polynomial is not separable"),
+     _fault(3, "polynomial is not separable")),
+    (("--ell", "3", "--poly", "x^5 - x - 1", "--budget", "-1"),
+     _fault(2, "DomainError: --budget must be between 0 and 4000000, got -1"),
+     _fault(2, "DomainError: --budget must be between 0 and 4000000, got -1")),
+    (("--ell", "9", "--poly", "x^5 - x - 1", "--budget", "-1"),
+     _fault(2, "DomainError: ell must be an odd prime"),
+     _fault(2, "DomainError: --budget must be between 0 and 4000000, got -1")),
+]
+
+
+@pytest.mark.parametrize("argv, check_curve, division_degree", _FAULTS,
+                         ids=[" ".join(f[0]) for f in _FAULTS])
+def test_curve_commands_report_single_faults(capsys, argv, check_curve, division_degree):
+    for sub, expected in (("check-curve", check_curve), ("division-degree", division_degree)):
+        code, out, _ = invoke(capsys, sub, *argv, "--json")
+        assert (code, json.loads(out)) == expected, sub
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("eps", "--ell", "9", "--r", "2"), "DomainError: ell = 9 must be an odd prime"),
+    (("eps", "--ell", "1", "--r", "2"), "DomainError: ell = 1 must be an odd prime"),
+    (("eps", "--ell", "11", "--r", "22"), "DomainError: ell must not divide r"),
+    (("su-order", "--ell", "4", "--d", "3", "--n", "5", "--k", "1"),
+     "DomainError: ell = 4 must be an odd prime"),
+    (("su-order", "--ell", "11", "--d", "0", "--n", "5", "--k", "1"),
+     "DomainError: d = 0 must be at least 1"),
+    (("su-order", "--ell", "11", "--d", "-3", "--n", "5", "--k", "1"),
+     "DomainError: d = -3 must be at least 1"),
+])
+def test_eps_and_su_order_reject_bad_ell_and_d(capsys, argv, error):
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 2 and json.loads(out) == {"code": 2, "error": error}
+
+
+@pytest.mark.parametrize("argv", [
+    ("eps", "--ell", "11", "--r", "8"),
+    ("c-lr", "--ell", "11", "--r", "8"),
+    ("h-minus", "--ell", "7"),
+    ("demjanenko", "--ell", "5", "--r", "2"),
+    ("kappa", "--ell", "5", "--r", "2"),
+    ("su-order", "--ell", "5", "--d", "2", "--n", "3", "--k", "1"),
+    ("verify-commutator", "--n", "3"),
+    ("lattice-index", "--ell", "5", "--r", "2"),
+    ("check-curve", "--ell", "3", "--poly", "x^5 - x - 1"),
+    ("division-degree", "--ell", "3", "--poly", "x^5 - x - 1"),
+], ids=lambda argv: argv[0])
+def test_seed_is_an_unknown_flag_where_nothing_is_random(capsys, argv):
+    assert invoke(capsys, *argv)[0] == 0
+    assert invoke(capsys, *argv, "--seed", "1")[0] == 1
 
 
 def test_check_curve_hypothesis_failure_exits_3(capsys):

@@ -282,8 +282,8 @@ def test_rational_factor_on_swinnerton_dyer_polynomials(radicands):
 
 def test_rational_factor_bounds_the_recombination():
     # degree 64: 32 factors mod 19 and about 2.5e9 subsets to try; the
-    # discriminant alone takes about 3 s, and galois_certificate computes it
-    # once more inside rational_factor
+    # discriminant alone takes about 3 s, and f keeps it, so galois_certificate
+    # reads the one that rational_factor computed
     f = IntPoly(tuple(_swinnerton_dyer((2, 3, 5, 7, 11, 13))))
     for fn in (rational_factor, galois_certificate):
         start = time.monotonic()
