@@ -192,14 +192,12 @@ def _cmd_lift_check(args):
     n = _in_range("--n", args.n, 2, MAX_LIFT_N)
     trials = _in_range("--trials", 20 if args.trials is None else args.trials, 1, MAX_TRIALS)
     rng = random.Random(args.seed)
-    form1 = HermitianForm.standard(RingCtx(args.ell, 1), args.d)
+    form = HermitianForm.standard(RingCtx(args.ell, 1), args.d)
     passed = 0
     for _ in range(trials):
-        a = random_su_element(form1, n - 1, rng)
-        form_prev = HermitianForm.standard(RingCtx(args.ell, n - 1), args.d)
-        lifted = lift_su(a, form_prev)
-        form_n = HermitianForm.standard(RingCtx(args.ell, n), args.d)
-        verdict = classify_membership(lifted, form_n)
+        a = random_su_element(form, n - 1, rng)
+        lifted = lift_su(a, form)
+        verdict = classify_membership(lifted, form)
         if verdict.kind == "SU" and lifted.truncate(n - 1) == a:
             passed += 1
     ok = passed == trials
@@ -275,11 +273,10 @@ def _cmd_selftest(args):
     check("span_small", lambda: su_commutator_span_check(3, 3, 3))
 
     def lift_trials():
-        form1 = HermitianForm.standard(RingCtx(3, 1), 2)
+        form = HermitianForm.standard(RingCtx(3, 1), 2)
         for _ in range(trials):
-            a = random_su_element(form1, 3, rng)
-            form3 = HermitianForm.standard(RingCtx(3, 3), 2)
-            if classify_membership(a, form3).kind != "SU":
+            a = random_su_element(form, 3, rng)
+            if classify_membership(a, form).kind != "SU":
                 return False
         return True
 

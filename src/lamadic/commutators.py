@@ -336,12 +336,9 @@ def eij_bracket_table(form: HermitianForm, i: int, j: int, l: int, m: int, n: in
 def _lift_slice_generator(form: HermitianForm, level: int, gen, precision: int) -> MatLocal:
     """Lift I + lambda^level * gen from precision level+1 up to the target."""
     ctx = form.ctx.at_precision(level + 1)
-    a = MatLocal.from_digit_matrices(
-        ctx, form.dim, [ [ [1 if p == q else 0 for q in range(form.dim)] for p in range(form.dim)] ]
-        + [mat_zero(form.dim)] * (level - 1) + [gen],
-    )
-    for mprec in range(level + 1, precision):
-        a = lift_su(a, HermitianForm(form.ctx.at_precision(mprec), form.gamma, form.sign))
+    a = MatLocal.identity(ctx, form.dim) + MatLocal.lam_times(ctx, level, gen)
+    for _ in range(level + 1, precision):
+        a = lift_su(a, form)
     return a
 
 

@@ -17,7 +17,7 @@ from math import factorial, gcd, isqrt, prod
 from .linalg import det
 from .ring import CheckFailed, DomainError, is_prime, pack
 from .matrices import filtration_order_exponent, legendre
-from .classnum import kappa_and_t
+from .classnum import kappa_and_t, ord_p
 from .lattices import u_reduction_order
 
 
@@ -717,13 +717,10 @@ def division_degree_report(
             )
     e_exp = filtration_order_exponent(ell, r - 1, ell - 1, 1)
     u_total, u_parts = u_reduction_order(ell, r, ell - 1)
-    coeff = factorial(r) // 2
-    ell_exp = e_exp
-    rest = u_total
-    while rest % ell == 0:
-        rest //= ell
-        ell_exp += 1
-    coeff *= rest
+    u_exp = ord_p(u_total, ell)
+    rest = u_total // ell**u_exp
+    ell_exp = e_exp + u_exp
+    coeff = factorial(r) // 2 * rest
     components = {
         "galois_intersection_order": factorial(r) // 2,
         "su_exponent": e_exp,

@@ -124,17 +124,26 @@ def decompose_unit(d: CycloElt, r: int):
     v = d * d.conjugate()
     rho = exp(div_by_int(log1p(v), 2))
     w = d * rho.inverse()
+    e = _torsion_exponent(w)
     minus_zeta = -CycloElt.zeta(ctx, 1)
-    for e in range(2 * ctx.ell):
-        u = w * minus_zeta ** ((-e) % (2 * ctx.ell))
-        if (u - CycloElt.one(ctx)).ord_lambda >= 2:
-            x = log1p(u)
-            if not is_anti_fixed(x):
-                raise CheckFailed("log of the unitary part must be anti-fixed")
-            if minus_zeta**e * rho * exp(x) != d:
-                raise CheckFailed("factors must recombine")
-            return e, rho, x
-    raise DomainError("no torsion representative found")
+    x = log1p(w * minus_zeta ** ((-e) % (2 * ctx.ell)))
+    if not is_anti_fixed(x):
+        raise CheckFailed("log of the unitary part must be anti-fixed")
+    if minus_zeta**e * rho * exp(x) != d:
+        raise CheckFailed("factors must recombine")
+    return e, rho, x
+
+
+def _torsion_exponent(w: CycloElt) -> int:
+    """The e in [0, 2 ell) with w = (-zeta)^e mod lambda^2, read from the
+    first two digits: (-zeta)^e = s (1 - e lambda) mod lambda^2 with
+    s = (-1)^e, so e = -s d_1 mod ell and e = (1 - s)/2 mod 2."""
+    ell = w.ctx.ell
+    if w.ctx.precision < 2 or w.digits[0] not in (1, ell - 1):
+        raise DomainError("no torsion representative found")
+    s = 1 if w.digits[0] == 1 else -1
+    e = -s * w.digits[1] % ell
+    return e if e % 2 == (1 - s) // 2 else e + ell
 
 
 # ---------------------------------------------------------------------------
@@ -240,44 +249,22 @@ def lattice_index_check(ell: int, r: int):
 # The order of the unit-group reduction at finite level.
 
 
-def _mult_order_ell_power(x: CycloElt, ell: int) -> int:
-    """Order of x in the units mod lambda^m when it is an ell-power order
-    element times possible small torsion; direct powering."""
-    one = CycloElt.one(x.ctx)
-    order = 1
-    acc = x
-    # order divides 2 * ell^k; strip the 2-part first
-    if acc * acc == one and acc != one:
-        return 2
-    while acc != one:
-        acc = acc**ell
-        order *= ell
-        if order > ell ** (x.ctx.precision + 2):
-            raise DomainError("order did not terminate")
-    return order
-
-
 def torsion_reduction_order(ell: int, m: int) -> int:
-    """Order of -zeta in the units of O/lambda^m."""
-    ctx = RingCtx(ell, m)
-    mz = -CycloElt.zeta(ctx, 1)
-    one = CycloElt.one(ctx)
-    order = 1
-    acc = mz
-    while acc != one:
-        acc = acc * mz
-        order += 1
-        if order > 2 * ell:
-            raise DomainError("torsion order exceeded 2*ell")
-    return order
+    """Order of -zeta in the units of O/lambda^m: 2 at m = 1, where zeta = 1,
+    and 2 ell from m = 2 on, since 1 + zeta^k = 2 mod lambda is a unit and
+    1 - zeta^k has lambda-order exactly 1 for ell not dividing k."""
+    RingCtx(ell, m)  # the ring's checks on ell and m
+    return 2 if m == 1 else 2 * ell
 
 
 def rational_reduction_order(ell: int, r: int, m: int) -> int:
-    """Order of the image of 1 + ell*(r-1)*Z_ell in the units of O/lambda^m."""
+    """Order of the image of 1 + ell*(r-1)*Z_ell in the units of O/lambda^m.
+
+    With e = ord_ell(r-1), (1 + ell^(1+e))^(ell^j) - 1 has lambda-order
+    (ell-1)(1+e+j), so the order is ell^max(0, ceil(m/(ell-1)) - 1 - e)."""
     e = ord_p(r - 1, ell)
-    ctx = RingCtx(ell, m)
-    gen = CycloElt.from_int(1 + ell ** (1 + e), ctx)
-    return _mult_order_ell_power(gen, ell)
+    RingCtx(ell, m)  # the ring's checks on ell and m
+    return ell ** max(0, -(-m // (ell - 1)) - 1 - e)
 
 
 def u_prime_reduction_exponent(ell: int, m: int) -> int:
@@ -286,9 +273,7 @@ def u_prime_reduction_exponent(ell: int, m: int) -> int:
     pres = additive_ring_presentation(ell, m)
     cols = [list(c) for c in anti_fixed_basis_coords(ell)]
     order = abelian_order(pres, cols)
-    e = 0
-    while ell**e < order:
-        e += 1
+    e = ord_p(order, ell)
     if ell**e != order:
         raise CheckFailed(f"subgroup order {order} is not a power of {ell}")
     return e

@@ -97,6 +97,13 @@ class MatLocal:
         )
 
     @staticmethod
+    def lam_times(ctx: RingCtx, m: int, s) -> "MatLocal":
+        """lambda^m * S for an integer matrix S, taken mod ell."""
+        lam = CycloElt.lam(ctx, m)
+        ell = ctx.ell
+        return MatLocal(ctx, tuple(tuple(lam * (x % ell) for x in row) for row in s))
+
+    @staticmethod
     def from_digit_matrices(ctx: RingCtx, d: int, digit_mats) -> "MatLocal":
         """Build sum_k lambda^k * D_k from matrices over F_ell."""
         rows = []
@@ -310,7 +317,11 @@ def det_base(a: MatLocal) -> CycloElt:
 
 @dataclass(frozen=True)
 class HermitianForm:
-    """Diagonal Gram data Gamma = diag(alpha_1, ..., alpha_d), rational units."""
+    """Diagonal Gram data Gamma = diag(alpha_1, ..., alpha_d), rational units.
+
+    Only ctx.ell is read: the entries are integers, so one form serves
+    matrices at every precision.
+    """
 
     ctx: RingCtx
     gamma: tuple  # integers, units mod ell
@@ -334,17 +345,6 @@ class HermitianForm:
             return HermitianForm(ctx, (1,) * d, 1)
         alpha = next(a for a in range(2, ctx.ell) if legendre(a, ctx.ell) == -1)
         return HermitianForm(ctx, (1,) * (d - 1) + (alpha,), -1)
-
-    def gamma_matrix(self) -> MatLocal:
-        rows = []
-        for i in range(self.dim):
-            rows.append(
-                [
-                    CycloElt.from_int(self.gamma[i] if i == j else 0, self.ctx)
-                    for j in range(self.dim)
-                ]
-            )
-        return MatLocal.from_rows(rows)
 
     def gram_times(self, a: MatLocal) -> MatLocal:
         """Gamma A, by scaling row i of A by gamma_i."""
@@ -513,10 +513,13 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
         raise ValueError("dimension mismatch")
     if a.filtration_level() < 1:
         raise MembershipError("lift_su needs A = I mod lambda")
-    form_n = HermitianForm(form.ctx.at_precision(n), form.gamma, form.sign)
     a_prime = a.pad_zero(n)
-    delta = a_prime.dagger() * form_n.gram_times(a_prime) - form_n.gamma_matrix()
-    if any(any(e.digits[:n - 1]) for row in delta.entries for e in row):
+    h = a_prime.dagger() * form.gram_times(a_prime)
+    delta = [
+        [e - CycloElt.from_int(g, a_prime.ctx) if i == j else e for j, e in enumerate(row)]
+        for i, (g, row) in enumerate(zip(form.gamma, h.entries))
+    ]
+    if any(any(e.digits[:n - 1]) for row in delta for e in row):
         raise MembershipError("lift_su needs a member of U with multiplier 1")
     det = det_local(a_prime)
     dl = det.truncate(n - 1)
@@ -525,17 +528,14 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
         raise CheckFailed("conj(det)*det != 1")
     if dl != one:
         raise MembershipError("lift_su needs an SU member, got U")
-    x = delta.digit(n - 1)
+    x = [[e.digits[n - 1] for e in row] for row in delta]
     inv2 = pow(2, -1, ell)
-    ginv = form_n.gamma_inv_mod()
+    ginv = form.gamma_inv_mod()
     y = [[inv2 * ginv[i] * x[i][j] % ell for j in range(a.dim)] for i in range(a.dim)]
     if n % 2 == 0:
         tr_y = sum(y[i][i] for i in range(a.dim)) % ell
         y[0][0] = (y[0][0] + (det.digits[n - 1] - tr_y)) % ell
-    correction = MatLocal.from_digit_matrices(
-        form_n.ctx, a.dim, [mat_zero(a.dim)] * (n - 1) + [y]
-    )
-    return a_prime - correction
+    return a_prime - MatLocal.lam_times(a_prime.ctx, n - 1, y)
 
 
 def random_su_element(form: HermitianForm, precision: int, rng) -> MatLocal:
@@ -546,14 +546,12 @@ def random_su_element(form: HermitianForm, precision: int, rng) -> MatLocal:
     d = form.dim
     a = MatLocal.identity(form.ctx.at_precision(1), d)
     for m in range(1, precision):
-        form_m = HermitianForm(form.ctx.at_precision(m), form.gamma, form.sign)
-        a = lift_su(a, form_m)
-        s = mat_zero(d)
-        for b in su_basis(form_m, m + 1):
-            coef = rng.randrange(ell)
-            if coef:
-                s = mat_add_mod(s, mat_scale_mod(coef, b, ell), ell)
-        a = a + MatLocal.from_digit_matrices(a.ctx, d, [mat_zero(d)] * m + [s])
+        a = lift_su(a, form)
+        basis = su_basis(form, m + 1)
+        coefs = [rng.randrange(ell) for _ in basis]
+        s = [[sum(c * b[i][j] for c, b in zip(coefs, basis)) for j in range(d)]
+             for i in range(d)]
+        a = a + MatLocal.lam_times(a.ctx, m, s)
     return a
 
 

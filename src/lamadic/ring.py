@@ -284,7 +284,9 @@ class CycloElt:
     """An element of O/lambda^n.
 
     `coeffs` holds its power-basis coefficients mod ctx.modulus; `digits`
-    holds its canonical lambda-adic digits, computed on first use.
+    holds its canonical lambda-adic digits, computed on first use.  Digits
+    are an edge format: the constructor takes them for deserialization and
+    digit matrices, while constants and results are built from coefficients.
     """
 
     __slots__ = ("ctx", "coeffs", "_digits")
@@ -330,11 +332,11 @@ class CycloElt:
 
     @staticmethod
     def zero(ctx: RingCtx) -> "CycloElt":
-        return CycloElt(ctx, (0,) * ctx.precision)
+        return CycloElt.from_int(0, ctx)
 
     @staticmethod
     def one(ctx: RingCtx) -> "CycloElt":
-        return CycloElt(ctx, (1,) + (0,) * (ctx.precision - 1))
+        return CycloElt.from_int(1, ctx)
 
     @staticmethod
     def zeta(ctx: RingCtx, power: int = 1) -> "CycloElt":
@@ -343,10 +345,16 @@ class CycloElt:
 
     @staticmethod
     def lam(ctx: RingCtx, power: int = 1) -> "CycloElt":
-        digits = [0] * ctx.precision
-        if power < ctx.precision:
-            digits[power] = 1
-        return CycloElt(ctx, digits)
+        """lambda^power; zero once power reaches the precision.  lambda is
+        not a unit, so a negative power is a DomainError."""
+        if power < 0:
+            raise DomainError(f"lambda has no inverse, got power {power}")
+        if power >= ctx.precision:
+            return CycloElt.zero(ctx)
+        m = ctx.modulus
+        return CycloElt.from_reduced(
+            tuple(c % m for c in _lambda_power_table(ctx.ell, ctx.precision)[power]), ctx
+        )
 
     # -- basic queries -----------------------------------------------------
 
@@ -469,9 +477,13 @@ class CycloElt:
         """Choose the representative with zero high digits at precision n."""
         if n < self.ctx.precision:
             raise DomainError("pad_zero only extends precision")
-        return CycloElt(
-            self.ctx.at_precision(n), self.digits + (0,) * (n - self.ctx.precision)
+        ctx = self.ctx.at_precision(n)
+        m = ctx.modulus
+        out = CycloElt.from_reduced(
+            tuple(c % m for c in poly_from_digits(self.digits, ctx.ell)), ctx
         )
+        out._digits = self.digits + (0,) * (n - self.ctx.precision)
+        return out
 
     # -- serialization -----------------------------------------------------
 

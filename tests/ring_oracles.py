@@ -4,15 +4,17 @@ are schoolbook multiplication mod Phi_ell written here, membership in
 lambda^n is decided through the norm, determinants by cofactor expansion,
 filtration orders by summing the slice dimensions level by level,
 trinomial discriminants by their closed form, slice membership and the
-half-system T'' action from their defining formulas, and random SU members
-by multiplying each lift by its twist.
+half-system T'' action from their defining formulas, random SU members
+by multiplying each lift by its twist, and the orders of -zeta and of
+1 + ell^(1+e) and the torsion exponent of a unit by powering and search.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from lamadic.matrices import HermitianForm, MatLocal, lift_su, su_basis
-from lamadic.ring import CycloElt
+from lamadic.lattices import is_anti_fixed, u_lr_member
+from lamadic.matrices import MatLocal, lift_su, su_basis
+from lamadic.ring import CycloElt, DomainError, RingCtx, div_by_int, exp, log1p
 
 
 def mul_mod_phi(a, b, ell):
@@ -226,10 +228,9 @@ def random_su_element_by_twist_products(form, precision, rng):
     ell, d = form.ctx.ell, form.dim
     a = MatLocal.identity(form.ctx.at_precision(1), d)
     for m in range(1, precision):
-        form_m = HermitianForm(form.ctx.at_precision(m), form.gamma, form.sign)
-        a = lift_su(a, form_m)
+        a = lift_su(a, form)
         s = [[0] * d for _ in range(d)]
-        for b in su_basis(form_m, m + 1):
+        for b in su_basis(form, m + 1):
             coef = rng.randrange(ell)
             if coef:
                 s = [[(x + coef * y) % ell for x, y in zip(rs, rb)] for rs, rb in zip(s, b)]
@@ -238,3 +239,61 @@ def random_su_element_by_twist_products(form, precision, rng):
         twist = MatLocal.from_digit_matrices(a.ctx, d, [eye] + [zero] * (m - 1) + [s])
         a = a * twist
     return a
+
+
+def torsion_order_by_powering(ell, m):
+    """Order of -zeta in the units of O/lambda^m, multiplying until 1."""
+    ctx = RingCtx(ell, m)
+    mz = -CycloElt.zeta(ctx, 1)
+    one = CycloElt.one(ctx)
+    order, acc = 1, mz
+    while acc != one:
+        acc = acc * mz
+        order += 1
+        if order > 2 * ell:
+            raise AssertionError("torsion order exceeded 2*ell")
+    return order
+
+
+def rational_order_by_ell_powers(ell, r, m):
+    """Order of 1 + ell^(1+e), e = ord_ell(r-1), in the units of O/lambda^m,
+    raising to the ell-th power until 1."""
+    e = 0
+    while (r - 1) % ell ** (e + 1) == 0:
+        e += 1
+    ctx = RingCtx(ell, m)
+    one = CycloElt.one(ctx)
+    acc = CycloElt.from_int(1 + ell ** (1 + e), ctx)
+    order = 1
+    while acc != one:
+        acc = acc**ell
+        order *= ell
+        if order > ell ** (m + 2):
+            raise AssertionError("order did not terminate")
+    return order
+
+
+def torsion_exponent_by_search(w):
+    """The first e in [0, 2 ell) with w (-zeta)^(-e) = 1 mod lambda^2, or None."""
+    ctx = w.ctx
+    minus_zeta = -CycloElt.zeta(ctx, 1)
+    for e in range(2 * ctx.ell):
+        u = w * minus_zeta ** ((-e) % (2 * ctx.ell))
+        if (u - CycloElt.one(ctx)).ord_lambda >= 2:
+            return e
+    return None
+
+
+def decompose_unit_by_search(d, r):
+    """decompose_unit with the torsion exponent found by trying every e."""
+    if not u_lr_member(d, r):
+        raise DomainError("not a member")
+    rho = exp(div_by_int(log1p(d * d.conjugate()), 2))
+    w = d * rho.inverse()
+    e = torsion_exponent_by_search(w)
+    if e is None:
+        raise DomainError("no torsion representative found")
+    x = log1p(w * (-CycloElt.zeta(d.ctx, 1)) ** ((-e) % (2 * d.ctx.ell)))
+    if not is_anti_fixed(x):
+        raise AssertionError("log of the unitary part must be anti-fixed")
+    return e, rho, x

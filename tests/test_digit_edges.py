@@ -1,0 +1,60 @@
+"""Digits are an edge format: lamadic builds ring elements from power-basis
+coefficients and calls the digit constructor CycloElt(ctx, digits) only to
+read serialized or digit-matrix input."""
+
+import ast
+import random
+from pathlib import Path
+
+from lamadic.matrices import HermitianForm, classify_membership, lift_su, random_su_element
+from lamadic.ring import CycloElt, RingCtx
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lamadic"
+
+EDGE_CONSTRUCTORS = {
+    "ring.py:CycloElt.from_json_dict",
+    "matrices.py:MatLocal.from_digit_matrices",
+    "matrices.py:MatLocal.from_json_dict",
+    "cli.py:_cmd_selftest",  # the digit round trip of the selftest
+}
+
+
+def _digit_constructor_calls(path):
+    """'file:enclosing definition' of each CycloElt(...) call in the file."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "CycloElt":
+                    found.append(f"{path.name}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), [])
+    return found
+
+
+def test_digit_constructor_is_called_only_by_the_edge_constructors():
+    found = [site for path in sorted(SRC.rglob("*.py")) for site in _digit_constructor_calls(path)]
+    assert found
+    assert set(found) <= EDGE_CONSTRUCTORS, sorted(set(found) - EDGE_CONSTRUCTORS)
+
+
+def test_a_lift_chain_builds_no_element_from_digits(monkeypatch):
+    calls = []
+    init = CycloElt.__init__
+
+    def counting_init(self, ctx, digits):
+        calls.append(ctx)
+        init(self, ctx, digits)
+
+    monkeypatch.setattr(CycloElt, "__init__", counting_init)
+    form = HermitianForm.standard(RingCtx(5, 1), 3)
+    a = random_su_element(form, 5, random.Random(0))
+    assert classify_membership(lift_su(a, form), form).kind == "SU"
+    assert calls == []

@@ -13,7 +13,9 @@ from lamadic.lattices import (
     infinity_type_matrix_check,
     is_anti_fixed,
     is_galois_stable,
+    _torsion_exponent,
     lattice_index_check,
+    rational_reduction_order,
     t_doubleprime_matrix,
     torsion_reduction_order,
     u_lr_member,
@@ -21,7 +23,13 @@ from lamadic.lattices import (
     u_reduction_order,
 )
 from lamadic.classnum import kappa_and_t, n_of
-from ring_oracles import t_doubleprime_apply
+from ring_oracles import (
+    decompose_unit_by_search,
+    rational_order_by_ell_powers,
+    t_doubleprime_apply,
+    torsion_exponent_by_search,
+    torsion_order_by_powering,
+)
 
 
 def test_membership_basics():
@@ -165,3 +173,43 @@ def test_reduction_exponent_monotone_in_precision():
         total, parts = u_reduction_order(5, 2, m)
         assert parts["anti_fixed_exponent"] >= prev
         prev = parts["anti_fixed_exponent"]
+
+
+def test_reduction_orders_match_powering():
+    for ell in (3, 5, 7, 11, 13):
+        for m in range(1, 2 * ell + 1):
+            assert torsion_reduction_order(ell, m) == torsion_order_by_powering(ell, m)
+            for r in range(2, 21):
+                if r % ell:
+                    assert (rational_reduction_order(ell, r, m)
+                            == rational_order_by_ell_powers(ell, r, m)), (ell, r, m)
+
+
+def test_decompose_unit_matches_the_exponent_search():
+    rng = random.Random(10)
+    for ell in (5, 7, 11, 13):
+        ctx = RingCtx(ell, ell + 1)
+        r = 2
+        lat = u_prime_basis(ell, ctx.precision)
+        for e0 in range(2 * ell):
+            x = CycloElt.zero(ctx)
+            for g in lat.log_generators:
+                x = x + g * rng.randrange(ell)
+            u = (-CycloElt.zeta(ctx, 1)) ** e0 * ring_exp(x)
+            got = decompose_unit(u, r)
+            assert got == decompose_unit_by_search(u, r)
+            assert got[0] == e0
+
+
+def test_torsion_exponent_needs_two_digits_and_residue_plus_minus_one():
+    with pytest.raises(DomainError, match="no torsion representative found"):
+        decompose_unit(CycloElt.one(RingCtx(5, 1)), 2)
+    ctx = RingCtx(7, 4)
+    for k in range(1, 7):
+        w = CycloElt.from_int(k, ctx) * CycloElt.zeta(ctx, 2)
+        if k in (1, 6):
+            assert _torsion_exponent(w) == torsion_exponent_by_search(w)
+        else:
+            assert torsion_exponent_by_search(w) is None
+            with pytest.raises(DomainError, match="no torsion representative found"):
+                _torsion_exponent(w)

@@ -24,6 +24,16 @@ def test_digit_examples():
     assert CycloElt.from_int(3, RingCtx(3, 3)).digits == (0, 0, 2)
 
 
+def test_lambda_power_rejects_a_negative_power():
+    ctx = RingCtx(5, 4)
+    for power in (-1, -4, -5):
+        with pytest.raises(DomainError, match="lambda has no inverse"):
+            CycloElt.lam(ctx, power)
+    assert [CycloElt.lam(ctx, k).digits for k in range(3, 6)] == [
+        (0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0)]
+    assert CycloElt.zeta(ctx, -1) * CycloElt.zeta(ctx, 1) == CycloElt.one(ctx)
+
+
 def test_digit_bijection_small():
     # every digit tuple is hit exactly once by reduction of its own lift
     for n in (1, 2, 3, 4):

@@ -1,0 +1,102 @@
+"""The unitary and unit-order layers' outputs, compared byte for byte with
+tests/data/unitary_golden.json, which was recorded before the SU lifts were
+built from coefficients and the unit-reduction orders got closed forms."""
+
+import contextlib
+import io
+import json
+import random
+from pathlib import Path
+
+from lamadic.cli import run
+from lamadic.lattices import decompose_unit, u_reduction_order
+from lamadic.matrices import HermitianForm, classify_membership, lift_su, random_su_element
+from lamadic.ring import CycloElt, RingCtx, exp
+
+GOLDEN = Path(__file__).parent / "data" / "unitary_golden.json"
+
+PRIMES_5_TO_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _digits(m):
+    return [[list(e.digits) for e in row] for row in m.entries]
+
+
+def _r_of(ell):
+    """The r of the benchmark's invariants grid at ell."""
+    values = [r for r in range(2, 21) if r % ell]
+    return values[ell % len(values)]
+
+
+def lift_chains():
+    out = []
+    for ell in (3, 5, 7):
+        for d in (2, 3, 4):
+            for n in (3, 5):
+                for sign in (1, -1):
+                    rng = random.Random(f"{ell}/{d}/{n}/{sign}")
+                    form = HermitianForm.standard(RingCtx(ell, 1), d, sign)
+                    a = random_su_element(form, n - 1, rng)
+                    lifted = lift_su(a, form)
+                    verdict = classify_membership(lifted, form)
+                    out.append({
+                        "ell": ell, "d": d, "n": n, "sign": sign,
+                        "a": _digits(a), "lift": _digits(lifted), "kind": verdict.kind,
+                        "det": list(verdict.det.digits),
+                        "multiplier": list(verdict.multiplier.digits),
+                    })
+    return out
+
+
+def lift_check_outputs():
+    out = []
+    for argv in (["lift-check", "--ell", "5", "--d", "3", "--n", "5", "--trials", "20",
+                  "--seed", "1", "--json"],
+                 ["lift-check", "--ell", "3", "--d", "4", "--n", "4", "--json"]):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = run(argv)
+        out.append({"argv": argv, "code": code, "stdout": buf.getvalue()})
+    return out
+
+
+def reduction_orders():
+    """u_reduction_order on the benchmark's invariants grid."""
+    out = []
+    for ell in PRIMES_5_TO_31:
+        top = ell - 1 if ell < 29 else ell - 4
+        for m in sorted({4, (ell + 3) // 2, top}):
+            total, parts = u_reduction_order(ell, _r_of(ell), m)
+            out.append({"ell": ell, "r": _r_of(ell), "m": m, "total": total, "parts": parts})
+    return out
+
+
+def decompositions():
+    """decompose_unit on members (-zeta)^e * exp(x) shaped as in the benchmark."""
+    rng = random.Random("unitary-golden/decompose")
+    out = []
+    for ell in (5, 7, 11, 13, 17, 19, 23):
+        ctx = RingCtx(ell, ell + 1)
+        x = CycloElt.zero(ctx)
+        for i in range(2, (ell + 1) // 2 + 1):
+            lam_i = CycloElt.lam(ctx, i)
+            x = x + (lam_i - lam_i.conjugate()) * rng.randrange(ell)
+        e = rng.randrange(2 * ell)
+        got_e, rho, got_x = decompose_unit((-CycloElt.zeta(ctx, 1)) ** e * exp(x), _r_of(ell))
+        out.append({"ell": ell, "e": e, "got_e": got_e,
+                    "rho": list(rho.digits), "x": list(got_x.digits)})
+    return out
+
+
+def live_records() -> str:
+    records = {
+        "lift_chains": lift_chains(),
+        "lift_check": lift_check_outputs(),
+        "u_reduction_order": reduction_orders(),
+        "decompose_unit": decompositions(),
+    }
+    return json.dumps(records, indent=1, sort_keys=True) + "\n"
+
+
+def test_unitary_and_unit_order_outputs_match_the_recording():
+    assert live_records() == GOLDEN.read_text()
