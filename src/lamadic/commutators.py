@@ -336,7 +336,7 @@ def eij_bracket_table(form: HermitianForm, i: int, j: int, l: int, m: int, n: in
 def _lift_slice_generator(form: HermitianForm, level: int, gen, precision: int) -> MatLocal:
     """Lift I + lambda^level * gen from precision level+1 up to the target."""
     ctx = form.ctx.at_precision(level + 1)
-    a = MatLocal.identity(ctx, form.dim) + MatLocal.lam_times(ctx, level, gen)
+    a = MatLocal.identity(ctx, form.dim).add_top(gen)
     for _ in range(level + 1, precision):
         a = lift_su(a, form)
     return a
@@ -345,13 +345,24 @@ def _lift_slice_generator(form: HermitianForm, level: int, gen, precision: int) 
 def su_commutator_span_check(ell: int, d: int, n: int, sign: int = 1) -> bool:
     """Top digits of commutators of lifted slice generators span the level-n
     slice: collect digit n-1 of [[A, B]] over the prescribed generator pairs
-    and compare the F_ell-rank with the slice dimension."""
+    and compare the F_ell-rank with the slice dimension.  Each distinct
+    generator Gamma^(-1) E_ij^(level+1) is lifted once and shared by its
+    pairs (at even parity E_ij and E_ji give the same one)."""
     if n < 3 or d < 3:
         raise ValueError("need n >= 3 and d >= 3")
     ctx1 = RingCtx(ell, 1)
     form = HermitianForm.standard(ctx1, d, sign)
     big_n = (n - 1) // 2
     big_m = n - 1 - big_n
+    lifts = {}
+
+    def lifted(level, i, j):
+        gen = _gamma_inv_eij(form, i - 1, j - 1, level + 1)
+        key = (level, tuple(map(tuple, gen)))
+        if key not in lifts:
+            lifts[key] = _lift_slice_generator(form, level, gen, n)
+        return lifts[key]
+
     vectors = []
     for i in range(1, d + 1):
         for j in range(1, d + 1):
@@ -360,11 +371,7 @@ def su_commutator_span_check(ell: int, d: int, n: int, sign: int = 1) -> bool:
             for l in range(1, d + 1):
                 if l == j:
                     continue
-                gen_a = _gamma_inv_eij(form, i - 1, j - 1, big_n + 1)
-                gen_b = _gamma_inv_eij(form, j - 1, l - 1, big_m + 1)
-                a = _lift_slice_generator(form, big_n, gen_a, n)
-                b = _lift_slice_generator(form, big_m, gen_b, n)
-                comm = group_commutator(a, b)
+                comm = group_commutator(lifted(big_n, i, j), lifted(big_m, j, l))
                 top = comm.digit(n - 1)
                 vectors.append([top[p][q] for p in range(d) for q in range(d)])
     return echelon_mod(vectors, ell)[0] == su_dimension(d, n)

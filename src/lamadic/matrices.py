@@ -97,13 +97,6 @@ class MatLocal:
         )
 
     @staticmethod
-    def lam_times(ctx: RingCtx, m: int, s) -> "MatLocal":
-        """lambda^m * S for an integer matrix S, taken mod ell."""
-        lam = CycloElt.lam(ctx, m)
-        ell = ctx.ell
-        return MatLocal(ctx, tuple(tuple(lam * (x % ell) for x in row) for row in s))
-
-    @staticmethod
     def from_digit_matrices(ctx: RingCtx, d: int, digit_mats) -> "MatLocal":
         """Build sum_k lambda^k * D_k from matrices over F_ell."""
         rows = []
@@ -152,6 +145,14 @@ class MatLocal:
             for row in rows_a
         ))
 
+    def add_top(self, s) -> "MatLocal":
+        """A + lambda^(n-1) S at precision n, for an integer matrix S taken
+        mod ell; the entries carry the digits they know (CycloElt.add_top)."""
+        return MatLocal(self.ctx, tuple(
+            tuple(e.add_top(x) for e, x in zip(row, srow))
+            for row, srow in zip(self.entries, s)
+        ))
+
     def scale(self, c: "CycloElt | int") -> "MatLocal":
         return MatLocal.from_rows([[c * e for e in row] for row in self.entries])
 
@@ -169,32 +170,39 @@ class MatLocal:
         return MatLocal.from_rows([[e.pad_zero(n) for e in row] for row in self.entries])
 
     def filtration_level(self) -> int:
-        """Largest k with A congruent to I mod lambda^k (0 if A_0 != I)."""
-        d = self.dim
-        delta = self - MatLocal.identity(self.ctx, d)
-        return min(delta.entries[i][j].ord_lambda for i in range(d) for j in range(d))
+        """Largest k with A congruent to I mod lambda^k (0 if A_0 != I).
+
+        Reads A's own digits, which a matrix from digits or from a lift
+        already knows.  For a diagonal entry with leading digit 1, a_ii - 1
+        has digits 0, d_1, d_2, ...; any other leading digit gives level 0."""
+        n = self.ctx.precision
+        level = n
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                digits = e.digits
+                if i == j:
+                    if digits[0] != 1:
+                        return 0
+                    digits = (0,) + digits[1:]
+                level = min(level, next((k for k, x in enumerate(digits) if x), n))
+        return level
 
     def inverse(self) -> "MatLocal":
-        """Gauss-Jordan inverse; pivots must be units after row swaps."""
+        """Gauss-Jordan inverse of [A | I] by the packed elimination kernel
+        (_eliminate); pivots must be units after row swaps.  No digits are
+        expanded: pivots are found by their residues."""
         d = self.dim
         ctx = self.ctx
-        a = [list(row) for row in self.entries]
-        inv = [list(row) for row in MatLocal.identity(ctx, d).entries]
-        for col in range(d):
-            piv = next((r for r in range(col, d) if a[r][col].is_unit), None)
-            if piv is None:
-                raise MembershipError("matrix is not invertible over the local ring")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            pinv = a[col][col].inverse()
-            a[col] = [pinv * x for x in a[col]]
-            inv[col] = [pinv * x for x in inv[col]]
-            for r in range(d):
-                if r != col and any(a[r][col].coeffs):
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return MatLocal.from_rows(inv)
+        one, zero = CycloElt.one(ctx).coeffs, CycloElt.zero(ctx).coeffs
+        rows = [
+            [e.coeffs for e in row] + [one if i == j else zero for j in range(d)]
+            for i, row in enumerate(self.entries)
+        ]
+        if _eliminate(rows, ctx, jordan=True) is None:
+            raise MembershipError("matrix is not invertible over the local ring")
+        return MatLocal(ctx, tuple(
+            tuple(CycloElt.from_reduced(c, ctx) for c in row[d:]) for row in rows
+        ))
 
     def inverse_neumann(self) -> "MatLocal":
         """(I + M)^(-1) = sum (-M)^k for A = I + M with M = 0 mod lambda."""
@@ -236,33 +244,65 @@ class MatLocal:
 # Determinants.
 
 
-def det_local(a: MatLocal) -> CycloElt:
-    """O-linear determinant by elimination on unit pivots, O(d^3) ring ops.
+def _eliminate(rows, ctx: RingCtx, jordan: bool):
+    """Elimination on unit pivots in the first len(rows) columns of `rows`,
+    lists of reduced coefficient tuples, in place; O(d^3) packed updates.
 
-    Every column has a unit pivot exactly when the determinant is a unit,
-    as for every member of a congruence subgroup.  Otherwise the determinant
-    is divisible by lambda and comes from the division-free Berkowitz
-    algorithm, which is exact for every matrix.
+    Per pivot column, the pivot row is scaled to 1 at the pivot, then
+    negated and packed once at product_width(ctx, 2).  Each entry x of a
+    row with f != 0 in the pivot column becomes unpack(pack(x) + f * (-p)):
+    one integer product and one reduction, no ring objects.  Rows below the
+    pivot are cleared, and with `jordan` the rows above it too.  Returns
+    the pivots and the number of row swaps, or None when a column has no
+    unit pivot.  Pivots are found by their residues; no digits are expanded.
     """
-    d = a.dim
-    rows = [list(row) for row in a.entries]
-    det = CycloElt.one(a.ctx)
+    ell, m = ctx.ell, ctx.modulus
+    d = len(rows)
+    w1, w2 = ctx.width, product_width(ctx, 2)
+    pivots, swaps = [], 0
     for col in range(d):
-        piv = next((r for r in range(col, d) if rows[r][col].is_unit), None)
+        piv = next((r for r in range(col, d) if sum(rows[r][col]) % ell), None)
         if piv is None:
-            return _det_berkowitz(a)
+            return None
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pivot_row = rows[col]
-        det = det * pivot_row[col]
-        pinv = pivot_row[col].inverse()
-        for row in rows[col + 1:]:
-            if any(row[col].coeffs):
-                f = row[col] * pinv
-                for j in range(col + 1, d):
-                    row[j] = row[j] - f * pivot_row[j]
-    return det
+            swaps += 1
+        pivot = CycloElt.from_reduced(rows[col][col], ctx)
+        pivots.append(pivot)
+        p_inv = pack(pivot.inverse().coeffs, w1)
+        scaled = [unpack_reduced(p_inv * pack(x, w1), w1, ctx) for x in rows[col][col + 1:]]
+        rows[col][col + 1:] = scaled
+        neg = [pack([-c % m for c in x], w2) for x in scaled]
+        for r in range(0 if jordan else col + 1, d):
+            row = rows[r]
+            if r == col or not any(row[col]):
+                continue
+            f = pack(row[col], w2)
+            row[col + 1:] = [
+                unpack_reduced(pack(x, w2) + f * p, w2, ctx)
+                for x, p in zip(row[col + 1:], neg)
+            ]
+    return pivots, swaps
+
+
+def det_local(a: MatLocal) -> CycloElt:
+    """O-linear determinant by elimination on unit pivots (_eliminate).
+
+    Every column has a unit pivot exactly when the determinant is a unit,
+    as for every member of a congruence subgroup; the determinant is then
+    the signed product of the pivots, and no digits are expanded.
+    Otherwise the determinant is divisible by lambda and comes from the
+    division-free Berkowitz algorithm, which is exact for every matrix.
+    """
+    eliminated = _eliminate([[e.coeffs for e in row] for row in a.entries], a.ctx,
+                            jordan=False)
+    if eliminated is None:
+        return _det_berkowitz(a)
+    pivots, swaps = eliminated
+    det = pivots[0]
+    for p in pivots[1:]:
+        det = det * p
+    return -det if swaps % 2 else det
 
 
 def _det_berkowitz(a: MatLocal) -> CycloElt:
@@ -501,17 +541,22 @@ def filtration_order_exponent(ell: int, d: int, n: int, k: int, group: str = "SU
 def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     """Lift a member of SU(V/lambda^(n-1))_1 to SU(V/lambda^n)_1.
 
-    Measures the defect of the padded lift A' as A'^dagger Gamma A' =
-    Gamma + lambda^(n-1) X.  Its lower digits and det(A') mod lambda^(n-1)
-    are the membership test.  Solves X = Gamma Y + (-1)^(n-1) Y^T Gamma
-    with Y = (1/2) Gamma^(-1) X, fixes the trace with a multiple of E_11,
-    and returns A' - lambda^(n-1) Y.
+    A = I mod lambda is read from the residues, sum(coeffs) mod ell, with
+    no digits.  Measures the defect of the padded lift A' as A'^dagger
+    Gamma A' = Gamma + lambda^(n-1) X.  Its lower digits and det(A') mod
+    lambda^(n-1) are the membership test; these digits are expanded here.
+    Solves X = Gamma Y + (-1)^(n-1) Y^T Gamma with Y = (1/2) Gamma^(-1) X,
+    fixes the trace with a multiple of E_11, and returns A' - lambda^(n-1) Y.
+    The digits of A' are A's digits padded with a zero, and those of the
+    result carry A's digits and the top digit -Y mod ell, so a chain of
+    lifts expands no entry of A itself (beyond its first level).
     """
     ell = a.ctx.ell
     n = a.ctx.precision + 1
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
-    if a.filtration_level() < 1:
+    if any(sum(e.coeffs) % ell != int(i == j)
+           for i, row in enumerate(a.entries) for j, e in enumerate(row)):
         raise MembershipError("lift_su needs A = I mod lambda")
     a_prime = a.pad_zero(n)
     h = a_prime.dagger() * form.gram_times(a_prime)
@@ -522,6 +567,7 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     if any(any(e.digits[:n - 1]) for row in delta for e in row):
         raise MembershipError("lift_su needs a member of U with multiplier 1")
     det = det_local(a_prime)
+    det_top = det.digits[n - 1]  # expanded once; the truncation below carries them
     dl = det.truncate(n - 1)
     one = CycloElt.one(dl.ctx)
     if dl.conjugate() * dl != one:
@@ -534,14 +580,15 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     y = [[inv2 * ginv[i] * x[i][j] % ell for j in range(a.dim)] for i in range(a.dim)]
     if n % 2 == 0:
         tr_y = sum(y[i][i] for i in range(a.dim)) % ell
-        y[0][0] = (y[0][0] + (det.digits[n - 1] - tr_y)) % ell
-    return a_prime - MatLocal.lam_times(a_prime.ctx, n - 1, y)
+        y[0][0] = (y[0][0] + (det_top - tr_y)) % ell
+    return a_prime.add_top([[-x for x in row] for row in y])
 
 
 def random_su_element(form: HermitianForm, precision: int, rng) -> MatLocal:
     """Random member of SU(V/lambda^n)_1, built by lifting with random
     twists by level slices I + lambda^m * S, S in su^(m+1).  A lift is
-    I mod lambda, so the twisted lift is A + lambda^m * S mod lambda^(m+1)."""
+    I mod lambda, so the twisted lift is A + lambda^m * S mod lambda^(m+1),
+    which moves only the top digit: the chain carries its digits."""
     ell = form.ctx.ell
     d = form.dim
     a = MatLocal.identity(form.ctx.at_precision(1), d)
@@ -551,7 +598,7 @@ def random_su_element(form: HermitianForm, precision: int, rng) -> MatLocal:
         coefs = [rng.randrange(ell) for _ in basis]
         s = [[sum(c * b[i][j] for c, b in zip(coefs, basis)) for j in range(d)]
              for i in range(d)]
-        a = a + MatLocal.lam_times(a.ctx, m, s)
+        a = a.add_top(s)
     return a
 
 

@@ -7,9 +7,15 @@ lambda^n O.  Products use Kronecker substitution: the coefficients are
 packed into one integer, multiplied once, unpacked, folded mod Phi_ell and
 reduced.  The power-basis form is not unique mod lambda^n.  The canonical
 form is the lambda-adic digits in {0, ..., ell-1}, the coefficients of
-lambda^0, ..., lambda^(n-1); they are computed on demand and cached, and
-equality, hashing, valuations and serialization read them.  Everything is
-exact integer arithmetic.
+lambda^0, ..., lambda^(n-1); equality (when the coefficients differ),
+hashing, valuations and serialization read them.
+
+Digits are expanded (digits_from_poly, one division by lambda per digit)
+only when an element that does not know them is asked for them, and then
+cached.  They are carried without expansion where the rule is known:
+truncate keeps the leading digits, pad_zero appends zeros, and add_top
+changes only the top digit.  Residues mod lambda (is_unit) read the
+coefficient sum and skip digits.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -264,17 +270,13 @@ def unpack_reduced(x: int, width: int, ctx: RingCtx) -> tuple:
     The 2*ell - 3 slots of x fold to ell with zeta^ell = 1 (in the packed
     integer, without carries), then zeta^(ell-1) = -(1 + ... + zeta^(ell-2))
     takes the top slot out of the others."""
-    ell = ctx.ell
-    low = ell * width
+    top_shift = (ctx.ell - 1) * width
+    low = top_shift + width
     x = (x & ((1 << low) - 1)) + (x >> low)
     mask = (1 << width) - 1
-    slots = []
-    for _ in range(ell):
-        slots.append(x & mask)
-        x >>= width
-    top = slots.pop()
+    top = x >> top_shift
     m = ctx.modulus
-    return tuple((s - top) % m for s in slots)
+    return tuple([(((x >> s) & mask) - top) % m for s in range(0, top_shift, width)])
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +286,11 @@ class CycloElt:
     """An element of O/lambda^n.
 
     `coeffs` holds its power-basis coefficients mod ctx.modulus; `digits`
-    holds its canonical lambda-adic digits, computed on first use.  Digits
-    are an edge format: the constructor takes them for deserialization and
-    digit matrices, while constants and results are built from coefficients.
+    holds its canonical lambda-adic digits.  An element built from digits
+    knows them; truncate, pad_zero and add_top pass known digits on; any
+    other result expands them on first use.  Digits are an edge format: the
+    constructor takes them for deserialization and digit matrices, while
+    constants and results are built from coefficients.
     """
 
     __slots__ = ("ctx", "coeffs", "_digits")
@@ -450,8 +454,15 @@ class CycloElt:
         return x
 
     def conjugate(self) -> "CycloElt":
-        """The involution zeta -> zeta^(-1)."""
-        return self.galois(self.ctx.ell - 1)
+        """The involution zeta -> zeta^(-1), read off the coefficients:
+        zeta^e goes to zeta^(ell-e), and zeta^(ell-1) = -(1 + ... +
+        zeta^(ell-2)) subtracts c_1 from every coefficient."""
+        c = self.coeffs
+        c1 = c[1]
+        m = self.ctx.modulus
+        return CycloElt.from_reduced(
+            ((c[0] - c1) % m, -c1 % m) + tuple((x - c1) % m for x in c[:1:-1]), self.ctx
+        )
 
     def galois(self, j: int) -> "CycloElt":
         """Apply sigma_j: zeta -> zeta^j.  Requires gcd(j, ell) = 1."""
@@ -460,6 +471,22 @@ class CycloElt:
         return CycloElt.from_poly(
             zeta_poly_galois(self.coeffs, j % self.ctx.ell, self.ctx.ell), self.ctx
         )
+
+    def add_top(self, s: int) -> "CycloElt":
+        """self + s * lambda^(n-1) at precision n.  Only the top digit moves,
+        by s mod ell, so digits the element knows are carried, not expanded."""
+        ctx = self.ctx
+        s %= ctx.ell
+        if not s:
+            return self
+        m = ctx.modulus
+        top = _lambda_power_table(ctx.ell, ctx.precision)[ctx.precision - 1]
+        out = CycloElt.from_reduced(
+            tuple((c + s * t) % m for c, t in zip(self.coeffs, top)), ctx
+        )
+        if self._digits is not None:
+            out._digits = self._digits[:-1] + ((self._digits[-1] + s) % ctx.ell,)
+        return out
 
     # -- precision management ---------------------------------------------
 

@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import lamadic.commutators as commutators
+from lamadic.linalg import echelon_mod
 from lamadic.ring import RingCtx
-from lamadic.matrices import HermitianForm, MatLocal, mat_zero, random_su_element
+from lamadic.matrices import HermitianForm, MatLocal, mat_zero, random_su_element, su_dimension
 from lamadic.commutators import (
+    _gamma_inv_eij,
+    _lift_slice_generator,
     AlphabetMismatch,
     FreeSeries,
     central_commutator_check,
@@ -186,3 +191,38 @@ def test_bracket_table_sweep():
 def test_top_commutators_span_slice():
     for n in (3, 4):
         assert su_commutator_span_check(3, 3, n)
+
+
+def _span_check_lifting_every_pair(ell, d, n):
+    """su_commutator_span_check with both generators lifted afresh for
+    every (i, j, l), as it was before lifts were shared."""
+    form = HermitianForm.standard(RingCtx(ell, 1), d)
+    big_n = (n - 1) // 2
+    big_m = n - 1 - big_n
+    vectors = []
+    for i, j, l in product(range(d), repeat=3):
+        if j == i or l == j:
+            continue
+        a = _lift_slice_generator(form, big_n, _gamma_inv_eij(form, i, j, big_n + 1), n)
+        b = _lift_slice_generator(form, big_m, _gamma_inv_eij(form, j, l, big_m + 1), n)
+        top = group_commutator(a, b).digit(n - 1)
+        vectors.append([x for row in top for x in row])
+    return echelon_mod(vectors, ell)[0] == su_dimension(d, n)
+
+
+@pytest.mark.parametrize("d, n", list(product((3, 4), (3, 4, 5))))
+def test_span_check_lifts_each_generator_once(monkeypatch, d, n):
+    lifted = []
+
+    def spy(form, level, gen, precision):
+        lifted.append((level, tuple(map(tuple, gen))))
+        return _lift_slice_generator(form, level, gen, precision)
+
+    monkeypatch.setattr(commutators, "_lift_slice_generator", spy)
+    got = su_commutator_span_check(5, d, n)
+    form = HermitianForm.standard(RingCtx(5, 1), d)
+    distinct = {(level, tuple(map(tuple, _gamma_inv_eij(form, i, j, level + 1))))
+                for level in ((n - 1) // 2, n - 1 - (n - 1) // 2)
+                for i, j in product(range(d), repeat=2) if i != j}
+    assert len(lifted) == len(set(lifted)) == len(distinct)
+    assert got == _span_check_lifting_every_pair(5, d, n)

@@ -1,11 +1,15 @@
 """Digits are an edge format: lamadic builds ring elements from power-basis
 coefficients and calls the digit constructor CycloElt(ctx, digits) only to
-read serialized or digit-matrix input."""
+read serialized or digit-matrix input.  A lift chain carries the digits it
+knows instead of expanding them again."""
 
 import ast
 import random
 from pathlib import Path
 
+import pytest
+
+import lamadic.ring as ring
 from lamadic.matrices import HermitianForm, classify_membership, lift_su, random_su_element
 from lamadic.ring import CycloElt, RingCtx
 
@@ -58,3 +62,27 @@ def test_a_lift_chain_builds_no_element_from_digits(monkeypatch):
     a = random_su_element(form, 5, random.Random(0))
     assert classify_membership(lift_su(a, form), form).kind == "SU"
     assert calls == []
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11])
+def test_lift_chains_carry_the_digits_a_fresh_expansion_gives(monkeypatch, ell):
+    expand = ring.digits_from_poly
+    expansions = []
+
+    def counting(poly, ell, n):
+        expansions.append(n)
+        return expand(poly, ell, n)
+
+    monkeypatch.setattr(ring, "digits_from_poly", counting)
+    for d in (2, 3, 4, 5, 6, 10):
+        for sign in (1, -1):
+            form = HermitianForm.standard(RingCtx(ell, 1), d, sign)
+            a = random_su_element(form, 4, random.Random(f"{ell}/{d}/{sign}"))
+            lifted = lift_su(a, form)
+            expansions.clear()
+            for m in (a, lifted):
+                n = m.ctx.precision
+                for row in m.entries:
+                    for e in row:
+                        assert e.digits == expand(e.coeffs, ell, n), (ell, d, sign)
+            assert expansions == []  # every digit read above was carried

@@ -95,6 +95,50 @@ def test_det_local_matches_cofactor_oracle(ell, n):
     assert non_units >= 10  # the Berkowitz fallback of det_local ran
 
 
+def _residues_and_lifts(ctx, d, rng, residues):
+    """The matrix with the given residues mod lambda and random higher digits."""
+    higher = [[[rng.randrange(ctx.ell) for _ in range(d)] for _ in range(d)]
+              for _ in range(ctx.precision - 1)]
+    return MatLocal.from_digit_matrices(ctx, d, [residues] + higher)
+
+
+def _first_pivot_needs_a_swap(ctx, d, rng):
+    """An invertible matrix whose (0, 0) entry is divisible by lambda: the
+    residue matrix over F_ell has a zero corner and a nonzero determinant."""
+    while True:
+        residues = [[rng.randrange(ctx.ell) for _ in range(d)] for _ in range(d)]
+        residues[0][0] = 0
+        if echelon_mod(residues, ctx.ell)[1]:
+            return _residues_and_lifts(ctx, d, rng, residues)
+
+
+@pytest.mark.parametrize("ell, n", [(3, 8), (11, 12)])
+def test_packed_elimination_at_wide_slots(ell, n):
+    """The modulus is ell^4 at (3, 8) and ell^2 at (11, 12), so the packed
+    slots are wider than at modulus ell.  det_local and the inverse share
+    the elimination; a row swap at the first pivot and a matrix with no
+    unit pivot (Berkowitz for the determinant, MembershipError for the
+    inverse) are both met."""
+    rng = random.Random(ell * 1000 + n)
+    ctx = RingCtx(ell, n)
+    assert ctx.modulus == ell ** (4 if ell == 3 else 2)
+    for d in (9, 12):
+        ident = MatLocal.identity(ctx, d)
+        swap = _first_pivot_needs_a_swap(ctx, d, rng)
+        singular = _singular_mod_lambda(ctx, d, rng)
+        assert not swap.entries[0][0].is_unit
+        for a in (rand_mat(ctx, d, rng), swap, singular):
+            want = det_cofactor(a)
+            assert det_local(a) == want, d
+            if want.is_unit:
+                inv = a.inverse()
+                assert a * inv == ident and inv * a == ident
+            else:
+                with pytest.raises(MembershipError):
+                    a.inverse()
+        assert det_local(swap).is_unit and not det_local(singular).is_unit
+
+
 def test_det_local_of_su_members_matches_oracle():
     rng = random.Random(12)
     for ell, d, n in ((3, 8, 3), (5, 10, 3)):
@@ -280,6 +324,29 @@ def test_lift_su_rejects_gu_members_and_level_one_non_members():
         lift_su(shear, form)
     with pytest.raises(ValueError):
         lift_su(MatLocal.identity(ctx, 3), form)
+
+
+def test_lift_su_raises_at_each_membership_check(monkeypatch):
+    import lamadic.matrices as matrices
+
+    ctx = RingCtx(5, 3)
+    form = HermitianForm.standard(ctx, 2)
+    one, zero, lam = CycloElt.one(ctx), CycloElt.zero(ctx), CycloElt.lam(ctx, 1)
+    # A != I mod lambda, on the diagonal and off it
+    for a in (MatLocal.identity(ctx, 2).scale(2),
+              MatLocal.from_rows([[one, one], [zero, one]])):
+        with pytest.raises(MembershipError, match="A = I mod lambda"):
+            lift_su(a, form)
+    # a defect below lambda^(n-1)
+    with pytest.raises(MembershipError, match="multiplier 1"):
+        lift_su(MatLocal.from_rows([[one, lam], [zero, one]]), form)
+    # det != 1 for a member of U: the scalar zeta has det zeta^2
+    with pytest.raises(MembershipError, match="got U"):
+        lift_su(MatLocal.identity(ctx, 2).scale(CycloElt.zeta(ctx, 1)), form)
+    # conj(det) * det != 1 can only come from a wrong determinant
+    monkeypatch.setattr(matrices, "det_local", lambda a: CycloElt.from_int(2, a.ctx))
+    with pytest.raises(CheckFailed, match="conj"):
+        lift_su(MatLocal.identity(ctx, 2), form)
 
 
 @pytest.mark.parametrize("ell, d", [(3, 2), (3, 4), (5, 3), (7, 2)])

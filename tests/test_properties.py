@@ -1,6 +1,7 @@
 """Property tests over random (ell, n): an element built from digits and one
 produced by arithmetic must behave as the same element of O/lambda^n, and
-division by integers, log and exp must obey their defining identities.
+conjugation, division by integers, log and exp must obey their defining
+identities.
 
 Examples are derandomized, so every run tests the same inputs.
 """
@@ -135,6 +136,17 @@ def test_div_by_int_rejects_non_multiples(data):
     assert a.ord_lambda == v
     with pytest.raises(DomainError):
         div_by_int(a, ell**s * data.draw(cofactors(ell)))
+
+
+@checked
+@given(st.data())
+def test_conjugation_is_an_involutive_ring_homomorphism(data):
+    ctx = data.draw(wide_contexts())
+    a, b = data.draw(elements(ctx)), data.draw(elements(ctx))
+    assert a.conjugate().conjugate().coeffs == a.coeffs
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+    assert CycloElt.one(ctx).conjugate() == CycloElt.one(ctx)
 
 
 def principal_units(data, ctx):

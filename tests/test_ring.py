@@ -14,6 +14,7 @@ from lamadic.ring import (
     is_prime,
     log1p,
     poly_from_digits,
+    zeta_poly_galois,
 )
 from ring_oracles import in_lambda_n, lift_digits, mul_mod_phi
 
@@ -75,6 +76,23 @@ def test_lambda_conjugate_and_norm():
     for ell in (3, 5, 7):
         ctx = RingCtx(ell, 2 * (ell - 1))
         assert CycloElt.from_int(ell, ctx).ord_lambda == ell - 1
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_conjugate_is_the_galois_action_of_minus_one(ell):
+    """The coefficients read off by conjugate() equal sigma_(ell-1) applied
+    to the power basis and reduced, also where the modulus is ell^2 or more."""
+    rng = random.Random(ell)
+    moduli = set()
+    for n in (1, ell - 1, ell, 2 * (ell - 1) + 1, 3 * ell):
+        ctx = RingCtx(ell, n)
+        m = ctx.modulus
+        moduli.add(m)
+        for _ in range(20):
+            a = CycloElt.from_reduced(tuple(rng.randrange(m) for _ in range(ell - 1)), ctx)
+            want = tuple(c % m for c in zeta_poly_galois(a.coeffs, ell - 1, ell))
+            assert a.conjugate().coeffs == want
+    assert max(moduli) >= ell**3
 
 
 def test_zeta_is_root_of_unity():

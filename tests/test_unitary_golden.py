@@ -1,6 +1,9 @@
 """The unitary and unit-order layers' outputs, compared byte for byte with
 tests/data/unitary_golden.json, which was recorded before the SU lifts were
-built from coefficients and the unit-reduction orders got closed forms."""
+built from coefficients and the unit-reduction orders got closed forms, and
+with tests/data/unitary_large_golden.json, the lift chains at the
+benchmark's large cells, recorded before the packed elimination kernel and
+the carried digits."""
 
 import contextlib
 import io
@@ -14,6 +17,7 @@ from lamadic.matrices import HermitianForm, classify_membership, lift_su, random
 from lamadic.ring import CycloElt, RingCtx, exp
 
 GOLDEN = Path(__file__).parent / "data" / "unitary_golden.json"
+LARGE_GOLDEN = Path(__file__).parent / "data" / "unitary_large_golden.json"
 
 PRIMES_5_TO_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -28,24 +32,30 @@ def _r_of(ell):
     return values[ell % len(values)]
 
 
+def chain_record(ell, d, n, sign):
+    """A random member at level n - 1, its lift, and the lift's verdict."""
+    rng = random.Random(f"{ell}/{d}/{n}/{sign}")
+    form = HermitianForm.standard(RingCtx(ell, 1), d, sign)
+    a = random_su_element(form, n - 1, rng)
+    lifted = lift_su(a, form)
+    verdict = classify_membership(lifted, form)
+    return {
+        "ell": ell, "d": d, "n": n, "sign": sign,
+        "a": _digits(a), "lift": _digits(lifted), "kind": verdict.kind,
+        "det": list(verdict.det.digits),
+        "multiplier": list(verdict.multiplier.digits),
+    }
+
+
 def lift_chains():
-    out = []
-    for ell in (3, 5, 7):
-        for d in (2, 3, 4):
-            for n in (3, 5):
-                for sign in (1, -1):
-                    rng = random.Random(f"{ell}/{d}/{n}/{sign}")
-                    form = HermitianForm.standard(RingCtx(ell, 1), d, sign)
-                    a = random_su_element(form, n - 1, rng)
-                    lifted = lift_su(a, form)
-                    verdict = classify_membership(lifted, form)
-                    out.append({
-                        "ell": ell, "d": d, "n": n, "sign": sign,
-                        "a": _digits(a), "lift": _digits(lifted), "kind": verdict.kind,
-                        "det": list(verdict.det.digits),
-                        "multiplier": list(verdict.multiplier.digits),
-                    })
-    return out
+    return [chain_record(ell, d, n, sign)
+            for ell in (3, 5, 7) for d in (2, 3, 4) for n in (3, 5) for sign in (1, -1)]
+
+
+def large_lift_chains():
+    """The benchmark's largest lift-chain cells, both signs."""
+    return [chain_record(ell, d, n, sign)
+            for ell, d, n in ((11, 10, 4), (5, 12, 3), (7, 9, 3)) for sign in (1, -1)]
 
 
 def lift_check_outputs():
@@ -100,3 +110,11 @@ def live_records() -> str:
 
 def test_unitary_and_unit_order_outputs_match_the_recording():
     assert live_records() == GOLDEN.read_text()
+
+
+def large_records() -> str:
+    return json.dumps({"lift_chains": large_lift_chains()}, indent=1, sort_keys=True) + "\n"
+
+
+def test_large_lift_chains_match_the_recording():
+    assert large_records() == LARGE_GOLDEN.read_text()
