@@ -181,12 +181,6 @@ def _twice_half_system(ell: int, r: int, reps):
     return reps, [[weights[i * jinv % ell] for jinv in inverses] for i in reps]
 
 
-def half_system_matrix(ell: int, r: int, reps=None):
-    """[n'(i * j^(-1) mod ell)] over the chosen half-system representatives."""
-    reps, twice = _twice_half_system(ell, r, reps)
-    return reps, [[Fraction(x, 2) for x in row] for row in twice]
-
-
 def demjanenko_det(ell: int, r: int, reps=None) -> DemjanenkoReport:
     """The half-system determinant with the class-number identity checked:
     |det| = h^- * c_{l,r} / (2 ell).  The sign is recorded, not checked.

@@ -354,16 +354,54 @@ def _polgcd(a, b, p):
     return [c * inv % p for c in a]
 
 
-def _polpow(base, e, f, m):
-    """base^e mod (f, m) by square and multiply."""
-    base = _poldivmod(base, f, m)[1]
-    result = [1]
-    while e:
-        if e & 1:
-            result = _poldivmod(_polmul(result, base, m), f, m)[1]
-        base = _poldivmod(_polmul(base, base, m), f, m)[1]
-        e >>= 1
-    return result
+def _reduction_table(f, p):
+    """(width, rows) for the monic f of degree r mod the prime p: the rows
+    x^(r+k) mod f for k < r - 1, each packed at a width that holds
+    2r(p-1)^2 + p, so that a packed product of two reduced polynomials
+    plus its high slots (each taken mod p) times these rows carries no
+    slot into the next."""
+    r = len(f) - 1
+    width = (2 * r * (p - 1) ** 2 + p).bit_length()
+    rows = []
+    row = [-c % p for c in f[:-1]]  # x^r mod f
+    for _ in range(r - 1):
+        rows.append(pack(row, width))
+        top = row[-1]
+        row = [-top * f[0] % p] + [(a - top * c) % p for a, c in zip(row, f[1:-1])]
+    return width, rows
+
+
+def _polpow(base, e, f, p, table=None):
+    """base^e mod (f, p) for the monic f and the prime p, by square and
+    multiply on packed polynomials.  Each product is reduced by one packed
+    linear combination, its low r slots plus its high slots (mod p) times
+    the rows of f's reduction table, and one unpack mod p."""
+    if e == 0:
+        return [1]
+    r = len(f) - 1
+    width, rows = table or _reduction_table(f, p)
+    mask = (1 << width) - 1
+    low = (1 << r * width) - 1
+    slots = range(0, r * width, width)
+
+    def reduce(x):
+        acc = x & low
+        x >>= r * width
+        for row in rows:
+            acc += (x & mask) % p * row
+            x >>= width
+        out = 0
+        for s in reversed(slots):
+            out = (out << width) | ((acc >> s) & mask) % p
+        return out
+
+    b = pack(_poldivmod(base, f, p)[1], width)
+    x = b
+    for bit in bin(e)[3:]:
+        x = reduce(x * x)
+        if bit == "1":
+            x = reduce(x * b)
+    return _polmod([(x >> s) & mask for s in slots] or [0], p)
 
 
 def _distinct_degree(f: IntPoly, p: int):
@@ -380,11 +418,14 @@ def _distinct_degree(f: IntPoly, p: int):
     xq = [0, 1]
     blocks = []
     d = 0
+    table = None
     # every factor left has degree > d, so a rest of degree < 2(d + 1) is irreducible
     while len(rest) - 1 >= 2 * (d + 1):
         d += 1
-        # Frobenius: x^(p^d) = (x^(p^(d-1)))^p, reduced mod the remaining product
-        xq = _polpow(xq, p, rest, p)
+        # Frobenius: x^(p^d) = (x^(p^(d-1)))^p, reduced mod the remaining
+        # product by its reduction table, built once per remaining product
+        table = table or _reduction_table(rest, p)
+        xq = _polpow(xq, p, rest, p, table)
         # x^(p^d) - x against the remaining product
         diff = xq + [0] * (2 - len(xq))
         diff[1] -= 1
@@ -392,6 +433,7 @@ def _distinct_degree(f: IntPoly, p: int):
         if len(g) > 1:
             blocks.append((d, g))
             rest = _poldivmod(rest, g, p)[0]
+            table = None
     if len(rest) > 1:
         blocks.append((len(rest) - 1, rest))
     return blocks

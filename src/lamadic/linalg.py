@@ -2,13 +2,14 @@
 resultants, the class-number determinants, the F_ell ranks and the orders
 of finitely presented abelian groups.
 
-Matrices are lists of rows of Python integers (Fractions for `solve`).
+Matrices are lists of rows of Python integers; `solve` also takes
+Fractions and returns them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .ring import DomainError
 
@@ -80,9 +81,12 @@ def lattice_index(g: int, columns) -> int:
     (Cohen, A Course in Computational Algebraic Number Theory, 2.4.2)
     triangularizes the span one coordinate at a time: the pivot of
     coordinate i is the gcd of D and the coordinate-i entries (D e_i lies
-    in the span), and the index is the product of the pivots.
+    in the span), and the index is the product of the pivots.  For g
+    columns with D != 0 the index is D itself, and nothing is folded.
     """
     big_d = abs(det(list(zip(*columns[:g])))) if len(columns) >= g else 0
+    if big_d and len(columns) == g:
+        return big_d
     if big_d == 0:
         big_d = det([[sum(c[i] * c[j] for c in columns) for j in range(g)] for i in range(g)])
     if big_d == 0:
@@ -90,24 +94,24 @@ def lattice_index(g: int, columns) -> int:
     vectors = [[x % big_d for x in c] for c in columns]
     index = 1
     for i in range(g):
-        # the pivot starts as D e_i; each column folds into it by one step
-        # (pivot, v) -> (s pivot + t v, (a/h) v - (b/h) pivot) of determinant
-        # 1, with a, b their coordinate i and h = gcd(a, b) = s a + t b, which
-        # leaves the column with a zero there
-        pivot = [0] * g
-        pivot[i] = big_d
+        # the vectors hold coordinates i, ..., g - 1 only, since the earlier
+        # ones are zero.  The pivot starts as D e_i; each column folds into
+        # it by one step (pivot, v) -> (s pivot + t v, (a/h) v - (b/h) pivot)
+        # of determinant 1, with a, b their coordinate i and
+        # h = gcd(a, b) = s a + t b, which leaves the column with a zero there
+        pivot = [big_d] + [0] * (g - i - 1)
         rest = []
         for v in vectors:
-            if v[i]:
-                a, b = pivot[i], v[i]
+            if v[0]:
+                a, b = pivot[0], v[0]
                 h = gcd(a, b)
                 t = pow(b // h, -1, a // h)
                 s, a, b = (h - t * b) // a, a // h, b // h
                 pivot, v = ([(s * x + t * y) % big_d for x, y in zip(pivot, v)],
                             [(a * y - b * x) % big_d for x, y in zip(pivot, v)])
             if any(v):
-                rest.append(v)
-        index *= pivot[i]
+                rest.append(v[1:])
+        index *= pivot[0]
         vectors = rest
     return index
 
@@ -116,21 +120,32 @@ def solve(rows, rhs_columns):
     """The unique rational X with rows * X = B, B given by its columns, for
     a consistent system whose columns are independent (more equations than
     unknowns allowed); DomainError otherwise.  Returns the columns of X.
-    Gauss-Jordan elimination over Q, one pass for all right-hand sides."""
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+    on [A | B] with each row scaled to integers by the lcm of its
+    denominators: every row but the pivot row becomes
+    (pivot * row - row[col] * pivot row) / previous pivot, an exact
+    division.  At the end the left part is the last pivot times I, so X is
+    the right part over that pivot; Fractions are built only there."""
     ncols = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b) for b in rhs]
-           for row, rhs in zip(rows, zip(*rhs_columns))]
+    aug = []
+    for lhs, rhs in zip(rows, zip(*rhs_columns)):
+        row = [*lhs, *rhs]
+        den = lcm(*(x.denominator for x in row))
+        aug.append([x.numerator * (den // x.denominator) for x in row])
+    prev = 1
     for col in range(ncols):
         piv = next((r for r in range(col, len(aug)) if aug[r][col]), None)
         if piv is None:
             raise DomainError("columns are dependent")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        pivot_row = aug[col]
+        pivot = pivot_row[col]
         for r, row in enumerate(aug):
-            if r != col and row[col]:
+            if r != col:
                 f = row[col]
-                aug[r] = [x - f * y for x, y in zip(row, aug[col])]
+                aug[r] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
     if any(any(row[ncols:]) for row in aug[ncols:]):
         raise DomainError("inconsistent system")
-    return [list(col) for col in zip(*(row[ncols:] for row in aug[:ncols]))]
+    return [[Fraction(x, prev) for x in col] for col in zip(*(row[ncols:] for row in aug[:ncols]))]

@@ -6,12 +6,15 @@ filtration orders by summing the slice dimensions level by level,
 trinomial discriminants by their closed form, slice membership and the
 half-system T'' action from their defining formulas, random SU members
 by multiplying each lift by its twist, and the orders of -zeta and of
-1 + ell^(1+e) and the torsion exponent of a unit by powering and search.
+1 + ell^(1+e) and the torsion exponent of a unit by powering and search,
+powers mod (f, p) by square and multiply with a long division after each
+product, and linear systems by Gauss-Jordan elimination over Fractions.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+from lamadic.curves import _poldivmod, _polmul
 from lamadic.lattices import is_anti_fixed, u_lr_member
 from lamadic.matrices import MatLocal, lift_su, su_basis
 from lamadic.ring import CycloElt, DomainError, RingCtx, div_by_int, exp, log1p
@@ -297,3 +300,39 @@ def decompose_unit_by_search(d, r):
     if not is_anti_fixed(x):
         raise AssertionError("log of the unitary part must be anti-fixed")
     return e, rho, x
+
+
+def polpow_by_division(base, e, f, m):
+    """base^e mod (f, m) by square and multiply, each product reduced by
+    long division by f."""
+    base = _poldivmod(base, f, m)[1]
+    result = [1]
+    while e:
+        if e & 1:
+            result = _poldivmod(_polmul(result, base, m), f, m)[1]
+        base = _poldivmod(_polmul(base, base, m), f, m)[1]
+        e >>= 1
+    return result
+
+
+def solve_over_fractions(rows, rhs_columns):
+    """linalg.solve by Gauss-Jordan elimination over Q: each pivot row is
+    scaled to 1 and cleared from every other row, one pass for all
+    right-hand sides."""
+    ncols = len(rows[0])
+    aug = [[Fraction(x) for x in row] + [Fraction(b) for b in rhs]
+           for row, rhs in zip(rows, zip(*rhs_columns))]
+    for col in range(ncols):
+        piv = next((r for r in range(col, len(aug)) if aug[r][col]), None)
+        if piv is None:
+            raise DomainError("columns are dependent")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r, row in enumerate(aug):
+            if r != col and row[col]:
+                f = row[col]
+                aug[r] = [x - f * y for x, y in zip(row, aug[col])]
+    if any(any(row[ncols:]) for row in aug[ncols:]):
+        raise DomainError("inconsistent system")
+    return [list(col) for col in zip(*(row[ncols:] for row in aug[:ncols]))]

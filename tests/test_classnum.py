@@ -12,7 +12,6 @@ from lamadic.classnum import (
     demjanenko_det,
     fraction_det,
     h_minus,
-    half_system_matrix,
     kappa_and_t,
     n_of,
     n_prime,
@@ -125,7 +124,7 @@ def test_demjanenko_rep_invariance():
 
 def test_half_system_validation():
     with pytest.raises(DomainError):
-        half_system_matrix(7, 2, reps=(1, 2, 5))  # 2 and 5 collide mod +-1
+        demjanenko_det(7, 2, reps=(1, 2, 5))  # 2 and 5 collide mod +-1
 
 
 def test_kappa_and_t_examples():

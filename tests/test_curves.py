@@ -6,10 +6,14 @@ from math import comb, prod
 
 import pytest
 
+from lamadic import curves
 from lamadic.ring import DomainError
 from lamadic.curves import (
+    _distinct_degree,
     _next_prime,
     _pollard_brent,
+    _polpow,
+    _reduction_table,
     HypothesisError,
     IntPoly,
     PolySyntaxError,
@@ -22,7 +26,7 @@ from lamadic.curves import (
     parse_poly,
     rational_factor,
 )
-from ring_oracles import trinomial_discriminant
+from ring_oracles import polpow_by_division, trinomial_discriminant
 
 
 def test_parse_examples():
@@ -164,6 +168,72 @@ def test_cycle_types_match_sympy_factor_degrees():
             squarefree = all(e == 1 for _, e in factors)
             want = sorted(g.degree() for g, _ in factors) if squarefree else None
             assert cycle_type_mod_p(f, p) == want, (coeffs, p)
+
+
+def test_packed_powers_match_powers_by_division():
+    rng = random.Random(14)
+    for p in (3, 5, 7, 97, 1009, 10**9 + 7):
+        for r in range(15):
+            f = [rng.randrange(p) for _ in range(r)] + [1]
+            # the table holds x^(r+k) mod f for k < r - 1: none for r < 2
+            assert len(_reduction_table(f, p)[1]) == max(r - 1, 0)
+            d = 1 + r % 3
+            for e in (0, 1, 2, p, p**d, (p**d - 1) // 2, p**d - 2):
+                for size in (max(r, 1), 2 * r + 3):  # reduced, and longer than f
+                    base = [rng.randrange(p) for _ in range(size)]
+                    assert _polpow(base, e, f, p) == polpow_by_division(base, e, f, p), (
+                        p, f, e, base)
+
+
+def test_blocks_match_blocks_from_powers_by_division(monkeypatch):
+    rng = random.Random(15)
+    polys = [IntPoly(tuple(rng.randint(-9, 9) for _ in range(rng.randint(5, 20))) + (1,))
+             for _ in range(40)]
+    primes = [3]
+    while len(primes) < 40:
+        primes.append(_next_prime(primes[-1]))
+    cases = [(f, p) for f in polys for p in primes]
+    packed = [_distinct_degree(f, p) for f, p in cases]
+    cycle_types = [cycle_type_mod_p(f, p) for f, p in cases]
+    monkeypatch.setattr(curves, "_polpow",
+                        lambda base, e, f, p, table=None: polpow_by_division(base, e, f, p))
+    by_division = [_distinct_degree(f, p) for f, p in cases]
+    assert packed == by_division
+    assert cycle_types == [
+        None if blocks is None else sorted(d for d, g in blocks for _ in range((len(g) - 1) // d))
+        for blocks in by_division]
+    assert sum(blocks is None for blocks in packed) < len(cases) // 4
+
+
+def test_distinct_degree_builds_one_table_per_remaining_product(monkeypatch):
+    # mod 97: five linear factors, no quadratic one, a cubic and a quartic
+    f = parse_poly("x^12 + 9*x^11 - x^10 + 11*x^8 - 18*x^7 - 20*x^6 + 18*x^5 + 15*x^4"
+                   " + 11*x^3 + 13*x^2 + 8*x - 10")
+    built, powers = [], []
+
+    def table_spy(rest, p):
+        built.append(list(rest))
+        return _reduction_table(rest, p)
+
+    def power_spy(base, e, rest, p, table=None):
+        powers.append(list(rest))
+        return _polpow(base, e, rest, p, table)
+
+    def no_polmul(*args):
+        raise AssertionError("_polmul called")
+
+    monkeypatch.setattr(curves, "_reduction_table", table_spy)
+    monkeypatch.setattr(curves, "_polpow", power_spy)
+    monkeypatch.setattr(curves, "_polmul", no_polmul)
+    blocks = _distinct_degree(f, 97)
+    assert [(d, len(g) - 1) for d, g in blocks] == [(1, 5), (3, 3), (4, 4)]
+    # Frobenius steps run mod f and twice mod f / (the linear block): the
+    # quadratic step splits nothing and reuses the table; the quartic left
+    # after the cubic splits off is irreducible and needs none
+    fc = [c % 97 for c in f.coeffs]
+    assert built == [fc, curves._poldivmod(fc, blocks[0][1], 97)[0]]
+    assert [len(rest) - 1 for rest in built] == [12, 7]
+    assert powers == [built[0], built[1], built[1]]
 
 
 def test_galois_certificates():

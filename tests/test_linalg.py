@@ -10,14 +10,16 @@ from sympy import GF, ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
+from lamadic import linalg
 from lamadic.lattices import (
     additive_ring_presentation,
     anti_fixed_basis_coords,
+    t_doubleprime_matrix,
     u_reduction_order,
 )
 from lamadic.linalg import det, echelon_mod, lattice_index, solve
-from lamadic.ring import DomainError
-from ring_oracles import local_index_exponent
+from lamadic.ring import DomainError, is_prime
+from ring_oracles import local_index_exponent, solve_over_fractions
 
 
 def _rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -130,6 +132,81 @@ def test_solve_exact_and_overdetermined():
         solve(rows, [[1, 0, 0]])  # inconsistent
     with pytest.raises(DomainError):
         solve([[1, 2], [2, 4]], [[1, 2]])  # dependent columns
+
+
+def test_square_lattice_index_matches_the_fold():
+    rng = random.Random(34)
+    done = 0
+    while done < 150:
+        g = rng.randint(1, 6)
+        cols = _rand_matrix(rng, g, g, -9, 9)
+        if det(cols) == 0:
+            continue
+        done += 1
+        # a zero column leaves the span alone but forces the fold modulo D
+        assert lattice_index(g, cols) == lattice_index(g, cols + [[0] * g]) == abs(det(cols))
+    for g in range(1, 6):
+        cols = _rand_matrix(rng, g - 1, g, -9, 9)
+        cols.append([sum(c[i] for c in cols) for i in range(g)])  # zero at g = 1
+        with pytest.raises(DomainError):
+            lattice_index(g, cols)
+
+
+def _outcome(fn, rows, rhs):
+    try:
+        return fn(rows, rhs)
+    except DomainError as e:
+        return str(e)
+
+
+def test_solve_matches_the_fraction_oracle():
+    rng = random.Random(35)
+
+    def entry(fractions):
+        x = rng.randint(-9, 9)
+        return Fraction(x, rng.randint(1, 12)) if fractions and rng.random() < 0.5 else x
+
+    outcomes = []
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = n + rng.choice((0, 0, 1, 3))  # square or overdetermined
+        fractions = rng.random() < 0.5
+        rows = [[entry(fractions) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:  # the first pivot needs a row swap
+            rows[0][0] = 0
+        if rng.random() < 0.15 and n > 1:  # dependent columns
+            for row in rows:
+                row[-1] = 2 * row[0] - row[1]
+        rhs = [[entry(fractions) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:  # consistent: B = A X for a rational X
+            xs = [[entry(True) for _ in range(n)] for _ in rhs]
+            rhs = [[sum(a * x for a, x in zip(row, xc)) for row in rows] for xc in xs]
+        got = _outcome(solve, rows, rhs)
+        assert got == _outcome(solve_over_fractions, rows, rhs), (rows, rhs)
+        outcomes.append(got if isinstance(got, str) else "solved")
+    assert {o: outcomes.count(o) > 10 for o in set(outcomes)} == {
+        "solved": True, "columns are dependent": True, "inconsistent system": True}
+
+
+def test_solve_with_a_row_swap_and_negative_pivots():
+    rows = [[0, -3, 1], [-2, 5, 0], [4, 1, -7], [2, -2, -6]]
+    x = [Fraction(-5, 3), Fraction(2, 7), 3]
+    b = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    assert solve(rows, [b]) == solve_over_fractions(rows, [b]) == [x]
+    for bad, message in (([[0, 1], [0, 2], [0, 3]], "columns are dependent"),
+                         ([[-1, 2], [3, -6]], "columns are dependent")):
+        with pytest.raises(DomainError, match=message):
+            solve(bad, [[1] * len(bad)])
+    with pytest.raises(DomainError, match="inconsistent system"):
+        solve(rows, [[1, 0, 0, 0]])
+
+
+def test_t_doubleprime_matrix_matches_the_fraction_oracle(monkeypatch):
+    cases = [(ell, r) for ell in range(3, 32) if is_prime(ell)
+             for r in range(2, 21) if r % ell]
+    got = [t_doubleprime_matrix(ell, r) for ell, r in cases]
+    monkeypatch.setattr(linalg, "solve", solve_over_fractions)
+    assert got == [t_doubleprime_matrix(ell, r) for ell, r in cases]
 
 
 _SYMPY_FREE = """
