@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import linalg
 from .ring import CheckFailed, DomainError, check_odd_prime, is_prime
@@ -109,12 +108,10 @@ def h_minus(ell: int) -> int:
 
 
 def fraction_det(rows) -> Fraction:
-    """Exact determinant over Q: the integer determinant of the d x d matrix
-    scaled by the common denominator L of its entries, divided by L^d."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return Fraction(linalg.det([[int(x * den) for x in row] for row in rows]),
-                    den ** len(rows))
+    """Exact determinant over Q: the integer determinant of the rows cleared
+    of denominators, as `linalg.solve` clears them, over the scale."""
+    rows, scale = linalg.clear_denominators(rows)
+    return Fraction(linalg.det(rows), scale)
 
 
 def ord_p(x, p: int) -> int:

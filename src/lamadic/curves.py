@@ -318,15 +318,12 @@ def _polmod(coeffs, m):
 
 def _polmul(a, b, m):
     """a*b mod m for a, b reduced mod m, by Kronecker substitution: each
-    slot of the packed product holds a coefficient exactly."""
+    slot of the packed product holds a coefficient exactly, and _polmod
+    reduces the slots."""
     width = (min(len(a), len(b)) * (m - 1) ** 2).bit_length()
     x = pack(a, width) * pack(b, width)
     mask = (1 << width) - 1
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        out.append((x & mask) % m)
-        x >>= width
-    return _polmod(out, m)
+    return _polmod([(x >> s) & mask for s in range(0, (len(a) + len(b) - 1) * width, width)], m)
 
 
 def _poldivmod(a, b, m):

@@ -164,11 +164,12 @@ class AbelianPresentation:
 
 def abelian_order(p: AbelianPresentation, generator_columns) -> int:
     """Order of the subgroup generated by the given coordinate columns
-    inside the presented group."""
+    inside the presented group.  The group order annihilates the group, so
+    the joint span is folded modulo it."""
     g = p.generators
     rel_cols = [list(col) for col in zip(*p.relations)]
     total = linalg.lattice_index(g, rel_cols)
-    joint = linalg.lattice_index(g, rel_cols + list(generator_columns))
+    joint = linalg.index_modulo(g, rel_cols + list(generator_columns), total)
     if total % joint:
         raise CheckFailed(f"subgroup index {joint} does not divide the group order {total}")
     return total // joint

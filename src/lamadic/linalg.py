@@ -2,43 +2,63 @@
 resultants, the class-number determinants, the F_ell ranks and the orders
 of finitely presented abelian groups.
 
-Matrices are lists of rows of Python integers; `solve` also takes
-Fractions and returns them.
+Matrices are lists of rows of Python integers.  Over Z and Q there is one
+elimination, `_bareiss`: `det` runs it forward, `solve` runs it
+Gauss-Jordan, and rational rows reach it through `clear_denominators`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .ring import DomainError
 
 
-def det(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss' fraction-free
-    elimination: every intermediate entry is a minor, so the divisions are
-    exact and the entries stay as small as the answer."""
-    a = [list(r) for r in rows]
+def _bareiss(a, ncols: int, jordan: bool):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968), in place,
+    on the first ncols columns of the integer rows `a`: a row r becomes
+    (pivot * r - r[col] * pivot row) / previous pivot, an exact division.
+    Rows below the pivot are cleared, with `jordan` the rows above it too;
+    only the columns right of the pivot column change, and a row is skipped
+    when its entry is 0 and the pivot equals the previous one.  Returns
+    (last pivot, sign of the row swaps), or None when a column has no pivot."""
     n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
+    sign, prev = 1, 1
+    for col in range(ncols):
+        if col == n or not a[col][col]:  # col == n: fewer rows than columns
+            piv = next((r for r in range(col + 1, n) if a[r][col]), None)
             if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
+                return None
+            a[col], a[piv] = a[piv], a[col]
             sign = -sign
-        pivot, pivot_row = a[k][k], a[k]
-        for row in a[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
-            row[k] = 0
+        pivot_row = a[col]
+        pivot = pivot_row[col]
+        width = len(pivot_row)
+        for r in range(0 if jordan else col + 1, n):
+            row = a[r]
+            f = row[col]
+            if r != col and (f or pivot != prev):
+                for j in range(col + 1, width):
+                    row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return prev, sign
+
+
+def det(rows) -> int:
+    """Determinant of a square integer matrix: the last pivot of forward
+    `_bareiss`, signed by the row swaps."""
+    a = [list(r) for r in rows]
+    pivot, sign = _bareiss(a, len(a), jordan=False) or (0, 1)
+    return sign * pivot
+
+
+def clear_denominators(rows):
+    """(integer rows, scale): each row of rationals times the lcm of its
+    denominators, and the product of those lcms."""
+    dens = [lcm(*(x.denominator for x in row)) for row in rows]
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row, d in zip(rows, dens)], prod(dens)
 
 
 def echelon_mod(rows, p: int):
@@ -76,21 +96,27 @@ def lattice_index(g: int, columns) -> int:
     With M the g x k matrix of the columns and M_g its first g columns, take
     D = |det M_g| when it is nonzero, and D = det(M M^T) otherwise; the
     latter is nonzero exactly when the rank is g.  D Z^g lies in the span,
-    because M_g adj(M_g) = D I, resp. M M^T adj(M M^T) = D I.  The quotient
-    is therefore that of (Z/D)^g, and Hermite elimination modulo D
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.2)
-    triangularizes the span one coordinate at a time: the pivot of
-    coordinate i is the gcd of D and the coordinate-i entries (D e_i lies
-    in the span), and the index is the product of the pivots.  For g
-    columns with D != 0 the index is D itself, and nothing is folded.
+    because M_g adj(M_g) = D I, resp. M M^T adj(M M^T) = D I, so the index
+    is `index_modulo(g, columns, D)`, or D itself for g columns with D != 0.
     """
     big_d = abs(det(list(zip(*columns[:g])))) if len(columns) >= g else 0
     if big_d and len(columns) == g:
         return big_d
-    if big_d == 0:
-        big_d = det([[sum(c[i] * c[j] for c in columns) for j in range(g)] for i in range(g)])
+    big_d = big_d or det([[sum(c[i] * c[j] for c in columns) for j in range(g)] for i in range(g)])
     if big_d == 0:
         raise DomainError("infinite quotient")
+    return index_modulo(g, columns, big_d)
+
+
+def index_modulo(g: int, columns, big_d: int) -> int:
+    """|Z^g / span(columns)| for a positive D with D Z^g inside the span.
+
+    The quotient is then that of (Z/D)^g, and Hermite elimination modulo D
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.2)
+    triangularizes the span one coordinate at a time: the pivot of
+    coordinate i is the gcd of D and the coordinate-i entries (D e_i lies
+    in the span), and the index is the product of the pivots.
+    """
     vectors = [[x % big_d for x in c] for c in columns]
     index = 1
     for i in range(g):
@@ -121,31 +147,14 @@ def solve(rows, rhs_columns):
     a consistent system whose columns are independent (more equations than
     unknowns allowed); DomainError otherwise.  Returns the columns of X.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
-    on [A | B] with each row scaled to integers by the lcm of its
-    denominators: every row but the pivot row becomes
-    (pivot * row - row[col] * pivot row) / previous pivot, an exact
-    division.  At the end the left part is the last pivot times I, so X is
-    the right part over that pivot; Fractions are built only there."""
+    Gauss-Jordan `_bareiss` on [A | B] with its rows cleared of
+    denominators: the left part ends as the last pivot times I, so X is the
+    right part over that pivot; Fractions are built only there."""
     ncols = len(rows[0])
-    aug = []
-    for lhs, rhs in zip(rows, zip(*rhs_columns)):
-        row = [*lhs, *rhs]
-        den = lcm(*(x.denominator for x in row))
-        aug.append([x.numerator * (den // x.denominator) for x in row])
-    prev = 1
-    for col in range(ncols):
-        piv = next((r for r in range(col, len(aug)) if aug[r][col]), None)
-        if piv is None:
-            raise DomainError("columns are dependent")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pivot_row = aug[col]
-        pivot = pivot_row[col]
-        for r, row in enumerate(aug):
-            if r != col:
-                f = row[col]
-                aug[r] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = pivot
+    aug, _ = clear_denominators([[*lhs, *rhs] for lhs, rhs in zip(rows, zip(*rhs_columns))])
+    pivot, _ = _bareiss(aug, ncols, jordan=True) or (0, 0)
+    if not pivot:
+        raise DomainError("columns are dependent")
     if any(any(row[ncols:]) for row in aug[ncols:]):
         raise DomainError("inconsistent system")
-    return [[Fraction(x, prev) for x in col] for col in zip(*(row[ncols:] for row in aug[:ncols]))]
+    return [[Fraction(x, pivot) for x in col] for col in zip(*(row[ncols:] for row in aug[:ncols]))]

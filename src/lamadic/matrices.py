@@ -20,6 +20,7 @@ from .ring import (
     RingError,
     check_odd_prime,
     div_by_int,
+    jacobi as legendre,
     pack,
     product_width,
     unpack_reduced,
@@ -52,13 +53,6 @@ def mat_scale_mod(c, a, ell):
 
 def mat_zero(d):
     return [[0] * d for _ in range(d)]
-
-
-def legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,8 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
-def _jacobi(a: int, n: int) -> int:
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0; the Legendre symbol at primes."""
     a %= n
     result = 1
     while a:
@@ -107,7 +108,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     if isqrt(n) ** 2 == n:
         return False
     d = 5
-    while _jacobi(d, n) != -1:
+    while jacobi(d, n) != -1:
         d = -d - 2 if d > 0 else -d + 2
     q = (1 - d) // 4
     k, s = n + 1, 0

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from lamadic.cli import run
 from lamadic.ring import DomainError, is_prime
@@ -91,6 +92,28 @@ def test_fraction_det():
     assert fraction_det([[Fraction(1, 2)]]) == Fraction(1, 2)
     assert fraction_det([[1, 2], [3, 4]]) == -2
     assert fraction_det([[1, 2], [2, 4]]) == 0
+    assert fraction_det([]) == 1
+
+
+def test_fraction_det_matches_sympy():
+    rng = random.Random(41)
+    singular = swapped = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7, 12, -1, -5, -8)))
+                 if rng.random() < 0.7 else rng.randint(-9, 9) for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:  # the first pivot needs a row swap
+            rows[0][0] = 0
+            swapped += 1
+        if n > 1 and rng.random() < 0.2:  # a dependent row
+            rows[-1] = [Fraction(-3, 2) * x + y for x, y in zip(rows[0], rows[1])]
+        want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in rows]).det()
+        got = fraction_det(rows)
+        assert (got.numerator, got.denominator) == (want.p, want.q), rows
+        singular += got == 0
+    assert singular > 20 and swapped > 20
 
 
 def test_ord_p():

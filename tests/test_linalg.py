@@ -12,12 +12,14 @@ from sympy.polys.matrices import DomainMatrix
 
 from lamadic import linalg
 from lamadic.lattices import (
+    AbelianPresentation,
+    abelian_order,
     additive_ring_presentation,
     anti_fixed_basis_coords,
     t_doubleprime_matrix,
     u_reduction_order,
 )
-from lamadic.linalg import det, echelon_mod, lattice_index, solve
+from lamadic.linalg import det, echelon_mod, index_modulo, lattice_index, solve
 from lamadic.ring import DomainError, is_prime
 from ring_oracles import local_index_exponent, solve_over_fractions
 
@@ -102,6 +104,8 @@ def test_lattice_index_matches_smith_form():
                 lattice_index(g, cols)
         else:
             assert lattice_index(g, cols) == want, (g, cols)
+            # any multiple of the index annihilates the quotient
+            assert index_modulo(g, cols, int(want) * rng.randint(1, 3)) == want, (g, cols)
     assert 10 < infinite < 150
     assert lattice_index(0, []) == 1
 
@@ -123,6 +127,50 @@ def test_lattice_index_matches_local_oracle_at_29():
     assert total == parts["torsion"] * parts["rational"] * ell ** (m - joint)
 
 
+def test_abelian_order_matches_smith_form():
+    rng = random.Random(37)
+    done = 0
+    while done < 100:
+        g = rng.randint(1, 5)
+        rel = _rand_matrix(rng, rng.randint(g, g + 2), g, -6, 6)
+        total = _smith_order(g, rel)
+        if total is None:
+            continue
+        done += 1
+        gens = _rand_matrix(rng, rng.randint(1, 3), g, -6, 6)
+        pres = AbelianPresentation(g, tuple(zip(*rel)))
+        assert abelian_order(pres, gens) == total // _smith_order(g, rel + gens), (rel, gens)
+
+
+def test_one_elimination_per_determinant_and_solve(monkeypatch):
+    calls = []
+
+    def spy(name):
+        original = getattr(linalg, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, wrapped)
+
+    ell = 13
+    pres = additive_ring_presentation(ell, 20)
+    gens = [list(c) for c in anti_fixed_basis_coords(ell)]
+    want = abelian_order(pres, gens)
+    spy("det")
+    spy("_bareiss")
+    # the group order is the one determinant; the joint span folds modulo it
+    assert abelian_order(pres, gens) == want
+    assert calls == ["det", "_bareiss"]
+    calls.clear()
+    assert linalg.det([[2, 1], [1, 3]]) == 5
+    assert calls == ["det", "_bareiss"]
+    calls.clear()
+    assert linalg.solve([[2, 1], [1, 3]], [[1, 0]]) == [[Fraction(3, 5), Fraction(-1, 5)]]
+    assert calls == ["_bareiss"]
+
+
 def test_solve_exact_and_overdetermined():
     rows = [[1, 2], [3, 4], [5, 6]]
     x = [Fraction(1, 3), Fraction(-2, 7)]
@@ -132,6 +180,8 @@ def test_solve_exact_and_overdetermined():
         solve(rows, [[1, 0, 0]])  # inconsistent
     with pytest.raises(DomainError):
         solve([[1, 2], [2, 4]], [[1, 2]])  # dependent columns
+    with pytest.raises(DomainError, match="columns are dependent"):
+        solve([[1, 2, 3]], [[1]])  # fewer equations than unknowns
 
 
 def test_square_lattice_index_matches_the_fold():

@@ -12,6 +12,7 @@ from lamadic.ring import (
     div_by_int,
     exp,
     is_prime,
+    jacobi,
     log1p,
     poly_from_digits,
     zeta_poly_galois,
@@ -208,6 +209,17 @@ def test_multiplication_table_against_oracle():
             want = mul_mod_phi(lift_digits(x.digits, 3), lift_digits(y.digits, 3), 3)
             got = lift_digits((x * y).digits, 3)
             assert in_lambda_n([g - w for g, w in zip(got, want)], 3, 3), (x.digits, y.digits)
+
+
+def test_jacobi_is_the_legendre_symbol_at_odd_primes():
+    from lamadic.matrices import legendre
+
+    assert legendre is jacobi
+    for p in range(3, 400, 2):
+        if is_prime(p):
+            for a in range(-3 * p, 3 * p):
+                euler = pow(a, (p - 1) // 2, p)
+                assert jacobi(a, p) == (0 if a % p == 0 else 1 if euler == 1 else -1), (a, p)
 
 
 def test_is_prime_matches_sympy_and_rejects_pseudoprimes():
