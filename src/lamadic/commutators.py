@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import echelon_mod
-from .ring import CheckFailed, CycloElt, RingCtx, DomainError, div_by_int
+from .ring import CheckFailed, CycloElt, RingCtx, DomainError
 from .matrices import (
     HermitianForm,
     MatLocal,
@@ -205,36 +205,33 @@ def series_evaluate(p: FreeSeries, assignment, ctx: RingCtx, dim: int) -> MatLoc
 
     Rational coefficients must have denominator prime to ell.
     """
-    # Words are products of integer matrices; accumulate them exactly over Q
-    # per t-degree, and convert to ring elements once at the end.
+    # Taking a rational with denominator prime to ell to the integers mod
+    # ctx.modulus is a ring map, so each coefficient becomes one integer and
+    # the words are summed as plain integers per t-degree; they become ring
+    # elements once at the end.
+    m = ctx.modulus
     by_deg = {}
     for (deg, word), coef in p.terms.items():
         if coef.denominator % ctx.ell == 0:
             raise DomainError("coefficient denominator not invertible")
-        m = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+        c = coef.numerator * pow(coef.denominator, -1, m) % m
+        w = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
         for sym in word:
             sm = assignment[sym]
-            m = [
-                [sum(m[i][k] * sm[k][j] for k in range(dim)) for j in range(dim)]
+            w = [
+                [sum(w[i][k] * sm[k][j] for k in range(dim)) for j in range(dim)]
                 for i in range(dim)
             ]
-        acc = by_deg.setdefault(
-            deg, [[Fraction(0)] * dim for _ in range(dim)]
-        )
-        for i in range(dim):
-            for j in range(dim):
-                acc[i][j] += coef * m[i][j]
+        acc = by_deg.setdefault(deg, mat_zero(dim))
+        for acc_row, w_row in zip(acc, w):
+            for j, x in enumerate(w_row):
+                acc_row[j] += c * x
     total = MatLocal.from_rows(
         [[CycloElt.zero(ctx) for _ in range(dim)] for _ in range(dim)]
     )
     for deg, acc in by_deg.items():
         lam_pow = CycloElt.lam(ctx, deg)
-        block = MatLocal.from_rows([
-            [div_by_int(CycloElt.from_int(q.numerator, ctx), q.denominator) * lam_pow
-             for q in row]
-            for row in acc
-        ])
-        total = total + block
+        total = total + MatLocal.from_rows([[lam_pow * x for x in row] for row in acc])
     return total
 
 

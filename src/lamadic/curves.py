@@ -398,7 +398,8 @@ def _polpow(base, e, f, p, table=None):
         x = reduce(x * x)
         if bit == "1":
             x = reduce(x * b)
-    return _polmod([(x >> s) & mask for s in slots] or [0], p)
+    # every slot is already reduced mod p: m = 0 only strips the trailing zeros
+    return _polmod([(x >> s) & mask for s in slots] or [0], 0)
 
 
 def _distinct_degree(f: IntPoly, p: int):

@@ -21,6 +21,8 @@ from .ring import (
     check_odd_prime,
     div_by_int,
     jacobi as legendre,
+    lambda_digit,
+    lambda_order,
     pack,
     product_width,
     unpack_reduced,
@@ -479,32 +481,45 @@ def su_dimension(d: int, parity_n: int, group: str = "SU") -> int:
     return comb(d + 1, 2) - (1 if group == "SU" else 0)
 
 
-def su_basis(form: HermitianForm, parity_n: int, group: str = "SU"):
-    """Basis of {A : Gamma A = (-1)^n A^T Gamma (, tr A = 0)} over F_ell."""
+def _su_basis_entries(form: HermitianForm, parity_n: int, group: str = "SU"):
+    """The elements of su_basis in order, each as its nonzero entries
+    (i, j, x): at most two per element."""
     ell = form.ctx.ell
     d = form.dim
     ginv = form.gamma_inv_mod()
     sign = (-1) ** parity_n
-    basis = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = mat_zero(d)
-            m[i][j] = ginv[i]
-            m[j][i] = (sign * ginv[j]) % ell
-            basis.append(m)
+    basis = [((i, j, ginv[i]), (j, i, sign * ginv[j] % ell))
+             for i in range(d) for j in range(i + 1, d)]
     if parity_n % 2 == 0:
         if group == "SU":
-            for i in range(d - 1):
-                m = mat_zero(d)
-                m[i][i] = 1
-                m[d - 1][d - 1] = -1 % ell
-                basis.append(m)
+            basis += [((i, i, 1), (d - 1, d - 1, -1 % ell)) for i in range(d - 1)]
         else:
-            for i in range(d):
-                m = mat_zero(d)
-                m[i][i] = ginv[i]
-                basis.append(m)
+            basis += [((i, i, ginv[i]),) for i in range(d)]
     return basis
+
+
+def su_basis(form: HermitianForm, parity_n: int, group: str = "SU"):
+    """Basis of {A : Gamma A = (-1)^n A^T Gamma (, tr A = 0)} over F_ell."""
+    basis = []
+    for entries in _su_basis_entries(form, parity_n, group):
+        m = mat_zero(form.dim)
+        for i, j, x in entries:
+            m[i][j] = x
+        basis.append(m)
+    return basis
+
+
+def random_slice(form: HermitianForm, parity_n: int, rng):
+    """sum c_k B_k over the SU slice basis B_k, with c_k = rng.randrange(ell)
+    drawn in basis order, assembled entrywise from the at most two nonzero
+    entries of each B_k."""
+    ell = form.ctx.ell
+    s = mat_zero(form.dim)
+    for entries in _su_basis_entries(form, parity_n):
+        c = rng.randrange(ell)
+        for i, j, x in entries:
+            s[i][j] += c * x
+    return s
 
 
 def su_dimension_and_basis(form: HermitianForm, parity_n: int, group: str = "SU"):
@@ -537,13 +552,16 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
 
     A = I mod lambda is read from the residues, sum(coeffs) mod ell, with
     no digits.  Measures the defect of the padded lift A' as A'^dagger
-    Gamma A' = Gamma + lambda^(n-1) X.  Its lower digits and det(A') mod
-    lambda^(n-1) are the membership test; these digits are expanded here.
-    Solves X = Gamma Y + (-1)^(n-1) Y^T Gamma with Y = (1/2) Gamma^(-1) X,
-    fixes the trace with a multiple of E_11, and returns A' - lambda^(n-1) Y.
-    The digits of A' are A's digits padded with a zero, and those of the
-    result carry A's digits and the top digit -Y mod ell, so a chain of
-    lifts expands no entry of A itself (beyond its first level).
+    Gamma A' = Gamma + lambda^(n-1) X.  The membership test is that the
+    defect lies in lambda^(n-1) and that det(A') = 1 mod lambda^(n-1);
+    both read lambda-adic orders from the coefficients (lambda_order), and
+    X and the top digit of det(A') - 1 come from lambda_digit, so no digits
+    are expanded here.  Solves X = Gamma Y + (-1)^(n-1) Y^T Gamma with
+    Y = (1/2) Gamma^(-1) X, fixes the trace with a multiple of E_11, and
+    returns A' - lambda^(n-1) Y.  The digits of A' are A's digits padded
+    with a zero, and those of the result carry A's digits and the top digit
+    -Y mod ell, so a chain of lifts that starts from the identity expands
+    no digits at all.
     """
     ell = a.ctx.ell
     n = a.ctx.precision + 1
@@ -554,21 +572,23 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
         raise MembershipError("lift_su needs A = I mod lambda")
     a_prime = a.pad_zero(n)
     h = a_prime.dagger() * form.gram_times(a_prime)
-    delta = [
-        [e - CycloElt.from_int(g, a_prime.ctx) if i == j else e for j, e in enumerate(row)]
-        for i, (g, row) in enumerate(zip(form.gamma, h.entries))
-    ]
-    if any(any(e.digits[:n - 1]) for row in delta for e in row):
+    # the defect A'^dagger Gamma A' - Gamma as integer coefficients
+    delta = [[e.coeffs for e in row] for row in h.entries]
+    for i, g in enumerate(form.gamma):
+        c = delta[i][i]
+        delta[i][i] = (c[0] - g,) + c[1:]
+    if any(lambda_order(c, ell, n - 1) < n - 1 for row in delta for c in row):
         raise MembershipError("lift_su needs a member of U with multiplier 1")
     det = det_local(a_prime)
-    det_top = det.digits[n - 1]  # expanded once; the truncation below carries them
     dl = det.truncate(n - 1)
     one = CycloElt.one(dl.ctx)
     if dl.conjugate() * dl != one:
         raise CheckFailed("conj(det)*det != 1")
     if dl != one:
         raise MembershipError("lift_su needs an SU member, got U")
-    x = [[e.digits[n - 1] for e in row] for row in delta]
+    c = det.coeffs
+    det_top = lambda_digit((c[0] - 1,) + c[1:], ell, n - 1)  # det - 1 lies in lambda^(n-1)
+    x = [[lambda_digit(c, ell, n - 1) for c in row] for row in delta]
     inv2 = pow(2, -1, ell)
     ginv = form.gamma_inv_mod()
     y = [[inv2 * ginv[i] * x[i][j] % ell for j in range(a.dim)] for i in range(a.dim)]
@@ -583,16 +603,9 @@ def random_su_element(form: HermitianForm, precision: int, rng) -> MatLocal:
     twists by level slices I + lambda^m * S, S in su^(m+1).  A lift is
     I mod lambda, so the twisted lift is A + lambda^m * S mod lambda^(m+1),
     which moves only the top digit: the chain carries its digits."""
-    ell = form.ctx.ell
-    d = form.dim
-    a = MatLocal.identity(form.ctx.at_precision(1), d)
+    a = MatLocal.identity(form.ctx.at_precision(1), form.dim)
     for m in range(1, precision):
-        a = lift_su(a, form)
-        basis = su_basis(form, m + 1)
-        coefs = [rng.randrange(ell) for _ in basis]
-        s = [[sum(c * b[i][j] for c, b in zip(coefs, basis)) for j in range(d)]
-             for i in range(d)]
-        a = a.add_top(s)
+        a = lift_su(a, form).add_top(random_slice(form, m + 1, rng))
     return a
 
 

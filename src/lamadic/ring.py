@@ -7,15 +7,21 @@ lambda^n O.  Products use Kronecker substitution: the coefficients are
 packed into one integer, multiplied once, unpacked, folded mod Phi_ell and
 reduced.  The power-basis form is not unique mod lambda^n.  The canonical
 form is the lambda-adic digits in {0, ..., ell-1}, the coefficients of
-lambda^0, ..., lambda^(n-1); equality (when the coefficients differ),
-hashing, valuations and serialization read them.
+lambda^0, ..., lambda^(n-1); hashing and serialization read them.
+
+Valuations skip the digits: lambda_order reads ord_lambda from the
+coefficients on the basis 1, lambda, ..., lambda^(ell-2), a fixed
+triangular transform of the power-basis coefficients, and lambda_digit
+reads the first nonzero digit the same way.  Equality (when the
+coefficients differ), is_zero and ord_lambda use them.
 
 Digits are expanded (digits_from_poly, one division by lambda per digit)
 only when an element that does not know them is asked for them, and then
 cached.  They are carried without expansion where the rule is known:
-truncate keeps the leading digits, pad_zero appends zeros, and add_top
-changes only the top digit.  Residues mod lambda (is_unit) read the
-coefficient sum and skip digits.  Everything is exact integer arithmetic.
+zero and one know theirs, truncate keeps the leading digits, pad_zero
+appends zeros, and add_top changes only the top digit.  Residues mod
+lambda (is_unit) read the coefficient sum and skip digits.  Everything is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import comb, isqrt
+from operator import mul
 
 
 class RingError(Exception):
@@ -224,6 +231,52 @@ def digits_from_poly(poly, ell: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _lambda_basis_rows(ell: int) -> tuple:
+    """Row i holds (-1)^i C(k, i) for k = i, ..., ell-2, the coefficient of
+    lambda^i in zeta^k = (1 - lambda)^k.  So b_i = row_i . c[i:] writes
+    sum c_k zeta^k as sum b_i lambda^i on the basis 1, lambda, ...,
+    lambda^(ell-2)."""
+    return tuple(tuple((-1) ** i * comb(k, i) for k in range(i, ell - 1))
+                 for i in range(ell - 1))
+
+
+def lambda_order(coeffs, ell: int, cap: int) -> int:
+    """min(ord_lambda(sum c_k zeta^k), cap), without expanding digits.
+
+    ell is lambda^(ell-1) times a unit, so the term b_i lambda^i on the
+    lambda basis has order (ell-1) v_ell(b_i) + i.  These orders differ
+    mod ell-1, so the least of them is the order of the sum.  Exact for
+    integer coefficients, and for coefficients known mod ell^k when cap is
+    at most (ell-1)k, as for the precision of a CycloElt.
+    """
+    best = cap
+    for i, row in enumerate(_lambda_basis_rows(ell)):
+        if i >= best:
+            break
+        b = sum(map(mul, row, coeffs[i:]))
+        if b:
+            order = i
+            while order < best and b % ell == 0:
+                b //= ell
+                order += ell - 1
+            best = min(best, order)
+    return best
+
+
+def lambda_digit(coeffs, ell: int, t: int) -> int:
+    """Digit t of sum c_k zeta^k, for an element of order at least t.
+
+    With t = q(ell-1) + s, every term b_i lambda^i with i != s has order
+    above t, and b_s = ell^q u.  By Wilson's theorem ell = -lambda^(ell-1)
+    mod lambda^ell, so the digit is (-1)^q u mod ell.  t must lie below
+    (ell-1)k for coefficients known mod ell^k.
+    """
+    q, s = divmod(t, ell - 1)
+    u = sum(map(mul, _lambda_basis_rows(ell)[s], coeffs[s:])) // ell**q
+    return (-u if q % 2 else u) % ell
+
+
+@lru_cache(maxsize=None)
 def _lambda_power_table(ell: int, n: int) -> tuple:
     """lambda^0, ..., lambda^(n-1); lambda^(i+1) = lambda^i - zeta * lambda^i,
     and multiplying by zeta rotates the coefficients."""
@@ -288,10 +341,11 @@ class CycloElt:
 
     `coeffs` holds its power-basis coefficients mod ctx.modulus; `digits`
     holds its canonical lambda-adic digits.  An element built from digits
-    knows them; truncate, pad_zero and add_top pass known digits on; any
-    other result expands them on first use.  Digits are an edge format: the
-    constructor takes them for deserialization and digit matrices, while
-    constants and results are built from coefficients.
+    knows them, as do zero and one; truncate, pad_zero and add_top pass
+    known digits on; any other result expands them on first use.  Digits
+    are an edge format: the constructor takes them for deserialization and
+    digit matrices, while constants and results are built from
+    coefficients.
     """
 
     __slots__ = ("ctx", "coeffs", "_digits")
@@ -337,11 +391,15 @@ class CycloElt:
 
     @staticmethod
     def zero(ctx: RingCtx) -> "CycloElt":
-        return CycloElt.from_int(0, ctx)
+        out = CycloElt.from_int(0, ctx)
+        out._digits = (0,) * ctx.precision
+        return out
 
     @staticmethod
     def one(ctx: RingCtx) -> "CycloElt":
-        return CycloElt.from_int(1, ctx)
+        out = CycloElt.from_int(1, ctx)
+        out._digits = (1,) + (0,) * (ctx.precision - 1)
+        return out
 
     @staticmethod
     def zeta(ctx: RingCtx, power: int = 1) -> "CycloElt":
@@ -365,10 +423,7 @@ class CycloElt:
 
     @property
     def ord_lambda(self) -> int:
-        for i, d in enumerate(self.digits):
-            if d:
-                return i
-        return self.ctx.precision
+        return lambda_order(self.coeffs, self.ctx.ell, self.ctx.precision)
 
     @property
     def is_unit(self) -> bool:
@@ -376,7 +431,7 @@ class CycloElt:
         return sum(self.coeffs) % self.ctx.ell != 0
 
     def is_zero(self) -> bool:
-        return not any(self.digits)
+        return self.ord_lambda == self.ctx.precision
 
     def lift_poly(self) -> tuple:
         """An exact integer representative in the zeta power basis."""
@@ -385,9 +440,13 @@ class CycloElt:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloElt):
             return NotImplemented
-        return self.ctx == other.ctx and (
-            self.coeffs == other.coeffs or self.digits == other.digits
-        )
+        ctx = self.ctx
+        if ctx != other.ctx:
+            return False
+        if self.coeffs == other.coeffs:
+            return True
+        diff = [x - y for x, y in zip(self.coeffs, other.coeffs)]
+        return lambda_order(diff, ctx.ell, ctx.precision) == ctx.precision
 
     def __hash__(self) -> int:
         return hash((self.ctx, self.digits))

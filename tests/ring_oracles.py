@@ -5,7 +5,8 @@ lambda^n is decided through the norm, determinants by cofactor expansion,
 filtration orders by summing the slice dimensions level by level,
 trinomial discriminants by their closed form, slice membership and the
 half-system T'' action from their defining formulas, random SU members
-by multiplying each lift by its twist, and the orders of -zeta and of
+by multiplying each lift by its twist and their slices by summing dense
+basis matrices, and the orders of -zeta and of
 1 + ell^(1+e) and the torsion exponent of a unit by powering and search,
 powers mod (f, p) by square and multiply with a long division after each
 product, and linear systems by Gauss-Jordan elimination over Fractions.
@@ -223,20 +224,26 @@ def t_doubleprime_apply(r, x):
     return acc
 
 
+def random_slice_by_basis_sum(form, parity_n, rng):
+    """sum c_k B_k over the dense matrices B_k of su_basis, the coefficients
+    c_k = rng.randrange(ell) drawn first, in basis order: O(d^4)."""
+    basis = su_basis(form, parity_n)
+    coefs = [rng.randrange(form.ctx.ell) for _ in basis]
+    d = form.dim
+    return [[sum(c * b[i][j] for c, b in zip(coefs, basis)) for j in range(d)]
+            for i in range(d)]
+
+
 def random_su_element_by_twist_products(form, precision, rng):
     """random_su_element as a product: each lift is multiplied by the twist
     I + lambda^m S through a full matrix product, drawing S the same way.
     It shares the lift and the slice basis with lamadic and checks only
     that adding lambda^m S equals the product."""
-    ell, d = form.ctx.ell, form.dim
+    d = form.dim
     a = MatLocal.identity(form.ctx.at_precision(1), d)
     for m in range(1, precision):
         a = lift_su(a, form)
-        s = [[0] * d for _ in range(d)]
-        for b in su_basis(form, m + 1):
-            coef = rng.randrange(ell)
-            if coef:
-                s = [[(x + coef * y) % ell for x, y in zip(rs, rb)] for rs, rb in zip(s, b)]
+        s = random_slice_by_basis_sum(form, m + 1, rng)
         eye = [[int(i == j) for j in range(d)] for i in range(d)]
         zero = [[0] * d for _ in range(d)]
         twist = MatLocal.from_digit_matrices(a.ctx, d, [eye] + [zero] * (m - 1) + [s])

@@ -150,6 +150,25 @@ def test_symbolic_numeric_agreement():
         )
 
 
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_series_evaluate_divides_by_denominators_prime_to_ell(ell):
+    rng = random.Random(ell)
+    alphabet = ("A", "B")
+    n = 5
+    ctx = RingCtx(ell, n)
+    assignment = {s: [[rng.randrange(ell) for _ in range(3)] for _ in range(3)]
+                  for s in alphabet}
+    p = FreeSeries(alphabet, n, {
+        (0, ()): 1, (1, ("A",)): 3, (2, ("A", "B")): -2, (3, ("B", "A", "B")): 5,
+    })
+    value = series_evaluate(p, assignment, ctx, 3)
+    for den in (2, 4, -(ell + 2)):
+        scaled = series_evaluate(p.scale(Fraction(1, den)), assignment, ctx, 3)
+        assert scaled != value and scaled.scale(den) == value
+    with pytest.raises(commutators.DomainError):
+        series_evaluate(p.scale(Fraction(1, ell)), assignment, ctx, 3)
+
+
 def test_bracket_table_cases():
     form = HermitianForm.standard(RingCtx(5, 2), 3)
     t = eij_bracket_table(form, 1, 2, 3, 1, 1)

@@ -1,7 +1,8 @@
 """Digits are an edge format: lamadic builds ring elements from power-basis
 coefficients and calls the digit constructor CycloElt(ctx, digits) only to
 read serialized or digit-matrix input.  A lift chain carries the digits it
-knows instead of expanding them again."""
+knows instead of expanding them again, and reads orders and the digits it
+needs from the coefficients, so it expands none."""
 
 import ast
 import random
@@ -12,6 +13,7 @@ import pytest
 import lamadic.ring as ring
 from lamadic.matrices import HermitianForm, classify_membership, lift_su, random_su_element
 from lamadic.ring import CycloElt, RingCtx
+from ring_oracles import lift_digits, mul_mod_phi
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lamadic"
 
@@ -86,3 +88,41 @@ def test_lift_chains_carry_the_digits_a_fresh_expansion_gives(monkeypatch, ell):
                     for e in row:
                         assert e.digits == expand(e.coeffs, ell, n), (ell, d, sign)
             assert expansions == []  # every digit read above was carried
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11])
+def test_a_lift_chain_expands_no_digits(monkeypatch, ell):
+    expand = ring.digits_from_poly
+    expansions = []
+
+    def counting(poly, ell, n):
+        expansions.append(n)
+        return expand(poly, ell, n)
+
+    monkeypatch.setattr(ring, "digits_from_poly", counting)
+    for d in (2, 6, 10):
+        form = HermitianForm.standard(RingCtx(ell, 1), d, -1 if d == 6 else 1)
+        a = random_su_element(form, 4, random.Random(f"{ell}/{d}"))
+        assert classify_membership(lift_su(a, form), form).kind == "SU"
+    assert expansions == []
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11])
+def test_equal_elements_with_different_coefficients_hash_equal(ell):
+    rng = random.Random(ell)
+    compared = 0
+    for n in range(1, 2 * ell):
+        ctx = RingCtx(ell, n)
+        m = ctx.modulus
+        lam_n = lift_digits([0] * n + [1], ell)
+        for _ in range(5):
+            c = [rng.randrange(m) for _ in range(ell - 1)]
+            r = [rng.randrange(1, m) for _ in range(ell - 1)]
+            x = CycloElt.from_poly(c, ctx)
+            y = CycloElt.from_poly([a + b for a, b in zip(c, mul_mod_phi(lam_n, r, ell))], ctx)
+            if x.coeffs == y.coeffs:  # lambda^n r can be 0 mod ell^k
+                continue
+            assert x == y and hash(x) == hash(y)
+            assert x != y.add_top(1)
+            compared += 1
+    assert compared

@@ -22,6 +22,7 @@ from lamadic.matrices import (
     lift_su,
     mat_zero,
     perm_embed,
+    random_slice,
     random_su_element,
     su_dimension_and_basis,
     weil_gram_and_epsilon,
@@ -29,6 +30,7 @@ from lamadic.matrices import (
 from ring_oracles import (
     det_cofactor,
     filtration_order_sum,
+    random_slice_by_basis_sum,
     random_su_element_by_twist_products,
     su_slice_predicate,
 )
@@ -357,6 +359,20 @@ def test_random_su_element_matches_twist_products(ell, d):
             got = random_su_element(form1, 5, random.Random(seed))
             want = random_su_element_by_twist_products(form1, 5, random.Random(seed))
             assert got == want and got.ctx == want.ctx
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_random_slice_matches_the_dense_basis_sum(ell):
+    for d in range(2, 7):
+        for sign in (1, -1):
+            form = HermitianForm.standard(RingCtx(ell, 1), d, sign)
+            for parity in (0, 1):
+                for seed in range(3):
+                    rng_got, rng_want = random.Random(seed), random.Random(seed)
+                    got = random_slice(form, parity, rng_got)
+                    assert got == random_slice_by_basis_sum(form, parity, rng_want)
+                    assert rng_got.random() == rng_want.random()  # same number of draws
+                    assert su_slice_predicate(got, form.gamma, ell, parity)
 
 
 def test_inverse_neumann_needs_a_level_one_matrix():

@@ -12,7 +12,10 @@ from lamadic.ring import (
     div_by_int,
     exp,
     is_prime,
+    digits_from_poly,
     jacobi,
+    lambda_digit,
+    lambda_order,
     log1p,
     poly_from_digits,
     zeta_poly_galois,
@@ -199,6 +202,37 @@ def test_in_lambda_n_oracle_on_lambda_powers():
         # ell = lambda^(ell-1) * unit
         ell_poly = [ell] + [0] * (ell - 2)
         assert in_lambda_n(ell_poly, ell, ell - 1) and not in_lambda_n(ell_poly, ell, ell)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_lambda_order_and_digit_match_the_digit_expansion(ell):
+    """lambda_order and lambda_digit read the lambda basis; they must agree
+    with the norm oracle and with the expanded digits, for the reduced
+    coefficients and for other integer representatives of the element."""
+    rng = random.Random(ell)
+    for n in range(1, 3 * (ell - 1) + 2):  # passes n = (ell-1), 2(ell-1), 3(ell-1)
+        ctx = RingCtx(ell, n)
+        m = ctx.modulus
+        samples = [CycloElt.zero(ctx)]
+        samples += [CycloElt.lam(ctx, j) for j in range(n)]
+        samples += [CycloElt.from_int(s * ell**j, ctx)
+                    for j in range(-(-n // (ell - 1)) + 1) for s in (1, -1)]
+        for _ in range(12):
+            x = CycloElt.from_reduced(tuple(rng.randrange(m) for _ in range(ell - 1)), ctx)
+            samples += [x, CycloElt.lam(ctx, rng.randrange(n)) * x]
+        for e in samples:
+            digits = digits_from_poly(e.coeffs, ell, n)
+            order = next((i for i, x in enumerate(digits) if x), n)
+            assert in_lambda_n(e.coeffs, ell, order)
+            assert order == n or not in_lambda_n(e.coeffs, ell, order + 1)
+            shifted = [c + rng.randrange(-3, 4) * m for c in e.coeffs]
+            for coeffs in (e.coeffs, shifted):
+                assert lambda_order(coeffs, ell, n) == order
+                for cap in range(n):
+                    assert lambda_order(coeffs, ell, cap) == min(order, cap)
+                for t in range(min(order + 1, n)):
+                    assert lambda_digit(coeffs, ell, t) == digits[t], (n, e, t)
+            assert e.ord_lambda == order and e.is_zero() == (order == n)
 
 
 def test_multiplication_table_against_oracle():
