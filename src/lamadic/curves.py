@@ -201,6 +201,20 @@ def _small_primes():
     return list(compress(range(SMALL_PRIME_LIMIT), sieve))
 
 
+# Trial division takes one gcd with the product of each block of this many
+# consecutive table primes and scans only the blocks that share a factor.
+TRIAL_BLOCK = 64
+
+
+@cache
+def _prime_blocks():
+    """[(primes, their product)] for consecutive blocks of TRIAL_BLOCK
+    table primes, built on first use."""
+    table = _small_primes()
+    return [(block, prod(block)) for block in
+            (table[i:i + TRIAL_BLOCK] for i in range(0, len(table), TRIAL_BLOCK))]
+
+
 def _next_prime(p: int) -> int:
     """The least prime above p: from the table below SMALL_PRIME_LIMIT, by
     ring.is_prime above it."""
@@ -251,20 +265,27 @@ def _pollard_brent(n: int, rng: random.Random, budget: int):
 
 def factorize(n: int, budget: int = RHO_BUDGET):
     """(factor dict, leftover composite or 1).  Trial division by the
-    primes below SMALL_PRIME_LIMIT, then budgeted rho, with primality from
-    ring.is_prime (exact below 3.3e24, Baillie-PSW above).  Rho's walks are
-    seeded by 0, so the answer is deterministic."""
+    primes below SMALL_PRIME_LIMIT, a block of them at a time (a block
+    whose product is prime to n is skipped), stopping at the first prime p
+    with p^2 > n; then budgeted rho, with primality from ring.is_prime
+    (exact below 3.3e24, Baillie-PSW above).  Rho's walks are seeded by 0,
+    so the answer is deterministic."""
     if n == 0:
         raise DomainError("cannot factor zero")
     n = abs(n)
     rng = random.Random(0)
     factors = {}
-    for p in _small_primes():
-        if p * p > n:
+    for block, block_product in _prime_blocks():
+        if block[0] ** 2 > n:
             break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+        if gcd(block_product, n) == 1:
+            continue
+        for p in block:
+            if p * p > n:
+                break
+            while n % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                n //= p
     stack = [n] if n > 1 else []
     leftover = 1
     while stack:
@@ -343,10 +364,21 @@ def _poldivmod(a, b, m):
 
 
 def _polgcd(a, b, p):
-    """The monic gcd mod the prime p; a is nonzero."""
+    """The monic gcd mod the prime p; a is nonzero.  Each remainder is made
+    monic before it divides, so a division step needs no inverse and builds
+    no quotient."""
     a, b = _polmod(a, p), _polmod(b, p)
     while b != [0]:
-        a, b = b, _poldivmod(a, b, p)[1]
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        db = len(b) - 1
+        tail = b[:-1]
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] % p
+            if c:
+                for j, x in enumerate(tail, i - db):
+                    a[j] -= c * x
+        a, b = b, _polmod(a[:db] or [0], p)
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
@@ -409,7 +441,9 @@ def _distinct_degree(f: IntPoly, p: int):
     fc = _polmod(f.coeffs, p)
     if len(fc) - 1 != f.degree:
         return None
-    if len(_polgcd(fc, [i * c for i, c in enumerate(fc)][1:] or [0], p)) > 1:
+    # with its degree kept, f mod p is squarefree exactly when p does not
+    # divide disc f; a polynomial of degree at most 1 is squarefree
+    if f.degree > 1 and f.disc % p == 0:
         return None
     inv = pow(fc[-1], -1, p)
     rest = [c * inv % p for c in fc]

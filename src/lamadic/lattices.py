@@ -270,10 +270,24 @@ def rational_reduction_order(ell: int, r: int, m: int) -> int:
 
 def u_prime_reduction_exponent(ell: int, m: int) -> int:
     """log_ell of the order of the subgroup of O/lambda^m (additive)
-    generated by the log generators lambda^i - conj(lambda)^i."""
+    generated by the log generators lambda^i - conj(lambda)^i.
+
+    ell^k with k = ceil(m/(ell-1)) lies in lambda^m O, so it kills O/lambda^m
+    and both spans are folded modulo it (linalg.index_modulo), with no
+    determinant.  The fold of the relations alone must give the group
+    order ell^m = N(lambda)^m."""
     pres = additive_ring_presentation(ell, m)
-    cols = [list(c) for c in anti_fixed_basis_coords(ell)]
-    order = abelian_order(pres, cols)
+    g = pres.generators
+    rel_cols = [list(col) for col in zip(*pres.relations)]
+    kill = ell ** -(-m // (ell - 1))
+    total = linalg.index_modulo(g, rel_cols, kill)
+    if total != ell**m:
+        raise CheckFailed(f"O/lambda^{m} has order {total}, expected {ell}^{m}")
+    joint = linalg.index_modulo(
+        g, rel_cols + [list(c) for c in anti_fixed_basis_coords(ell)], kill)
+    if total % joint:
+        raise CheckFailed(f"subgroup index {joint} does not divide the group order {total}")
+    order = total // joint
     e = ord_p(order, ell)
     if ell**e != order:
         raise CheckFailed(f"subgroup order {order} is not a power of {ell}")

@@ -282,16 +282,25 @@ def _eliminate(rows, ctx: RingCtx, jordan: bool):
 
 
 def det_local(a: MatLocal) -> CycloElt:
-    """O-linear determinant by elimination on unit pivots (_eliminate).
+    """O-linear determinant.  No digits are expanded on any route.
 
-    Every column has a unit pivot exactly when the determinant is a unit,
-    as for every member of a congruence subgroup; the determinant is then
-    the signed product of the pivots, and no digits are expanded.
-    Otherwise the determinant is divisible by lambda and comes from the
-    division-free Berkowitz algorithm, which is exact for every matrix.
+    For A = I mod lambda (read from the residues, sum(coeffs) mod ell) at
+    precision n <= ell, the determinant comes from power traces
+    (_det_level_one): no division by a ring element.  Otherwise it comes
+    from elimination on unit pivots (_eliminate).  Every column has a unit
+    pivot exactly when the determinant is a unit, as for every member of a
+    congruence subgroup; the determinant is then the signed product of the
+    pivots.  Otherwise the determinant is divisible by lambda and comes
+    from the division-free Berkowitz algorithm, which is exact for every
+    matrix.
     """
-    eliminated = _eliminate([[e.coeffs for e in row] for row in a.entries], a.ctx,
-                            jordan=False)
+    ctx = a.ctx
+    ell = ctx.ell
+    rows = [[e.coeffs for e in row] for row in a.entries]
+    if ctx.precision <= ell and all(sum(c) % ell == (i == j)
+                                    for i, row in enumerate(rows) for j, c in enumerate(row)):
+        return _det_level_one(rows, ctx)
+    eliminated = _eliminate(rows, ctx, jordan=False)
     if eliminated is None:
         return _det_berkowitz(a)
     pivots, swaps = eliminated
@@ -299,6 +308,51 @@ def det_local(a: MatLocal) -> CycloElt:
     for p in pivots[1:]:
         det = det * p
     return -det if swaps % 2 else det
+
+
+def _det_level_one(rows, ctx: RingCtx) -> CycloElt:
+    """det(I + X) mod lambda^n for X = 0 mod lambda and n <= ell, given the
+    reduced coefficients of I + X.
+
+    det(I + X) = sum_k e_k(X), and e_k, a sum of k x k principal minors of
+    X, lies in lambda^k; so det = e_0 + ... + e_K mod lambda^n with
+    K = min(n-1, d) (e_k = 0 for k > d).  Newton's identities
+    k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i with p_i = tr(X^i) hold over
+    any commutative ring, and k < n <= ell is a unit mod the modulus.  Each
+    p_i is tr(X^floor(i/2) X^ceil(i/2)): one packed sum of d^2 products and
+    one reduction, after ceil(K/2) - 1 packed matrix products for the powers.
+    """
+    m = ctx.modulus
+    d = len(rows)
+    top = min(ctx.precision - 1, d)
+    w = product_width(ctx, d * d)
+    x = [[pack(((c[0] - 1) % m,) + c[1:] if i == j else c, w) for j, c in enumerate(row)]
+         for i, row in enumerate(rows)]
+    cols = list(zip(*x))
+    powers = [None, x]  # powers[k] holds the packed rows of X^k
+    for _ in range(2, (top + 1) // 2 + 1):
+        powers.append([
+            [pack(unpack_reduced(sum(map(mul, row, col)), w, ctx), w) for col in cols]
+            for row in powers[-1]
+        ])
+    # the power traces with their signs, (-1)^(i-1) tr(X^i), packed
+    signed = [pack(unpack_reduced(sum(x[i][i] for i in range(d)), w, ctx), w)]
+    for i in range(2, top + 1):
+        low, high = powers[i // 2], powers[i - i // 2]
+        tr = unpack_reduced(
+            sum(map(mul, (y for row in low for y in row), (y for col in zip(*high) for y in col))),
+            w, ctx)
+        signed.append(pack([-c % m for c in tr] if i % 2 == 0 else tr, w))
+    one = CycloElt.one(ctx).coeffs
+    elementary = [pack(one, w)]  # e_0, e_1, ..., packed
+    det = list(one)
+    for k in range(1, top + 1):
+        inv = pow(k, -1, m)
+        ek = [c * inv % m for c in unpack_reduced(
+            sum(map(mul, reversed(elementary), signed)), w, ctx)]
+        elementary.append(pack(ek, w))
+        det = [a + b for a, b in zip(det, ek)]
+    return CycloElt.from_reduced(tuple(c % m for c in det), ctx)
 
 
 def _det_berkowitz(a: MatLocal) -> CycloElt:

@@ -11,7 +11,9 @@ from lamadic.ring import DomainError
 from lamadic.curves import (
     _distinct_degree,
     _next_prime,
+    _polgcd,
     _pollard_brent,
+    _polmul,
     _polpow,
     _reduction_table,
     HypothesisError,
@@ -109,6 +111,75 @@ def test_factorize_matches_sympy_at_the_prime_table_boundary():
     for big in (99991, 99991**2, 100003, 99991 * 100003, 100003**2):
         for n in (big, big * rng.randrange(1, 10**3), big * rng.randrange(1, 10**8)):
             assert factorize(n, budget=20000) == (factorint(n), 1), n
+
+
+def _factor_by_trial_division(n):
+    """factorize's trial division, one table prime at a time."""
+    factors = {}
+    for p in curves._small_primes():
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    return factors
+
+
+def test_block_trial_division_matches_prime_by_prime():
+    """Same factor dicts, in the same order, as dividing by every table
+    prime; the products include primes at both ends of a block."""
+    table = curves._small_primes()
+    block = curves.TRIAL_BLOCK
+    edges = [table[i] for k in range(1, 5) for i in (block * k - 1, block * k)]
+    rng = random.Random(35)
+    for _ in range(300):
+        primes = rng.sample(edges, rng.randint(0, 3)) + [
+            rng.choice(table[:rng.choice((30, 300, len(table)))]) for _ in range(rng.randint(0, 4))]
+        n = prod(p ** rng.randint(1, 3) for p in primes) * rng.choice((1, 1, 100003, 10**12 + 39))
+        factors = _factor_by_trial_division(n)
+        got, leftover = factorize(n, budget=2000)
+        assert leftover == 1
+        assert list(got.items())[:len(factors)] == list(factors.items()), n
+        assert prod(p**e for p, e in got.items()) == n
+
+
+def test_polgcd_matches_sympy():
+    from sympy import GF, Poly, Symbol
+
+    x = Symbol("x")
+    rng = random.Random(36)
+    for p in (2, 3, 7, 97, 10007):
+        for _ in range(40):
+            common = [rng.randrange(p) for _ in range(rng.randint(0, 4))] + [1]
+            a = _polmul([rng.randrange(p) for _ in range(rng.randint(1, 8))], common, p)
+            b = _polmul([rng.randrange(p) for _ in range(rng.randint(1, 8))], common, p)
+            if a == [0]:
+                continue
+            want = Poly(a[::-1], x, domain=GF(p)).gcd(Poly(b[::-1], x, domain=GF(p)))
+            want = [c % p for c in want.monic().all_coeffs()[::-1]]
+            assert _polgcd(a, b, p) == want, (a, b, p)
+
+
+def test_distinct_degree_reads_squarefreeness_from_the_discriminant():
+    """None exactly when the degree drops or f mod p has a repeated factor,
+    for monic and non-monic f, f with a square factor over Q, and f of
+    degree at most 1."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random(37)
+    polys = [tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 9))) + (rng.choice(
+        (1, 2, 3, 6, -5)),) for _ in range(40)]
+    # a constant, 6x + 3, x - 7, (x + 1)^2 and (3x^2 - 2)^2
+    polys += [(1,), (3, 6), (-7, 1), (1, 2, 1), (4, 0, -12, 0, 9)]
+    for coeffs in polys:
+        f = IntPoly(coeffs)
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            reduced = sympy.Poly(coeffs[::-1], x, modulus=p)
+            squarefree = reduced.degree() == f.degree and all(
+                e == 1 for _, e in reduced.factor_list()[1])
+            blocks = _distinct_degree(f, p)
+            assert (blocks is not None) == squarefree, (coeffs, p)
 
 
 def test_next_prime_across_the_prime_table_boundary():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from lamadic.ring import CycloElt, DomainError, NotAUnit, RingCtx, exp as ring_exp
+from lamadic import lattices
+from lamadic.ring import CheckFailed, CycloElt, DomainError, NotAUnit, RingCtx, exp as ring_exp
 from lamadic.lattices import (
     AbelianPresentation,
     abelian_order,
@@ -20,9 +21,10 @@ from lamadic.lattices import (
     torsion_reduction_order,
     u_lr_member,
     u_prime_basis,
+    u_prime_reduction_exponent,
     u_reduction_order,
 )
-from lamadic.classnum import kappa_and_t, n_of
+from lamadic.classnum import kappa_and_t, n_of, ord_p
 from ring_oracles import (
     decompose_unit_by_search,
     rational_order_by_ell_powers,
@@ -173,6 +175,26 @@ def test_reduction_exponent_monotone_in_precision():
         total, parts = u_reduction_order(5, 2, m)
         assert parts["anti_fixed_exponent"] >= prev
         prev = parts["anti_fixed_exponent"]
+
+
+def test_reduction_exponent_matches_the_group_order_fold():
+    """The fold modulo ell^ceil(m/(ell-1)) gives the exponent that
+    abelian_order's fold modulo the group order gives."""
+    for ell in (3, 5, 7, 11, 13):
+        gens = [list(c) for c in anti_fixed_basis_coords(ell)]
+        for m in range(1, 3 * ell):
+            order = abelian_order(additive_ring_presentation(ell, m), gens)
+            assert u_prime_reduction_exponent(ell, m) == ord_p(order, ell), (ell, m)
+
+
+def test_reduction_exponent_checks_the_group_order(monkeypatch):
+    # relations for lambda^(m+1) in place of lambda^m: ell^2 still kills the
+    # quotient at (5, 6), whose order is then 5^7, not 5^6
+    right = additive_ring_presentation
+    monkeypatch.setattr(lattices, "additive_ring_presentation",
+                        lambda ell, m: right(ell, m + 1))
+    with pytest.raises(CheckFailed, match="has order"):
+        u_prime_reduction_exponent(5, 6)
 
 
 def test_reduction_orders_match_powering():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lamadic import matrices
 from lamadic.linalg import echelon_mod
 from lamadic.ring import CheckFailed, CycloElt, RingCtx
 from lamadic.matrices import (
@@ -147,6 +148,99 @@ def test_det_local_of_su_members_matches_oracle():
         form = HermitianForm.standard(RingCtx(ell, 1), d, -1)
         a = random_su_element(form, n, rng)
         assert det_local(a) == det_cofactor(a) == CycloElt.one(a.ctx)
+
+
+def _level_one(ctx, d, rng):
+    """A random d x d matrix with A = I mod lambda."""
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    higher = [[[rng.randrange(ctx.ell) for _ in range(d)] for _ in range(d)]
+              for _ in range(ctx.precision - 1)]
+    return MatLocal.from_digit_matrices(ctx, d, [ident] + higher)
+
+
+def _det_by_elimination(a):
+    """The signed product of _eliminate's pivots."""
+    pivots, swaps = matrices._eliminate([[e.coeffs for e in row] for row in a.entries],
+                                        a.ctx, jordan=False)
+    det = CycloElt.one(a.ctx)
+    for p in pivots:
+        det = det * p
+    return -det if swaps % 2 else det
+
+
+def _count_eliminations(monkeypatch):
+    calls = []
+    eliminate = matrices._eliminate
+
+    def spy(rows, ctx, jordan):
+        calls.append((ctx, jordan))
+        return eliminate(rows, ctx, jordan)
+
+    monkeypatch.setattr(matrices, "_eliminate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_det_local_from_power_traces_matches_oracles(ell, monkeypatch):
+    """Every precision n <= ell, with d < n - 1 as well as d >= n - 1: the
+    trace route takes every level-one matrix, and agrees with the cofactor
+    expansion (d <= 5) and with the pivot product of the elimination."""
+    rng = random.Random(ell)
+    cases = []
+    for n in range(1, ell + 1):
+        ctx = RingCtx(ell, n)
+        for d in (1, 2, 3, 5, 8):
+            cases += [_level_one(ctx, d, rng) for _ in range(2)]
+    want = [_det_by_elimination(a) for a in cases]
+    calls = _count_eliminations(monkeypatch)
+    got = [det_local(a) for a in cases]
+    assert calls == []
+    for a, g, w in zip(cases, got, want):
+        assert g == w, (a.ctx, a.dim)
+        if a.dim <= 5:
+            assert g == det_cofactor(a), (a.ctx, a.dim)
+    # an identity matrix and scalar lambda-multiples from the identity
+    for n in (1, 2, ell):
+        ctx = RingCtx(ell, n)
+        for d in (1, 4):
+            assert det_local(MatLocal.identity(ctx, d)) == CycloElt.one(ctx)
+            ident = MatLocal.identity(ctx, d)
+            a = ident + ident.scale(CycloElt.lam(ctx, 1))
+            assert det_local(a) == (CycloElt.one(ctx) + CycloElt.lam(ctx, 1)) ** d
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_det_local_past_ell_or_off_level_one_eliminates(ell, monkeypatch):
+    """At n = ell + 1 the divisions by k < n are no longer by units, so a
+    level-one matrix (d >= ell, where e_ell counts) takes the elimination;
+    so does a unit that is not I mod lambda at n <= ell."""
+    rng = random.Random(100 + ell)
+    calls = _count_eliminations(monkeypatch)
+    for d in (ell, ell + 2):
+        a = _level_one(RingCtx(ell, ell + 1), d, rng)
+        assert det_local(a) == _det_berkowitz(a)
+    assert len(calls) == 2
+    calls.clear()
+    ctx = RingCtx(ell, ell)
+    a = _level_one(ctx, 3, rng)
+    swapped = MatLocal.from_rows([a.entries[1], a.entries[0], a.entries[2]])
+    assert det_local(swapped) == -det_local(a)
+    assert len(calls) == 1
+
+
+def test_level_one_chain_makes_no_elimination(monkeypatch):
+    """An (ell, d, n) = (11, 10, 4) lift chain, as in the benchmark: every
+    determinant of lift_su and classify_membership comes from power traces."""
+    form1 = HermitianForm.standard(RingCtx(11, 1), 10, -1)
+    a = random_su_element(form1, 3, random.Random(7))
+    calls = _count_eliminations(monkeypatch)
+    dets = []
+    det_local_ = matrices.det_local
+    monkeypatch.setattr(matrices, "det_local", lambda m: dets.append(m) or det_local_(m))
+    lifted = lift_su(a, HermitianForm.standard(RingCtx(11, 3), 10, -1))
+    verdict = classify_membership(lifted, HermitianForm.standard(RingCtx(11, 4), 10, -1))
+    assert verdict.kind == "SU"
+    assert len(dets) == 2 and calls == []
 
 
 def test_det_base_is_galois_stable():
