@@ -12,6 +12,7 @@ from operator import mul
 
 from .linalg import echelon_mod
 from .ring import (
+    _ord_ell_factorial,
     CheckFailed,
     CycloElt,
     ContextMismatch,
@@ -113,17 +114,24 @@ class MatLocal:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _check_dim(self, other: "MatLocal"):
+        if self.dim != other.dim:
+            raise ValueError(f"matrix dimensions differ: {self.dim} vs {other.dim}")
+
     def __add__(self, other: "MatLocal") -> "MatLocal":
+        self._check_dim(other)
         return MatLocal.from_rows(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other: "MatLocal") -> "MatLocal":
+        self._check_dim(other)
         return MatLocal.from_rows(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         )
 
     def __mul__(self, other: "MatLocal") -> "MatLocal":
+        self._check_dim(other)
         if self.ctx != other.ctx:
             raise ContextMismatch("matrix contexts differ")
         # Each entry is packed once; an output entry sums d packed products
@@ -185,8 +193,10 @@ class MatLocal:
 
     def inverse(self) -> "MatLocal":
         """Gauss-Jordan inverse of [A | I] by the packed elimination kernel
-        (_eliminate); pivots must be units after row swaps.  No digits are
-        expanded: pivots are found by their residues."""
+        (_eliminate), which serves only the inverse: determinants come from
+        power traces (det_local).  MembershipError when a column has no
+        unit pivot after row swaps, that is when det A is not a unit.  No
+        digits are expanded: pivots are found by their residues."""
         d = self.dim
         ctx = self.ctx
         one, zero = CycloElt.one(ctx).coeffs, CycloElt.zero(ctx).coeffs
@@ -194,7 +204,7 @@ class MatLocal:
             [e.coeffs for e in row] + [one if i == j else zero for j in range(d)]
             for i, row in enumerate(self.entries)
         ]
-        if _eliminate(rows, ctx, jordan=True) is None:
+        if not _eliminate(rows, ctx):
             raise MembershipError("matrix is not invertible over the local ring")
         return MatLocal(ctx, tuple(
             tuple(CycloElt.from_reduced(c, ctx) for c in row[d:]) for row in rows
@@ -237,40 +247,34 @@ class MatLocal:
 
 
 # ---------------------------------------------------------------------------
-# Determinants.
+# The Gauss-Jordan kernel of the inverse, and determinants.
 
 
-def _eliminate(rows, ctx: RingCtx, jordan: bool):
-    """Elimination on unit pivots in the first len(rows) columns of `rows`,
-    lists of reduced coefficient tuples, in place; O(d^3) packed updates.
+def _eliminate(rows, ctx: RingCtx) -> bool:
+    """Gauss-Jordan elimination on unit pivots in the first len(rows)
+    columns of `rows`, lists of reduced coefficient tuples, in place;
+    O(d^3) packed updates.
 
     Per pivot column, the pivot row is scaled to 1 at the pivot, then
-    negated and packed once at product_width(ctx, 2).  Each entry x of a
-    row with f != 0 in the pivot column becomes unpack(pack(x) + f * (-p)):
-    one integer product and one reduction, no ring objects.  Rows below the
-    pivot are cleared, and with `jordan` the rows above it too.  Returns
-    the pivots and the number of row swaps, or None when a column has no
-    unit pivot.  Pivots are found by their residues; no digits are expanded.
+    negated and packed once at product_width(ctx, 2).  Each entry x of
+    another row with f != 0 in the pivot column becomes
+    unpack(pack(x) + f * (-p)): one integer product and one reduction, no
+    ring objects.  Returns False when a column has no unit pivot.  Pivots
+    are found by their residues; no digits are expanded.
     """
     ell, m = ctx.ell, ctx.modulus
     d = len(rows)
     w1, w2 = ctx.width, product_width(ctx, 2)
-    pivots, swaps = [], 0
     for col in range(d):
         piv = next((r for r in range(col, d) if sum(rows[r][col]) % ell), None)
         if piv is None:
-            return None
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            swaps += 1
-        pivot = CycloElt.from_reduced(rows[col][col], ctx)
-        pivots.append(pivot)
-        p_inv = pack(pivot.inverse().coeffs, w1)
+            return False
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p_inv = pack(CycloElt.from_reduced(rows[col][col], ctx).inverse().coeffs, w1)
         scaled = [unpack_reduced(p_inv * pack(x, w1), w1, ctx) for x in rows[col][col + 1:]]
         rows[col][col + 1:] = scaled
         neg = [pack([-c % m for c in x], w2) for x in scaled]
-        for r in range(0 if jordan else col + 1, d):
-            row = rows[r]
+        for r, row in enumerate(rows):
             if r == col or not any(row[col]):
                 continue
             f = pack(row[col], w2)
@@ -278,118 +282,65 @@ def _eliminate(rows, ctx: RingCtx, jordan: bool):
                 unpack_reduced(pack(x, w2) + f * p, w2, ctx)
                 for x, p in zip(row[col + 1:], neg)
             ]
-    return pivots, swaps
+    return True
 
 
 def det_local(a: MatLocal) -> CycloElt:
-    """O-linear determinant.  No digits are expanded on any route.
+    """O-linear determinant from power traces by Newton's identities, for
+    every matrix.  No digits are expanded and no ring element is inverted.
 
-    For A = I mod lambda (read from the residues, sum(coeffs) mod ell) at
-    precision n <= ell, the determinant comes from power traces
-    (_det_level_one): no division by a ring element.  Otherwise it comes
-    from elimination on unit pivots (_eliminate).  Every column has a unit
-    pivot exactly when the determinant is a unit, as for every member of a
-    congruence subgroup; the determinant is then the signed product of the
-    pivots.  Otherwise the determinant is divisible by lambda and comes
-    from the division-free Berkowitz algorithm, which is exact for every
-    matrix.
+    With A = I + X, det A = e_0 + ... + e_d, where e_k = e_k(X) is the sum
+    of the k x k principal minors of X.  For A = I mod lambda (read from
+    the residues, sum(coeffs) mod ell) e_k lies in lambda^k, so
+    K = min(n-1, d) terms suffice; otherwise K = d.  Newton's identities
+    k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i with p_i = tr(X^i) hold over
+    any commutative ring.  Dividing by k = ell^s k' (div_by_int) loses
+    (ell-1)s digits, so the coefficients of A are lifted to precision
+    n + (ell-1) v_ell(K!), where every e_k, k <= K, is still known mod
+    lambda^n; CheckFailed if k e_k is not divisible by k.  Each p_i is
+    tr(X^floor(i/2) X^ceil(i/2)): one packed sum of d^2 products and one
+    reduction, after ceil(K/2) - 1 packed matrix products for the powers.
     """
     ctx = a.ctx
-    ell = ctx.ell
+    ell, n = ctx.ell, ctx.precision
     rows = [[e.coeffs for e in row] for row in a.entries]
-    if ctx.precision <= ell and all(sum(c) % ell == (i == j)
-                                    for i, row in enumerate(rows) for j, c in enumerate(row)):
-        return _det_level_one(rows, ctx)
-    eliminated = _eliminate(rows, ctx, jordan=False)
-    if eliminated is None:
-        return _det_berkowitz(a)
-    pivots, swaps = eliminated
-    det = pivots[0]
-    for p in pivots[1:]:
-        det = det * p
-    return -det if swaps % 2 else det
-
-
-def _det_level_one(rows, ctx: RingCtx) -> CycloElt:
-    """det(I + X) mod lambda^n for X = 0 mod lambda and n <= ell, given the
-    reduced coefficients of I + X.
-
-    det(I + X) = sum_k e_k(X), and e_k, a sum of k x k principal minors of
-    X, lies in lambda^k; so det = e_0 + ... + e_K mod lambda^n with
-    K = min(n-1, d) (e_k = 0 for k > d).  Newton's identities
-    k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i with p_i = tr(X^i) hold over
-    any commutative ring, and k < n <= ell is a unit mod the modulus.  Each
-    p_i is tr(X^floor(i/2) X^ceil(i/2)): one packed sum of d^2 products and
-    one reduction, after ceil(K/2) - 1 packed matrix products for the powers.
-    """
-    m = ctx.modulus
     d = len(rows)
-    top = min(ctx.precision - 1, d)
-    w = product_width(ctx, d * d)
+    level_one = all(sum(c) % ell == (i == j)
+                    for i, row in enumerate(rows) for j, c in enumerate(row))
+    top = min(n - 1, d) if level_one else d
+    ext = ctx.at_precision(n + (ell - 1) * _ord_ell_factorial(top, ell))
+    m = ext.modulus
+    w = product_width(ext, d * d)
     x = [[pack(((c[0] - 1) % m,) + c[1:] if i == j else c, w) for j, c in enumerate(row)]
          for i, row in enumerate(rows)]
     cols = list(zip(*x))
     powers = [None, x]  # powers[k] holds the packed rows of X^k
     for _ in range(2, (top + 1) // 2 + 1):
         powers.append([
-            [pack(unpack_reduced(sum(map(mul, row, col)), w, ctx), w) for col in cols]
+            [pack(unpack_reduced(sum(map(mul, row, col)), w, ext), w) for col in cols]
             for row in powers[-1]
         ])
     # the power traces with their signs, (-1)^(i-1) tr(X^i), packed
-    signed = [pack(unpack_reduced(sum(x[i][i] for i in range(d)), w, ctx), w)]
+    signed = [pack(unpack_reduced(sum(x[i][i] for i in range(d)), w, ext), w)]
     for i in range(2, top + 1):
         low, high = powers[i // 2], powers[i - i // 2]
         tr = unpack_reduced(
             sum(map(mul, (y for row in low for y in row), (y for col in zip(*high) for y in col))),
-            w, ctx)
+            w, ext)
         signed.append(pack([-c % m for c in tr] if i % 2 == 0 else tr, w))
-    one = CycloElt.one(ctx).coeffs
+    one = CycloElt.one(ext).coeffs
     elementary = [pack(one, w)]  # e_0, e_1, ..., packed
     det = list(one)
     for k in range(1, top + 1):
-        inv = pow(k, -1, m)
-        ek = [c * inv % m for c in unpack_reduced(
-            sum(map(mul, reversed(elementary), signed)), w, ctx)]
+        kek = CycloElt.from_reduced(
+            unpack_reduced(sum(map(mul, reversed(elementary), signed)), w, ext), ext)
+        try:
+            ek = div_by_int(kek, k).coeffs
+        except DomainError as e:
+            raise CheckFailed(f"k e_k is not divisible by k = {k}") from e
         elementary.append(pack(ek, w))
         det = [a + b for a, b in zip(det, ek)]
-    return CycloElt.from_reduced(tuple(c % m for c in det), ctx)
-
-
-def _det_berkowitz(a: MatLocal) -> CycloElt:
-    """Determinant from Berkowitz's characteristic polynomial: O(d^4) ring
-    multiplications and no division, so exact over any commutative ring.
-
-    With A_k the trailing (d-k) x (d-k) block of A, the coefficients of
-    det(x - A_k) are those of det(x - A_(k+1)) multiplied by the lower
-    triangular Toeplitz matrix with first column 1, -a_kk, -R C, -R M C,
-    -R M^2 C, ..., where a_kk, row R, column C and block M = A_(k+1)
-    partition A_k.
-    """
-    d = a.dim
-    e = a.entries
-    one = CycloElt.one(a.ctx)
-    poly = [one, -e[d - 1][d - 1]]  # det(x - A_(d-1)), leading coefficient first
-    for k in range(d - 2, -1, -1):
-        size = d - k
-        row = e[k][k + 1:]
-        col = [e[i][k] for i in range(k + 1, d)]
-        toeplitz = [one, -e[k][k]]
-        for j in range(size - 1):
-            toeplitz.append(-_dot(row, col))
-            if j < size - 2:
-                col = [_dot(e[i][k + 1:], col) for i in range(k + 1, d)]
-        poly = [
-            _dot([toeplitz[i - j] for j in range(min(i, size - 1) + 1)], poly)
-            for i in range(size + 1)
-        ]
-    return -poly[d] if d % 2 else poly[d]
-
-
-def _dot(xs, ys) -> CycloElt:
-    total = xs[0] * ys[0]
-    for x, y in zip(xs[1:], ys[1:]):
-        total = total + x * y
-    return total
+    return CycloElt.from_reduced(tuple(c % ctx.modulus for c in det), ctx)
 
 
 def det_base(a: MatLocal) -> CycloElt:
@@ -466,14 +417,21 @@ class MembershipVerdict:
         return self.kind != "none"
 
 
+def _check_form(a: MatLocal, form: HermitianForm):
+    """ValueError unless A has the form's dimension and ell."""
+    if a.dim != form.dim:
+        raise ValueError("dimension mismatch")
+    if a.ctx.ell != form.ctx.ell:
+        raise ValueError(f"form is over ell = {form.ctx.ell}, matrix over ell = {a.ctx.ell}")
+
+
 def classify_membership(a: MatLocal, form: HermitianForm) -> MembershipVerdict:
     """Test A^dagger Gamma A = mu Gamma; refine GU -> U -> SU.
 
     mu is read off the (1,1) position and then checked everywhere.  For
     members, the identity conj(det) * det = mu^d is checked as well.
     """
-    if a.dim != form.dim:
-        raise ValueError("dimension mismatch")
+    _check_form(a, form)
     h = a.dagger() * form.gram_times(a)
     mu = div_by_int(h.entries[0][0], form.gamma[0])
     zero = CycloElt.zero(a.ctx)
@@ -619,8 +577,7 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     """
     ell = a.ctx.ell
     n = a.ctx.precision + 1
-    if a.dim != form.dim:
-        raise ValueError("dimension mismatch")
+    _check_form(a, form)
     if any(sum(e.coeffs) % ell != int(i == j)
            for i, row in enumerate(a.entries) for j, e in enumerate(row)):
         raise MembershipError("lift_su needs A = I mod lambda")

@@ -652,7 +652,7 @@ def log1p(x: CycloElt) -> CycloElt:
         smax += 1
         p *= ell
     n_ext = n + (ell - 1) * smax
-    w_ext = w.pad_zero(n_ext)
+    w_ext = CycloElt.from_reduced(w.coeffs, ctx.at_precision(n_ext))  # any lift will do
     total = CycloElt.zero(ctx.at_precision(n))
     power = CycloElt.one(ctx.at_precision(n_ext))
     for k in range(1, kmax + 1):
@@ -671,7 +671,7 @@ def exp(x: CycloElt) -> CycloElt:
         raise DomainError("exp requires ord_lambda(x) >= 2")
     kmax = n  # term k has valuation >= k + 1
     n_ext = n + (ell - 1) * _ord_ell_factorial(kmax, ell)
-    x_ext = x.pad_zero(n_ext)
+    x_ext = CycloElt.from_reduced(x.coeffs, ctx.at_precision(n_ext))  # any lift will do
     total = CycloElt.one(ctx.at_precision(n))
     power = CycloElt.one(ctx.at_precision(n_ext))
     fact = 1

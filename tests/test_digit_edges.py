@@ -11,7 +11,14 @@ from pathlib import Path
 import pytest
 
 import lamadic.ring as ring
-from lamadic.matrices import HermitianForm, classify_membership, lift_su, random_su_element
+from lamadic.matrices import (
+    HermitianForm,
+    MatLocal,
+    classify_membership,
+    det_local,
+    lift_su,
+    random_su_element,
+)
 from lamadic.ring import CycloElt, RingCtx
 from ring_oracles import lift_digits, mul_mod_phi
 
@@ -105,6 +112,34 @@ def test_a_lift_chain_expands_no_digits(monkeypatch, ell):
         a = random_su_element(form, 4, random.Random(f"{ell}/{d}"))
         assert classify_membership(lift_su(a, form), form).kind == "SU"
     assert expansions == []
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11])
+def test_det_local_past_ell_expands_no_digits(monkeypatch, ell):
+    """At n > ell, Newton's identities divide by ell at an extended
+    precision; level-one matrices, other units and non-units alike take no
+    digit expansion."""
+    rng = random.Random(ell)
+    n = ell + 2
+    mats = []
+    for d in (ell, ell + 1):
+        for residues in (lambda i, j: int(i == j), lambda i, j: rng.randrange(ell),
+                         lambda i, j: int(j == 0)):
+            digit_mats = [[[residues(i, j) for j in range(d)] for i in range(d)]]
+            digit_mats += [[[rng.randrange(ell) for _ in range(d)] for _ in range(d)]
+                           for _ in range(n - 1)]
+            mats.append(MatLocal.from_digit_matrices(RingCtx(ell, n), d, digit_mats))
+    expand = ring.digits_from_poly
+    expansions = []
+
+    def counting(poly, ell, n):
+        expansions.append(n)
+        return expand(poly, ell, n)
+
+    monkeypatch.setattr(ring, "digits_from_poly", counting)
+    dets = [det_local(a) for a in mats]
+    assert expansions == []
+    assert [det.is_unit for det in dets[2::3]] == [False, False]
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11])

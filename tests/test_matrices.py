@@ -9,9 +9,8 @@ import pytest
 
 from lamadic import matrices
 from lamadic.linalg import echelon_mod
-from lamadic.ring import CheckFailed, CycloElt, RingCtx
+from lamadic.ring import CheckFailed, CycloElt, DomainError, RingCtx
 from lamadic.matrices import (
-    _det_berkowitz,
     HermitianForm,
     MatLocal,
     MembershipError,
@@ -92,10 +91,9 @@ def test_det_local_matches_cofactor_oracle(ell, n):
         for a in mats:
             want = det_cofactor(a)
             assert det_local(a) == want, (d, a)
-            assert _det_berkowitz(a) == want, (d, a)
             if not want.is_unit and not want.is_zero():
                 non_units += 1
-    assert non_units >= 10  # the Berkowitz fallback of det_local ran
+    assert non_units >= 10  # nonzero non-units were met
 
 
 def _residues_and_lifts(ctx, d, rng, residues):
@@ -118,10 +116,10 @@ def _first_pivot_needs_a_swap(ctx, d, rng):
 @pytest.mark.parametrize("ell, n", [(3, 8), (11, 12)])
 def test_packed_elimination_at_wide_slots(ell, n):
     """The modulus is ell^4 at (3, 8) and ell^2 at (11, 12), so the packed
-    slots are wider than at modulus ell.  det_local and the inverse share
-    the elimination; a row swap at the first pivot and a matrix with no
-    unit pivot (Berkowitz for the determinant, MembershipError for the
-    inverse) are both met."""
+    slots are wider than at modulus ell.  The inverse's elimination meets a
+    row swap at the first pivot and a matrix with no unit pivot
+    (MembershipError); det_local takes all three matrices, none of them
+    I mod lambda, by power traces at an extended precision."""
     rng = random.Random(ell * 1000 + n)
     ctx = RingCtx(ell, n)
     assert ctx.modulus == ell ** (4 if ell == 3 else 2)
@@ -158,47 +156,18 @@ def _level_one(ctx, d, rng):
     return MatLocal.from_digit_matrices(ctx, d, [ident] + higher)
 
 
-def _det_by_elimination(a):
-    """The signed product of _eliminate's pivots."""
-    pivots, swaps = matrices._eliminate([[e.coeffs for e in row] for row in a.entries],
-                                        a.ctx, jordan=False)
-    det = CycloElt.one(a.ctx)
-    for p in pivots:
-        det = det * p
-    return -det if swaps % 2 else det
-
-
-def _count_eliminations(monkeypatch):
-    calls = []
-    eliminate = matrices._eliminate
-
-    def spy(rows, ctx, jordan):
-        calls.append((ctx, jordan))
-        return eliminate(rows, ctx, jordan)
-
-    monkeypatch.setattr(matrices, "_eliminate", spy)
-    return calls
-
-
 @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
-def test_det_local_from_power_traces_matches_oracles(ell, monkeypatch):
-    """Every precision n <= ell, with d < n - 1 as well as d >= n - 1: the
-    trace route takes every level-one matrix, and agrees with the cofactor
-    expansion (d <= 5) and with the pivot product of the elimination."""
+def test_det_local_from_power_traces_matches_oracles(ell):
+    """Every precision n <= ell, with d < n - 1 as well as d >= n - 1: no
+    division by ell is met, and det_local agrees with the cofactor
+    expansion."""
     rng = random.Random(ell)
-    cases = []
     for n in range(1, ell + 1):
         ctx = RingCtx(ell, n)
         for d in (1, 2, 3, 5, 8):
-            cases += [_level_one(ctx, d, rng) for _ in range(2)]
-    want = [_det_by_elimination(a) for a in cases]
-    calls = _count_eliminations(monkeypatch)
-    got = [det_local(a) for a in cases]
-    assert calls == []
-    for a, g, w in zip(cases, got, want):
-        assert g == w, (a.ctx, a.dim)
-        if a.dim <= 5:
-            assert g == det_cofactor(a), (a.ctx, a.dim)
+            for _ in range(2):
+                a = _level_one(ctx, d, rng)
+                assert det_local(a) == det_cofactor(a), (a.ctx, a.dim)
     # an identity matrix and scalar lambda-multiples from the identity
     for n in (1, 2, ell):
         ctx = RingCtx(ell, n)
@@ -210,37 +179,53 @@ def test_det_local_from_power_traces_matches_oracles(ell, monkeypatch):
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
-def test_det_local_past_ell_or_off_level_one_eliminates(ell, monkeypatch):
-    """At n = ell + 1 the divisions by k < n are no longer by units, so a
-    level-one matrix (d >= ell, where e_ell counts) takes the elimination;
-    so does a unit that is not I mod lambda at n <= ell."""
+def test_det_local_past_ell_or_off_level_one_matches_cofactor(ell, monkeypatch):
+    """The cells where Newton's identities divide by ell: level-one
+    matrices at n > ell with d >= ell, and units that are not I mod lambda
+    and non-units (K = d) at n <= ell and n > ell.  A division that is not
+    exact is a CheckFailed."""
     rng = random.Random(100 + ell)
-    calls = _count_eliminations(monkeypatch)
-    for d in (ell, ell + 2):
-        a = _level_one(RingCtx(ell, ell + 1), d, rng)
-        assert det_local(a) == _det_berkowitz(a)
-    assert len(calls) == 2
-    calls.clear()
-    ctx = RingCtx(ell, ell)
-    a = _level_one(ctx, 3, rng)
+    for n in (ell, ell + 1, 2 * ell + 1):
+        ctx = RingCtx(ell, n)
+        for d in sorted({ell, ell + 2, 6}):  # at (3, 7, 6), e_6 divides by ell twice
+            cases = [_level_one(ctx, d, rng), rand_mat(ctx, d, rng),
+                     _first_pivot_needs_a_swap(ctx, d, rng), _singular_mod_lambda(ctx, d, rng)]
+            for a in cases:
+                assert det_local(a) == det_cofactor(a), (n, d)
+            assert det_local(cases[2]).is_unit and not det_local(cases[3]).is_unit
+    a = _level_one(RingCtx(ell, ell), 3, rng)
     swapped = MatLocal.from_rows([a.entries[1], a.entries[0], a.entries[2]])
     assert det_local(swapped) == -det_local(a)
-    assert len(calls) == 1
+
+    def inexact(x, k):
+        raise DomainError("planted")
+
+    monkeypatch.setattr(matrices, "div_by_int", inexact)
+    with pytest.raises(CheckFailed):
+        det_local(swapped)
 
 
 def test_level_one_chain_makes_no_elimination(monkeypatch):
-    """An (ell, d, n) = (11, 10, 4) lift chain, as in the benchmark: every
-    determinant of lift_su and classify_membership comes from power traces."""
+    """An (ell, d, n) = (11, 10, 4) lift chain, as in the benchmark: its two
+    determinants, one in lift_su and one in classify_membership, match the
+    cofactor expansion, and no Gauss-Jordan elimination runs."""
     form1 = HermitianForm.standard(RingCtx(11, 1), 10, -1)
     a = random_su_element(form1, 3, random.Random(7))
-    calls = _count_eliminations(monkeypatch)
+    calls = []
+    eliminate = matrices._eliminate
+    monkeypatch.setattr(matrices, "_eliminate",
+                        lambda rows, ctx: calls.append(ctx) or eliminate(rows, ctx))
     dets = []
     det_local_ = matrices.det_local
-    monkeypatch.setattr(matrices, "det_local", lambda m: dets.append(m) or det_local_(m))
+    monkeypatch.setattr(matrices, "det_local",
+                        lambda m: dets.append((m, det_local_(m))) or dets[-1][1])
     lifted = lift_su(a, HermitianForm.standard(RingCtx(11, 3), 10, -1))
     verdict = classify_membership(lifted, HermitianForm.standard(RingCtx(11, 4), 10, -1))
     assert verdict.kind == "SU"
     assert len(dets) == 2 and calls == []
+    for m, det in dets:
+        assert det == det_cofactor(m)
+    assert dets[-1][1] == CycloElt.one(lifted.ctx)
 
 
 def test_det_base_is_galois_stable():
@@ -420,6 +405,29 @@ def test_lift_su_rejects_gu_members_and_level_one_non_members():
         lift_su(shear, form)
     with pytest.raises(ValueError):
         lift_su(MatLocal.identity(ctx, 3), form)
+
+
+def test_forms_over_another_ell_are_rejected():
+    """A member at ell = 5 against a form over ell = 7: Gamma^(-1) mod 7
+    would build a wrong correction, so both entry points refuse it."""
+    form5 = HermitianForm(RingCtx(5, 1), (1, 1, 3), legendre(3, 5))
+    form7 = HermitianForm(RingCtx(7, 1), (1, 1, 3), legendre(3, 7))
+    for seed in range(6):
+        a = random_su_element(form5, 3, random.Random(seed))
+        assert classify_membership(lift_su(a, form5), form5).kind == "SU"
+        with pytest.raises(ValueError, match="ell"):
+            lift_su(a, form7)
+        with pytest.raises(ValueError, match="ell"):
+            classify_membership(a, form7)
+
+
+def test_matrix_arithmetic_rejects_differing_dimensions():
+    ctx = RingCtx(5, 2)
+    i2, i3 = MatLocal.identity(ctx, 2), MatLocal.identity(ctx, 3)
+    for a, b in ((i2, i3), (i3, i2)):
+        for op in (a.__add__, a.__sub__, a.__mul__):
+            with pytest.raises(ValueError, match="dimensions differ"):
+                op(b)
 
 
 def test_lift_su_raises_at_each_membership_check(monkeypatch):
