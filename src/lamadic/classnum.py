@@ -20,6 +20,8 @@ def _check_r(ell: int, r: int):
     check_odd_prime(ell)
     if r % ell == 0:
         raise DomainError(f"ell = {ell} must not divide r = {r}")
+    if r < 2:
+        raise DomainError("need r >= 2")
 
 
 def n_of(ell: int, r: int, j: int) -> int:
@@ -48,8 +50,6 @@ def c_lr(ell: int, r: int):
     c = (r^r_ell - 1)^((ell-1)/(2 r_ell)) for odd r_ell,
     c = (r^(r_ell/2) + 1)^((ell-1)/r_ell) for even r_ell."""
     _check_r(ell, r)
-    if r < 2:
-        raise DomainError("need r >= 2")
     r_ell = 1
     acc = r % ell
     while acc != 1:

@@ -19,6 +19,7 @@ from .ring import (
     _lambda_power_table,
     div_by_int,
     exp,
+    lambda_digit,
     log1p,
     reduce_zeta_poly,
     zeta_poly_add,
@@ -137,12 +138,14 @@ def decompose_unit(d: CycloElt, r: int):
 def _torsion_exponent(w: CycloElt) -> int:
     """The e in [0, 2 ell) with w = (-zeta)^e mod lambda^2, read from the
     first two digits: (-zeta)^e = s (1 - e lambda) mod lambda^2 with
-    s = (-1)^e, so e = -s d_1 mod ell and e = (1 - s)/2 mod 2."""
-    ell = w.ctx.ell
-    if w.ctx.precision < 2 or w.digits[0] not in (1, ell - 1):
+    s = (-1)^e, so e = -s d_1 mod ell and e = (1 - s)/2 mod 2.  d_0 is the
+    residue and d_1 the lambda_digit of w - d_0."""
+    ell, c = w.ctx.ell, w.coeffs
+    d0 = sum(c) % ell
+    if w.ctx.precision < 2 or d0 not in (1, ell - 1):
         raise DomainError("no torsion representative found")
-    s = 1 if w.digits[0] == 1 else -1
-    e = -s * w.digits[1] % ell
+    s = 1 if d0 == 1 else -1
+    e = -s * lambda_digit((c[0] - d0,) + c[1:], ell, 1) % ell
     return e if e % 2 == (1 - s) // 2 else e + ell
 
 

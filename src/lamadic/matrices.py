@@ -174,21 +174,15 @@ class MatLocal:
         return MatLocal.from_rows([[e.pad_zero(n) for e in row] for row in self.entries])
 
     def filtration_level(self) -> int:
-        """Largest k with A congruent to I mod lambda^k (0 if A_0 != I).
-
-        Reads A's own digits, which a matrix from digits or from a lift
-        already knows.  For a diagonal entry with leading digit 1, a_ii - 1
-        has digits 0, d_1, d_2, ...; any other leading digit gives level 0."""
-        n = self.ctx.precision
-        level = n
+        """Largest k with A congruent to I mod lambda^k (0 if A_0 != I): the
+        least lambda_order of the entries of A - I, read from the
+        coefficients, so no digits are expanded."""
+        ell = self.ctx.ell
+        level = self.ctx.precision
         for i, row in enumerate(self.entries):
             for j, e in enumerate(row):
-                digits = e.digits
-                if i == j:
-                    if digits[0] != 1:
-                        return 0
-                    digits = (0,) + digits[1:]
-                level = min(level, next((k for k, x in enumerate(digits) if x), n))
+                c = e.coeffs
+                level = lambda_order((c[0] - 1,) + c[1:] if i == j else c, ell, level)
         return level
 
     def inverse(self) -> "MatLocal":
@@ -467,6 +461,8 @@ def weil_gram_and_epsilon(ell: int, r: int, c: int = 1):
     check_odd_prime(ell)
     if r % ell == 0:
         raise DomainError("ell must not divide r")
+    if r < 2:
+        raise DomainError("need r >= 2")
     if c % ell == 0:
         raise ValueError("c must be a unit mod ell")
     d = r - 1
@@ -559,19 +555,28 @@ def filtration_order_exponent(ell: int, d: int, n: int, k: int, group: str = "SU
 # The constructive lift SU(V/lambda^(n-1))_1 -> SU(V/lambda^n)_1.
 
 
+def top_digits(rows, ell: int, n: int):
+    """Digit n-1 of every entry of a matrix given as rows of power-basis
+    coefficients, read with lambda_digit; None when some entry lies
+    outside lambda^(n-1)."""
+    if any(lambda_order(c, ell, n - 1) < n - 1 for row in rows for c in row):
+        return None
+    return [[lambda_digit(c, ell, n - 1) for c in row] for row in rows]
+
+
 def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     """Lift a member of SU(V/lambda^(n-1))_1 to SU(V/lambda^n)_1.
 
     A = I mod lambda is read from the residues, sum(coeffs) mod ell, with
     no digits.  Measures the defect of the padded lift A' as A'^dagger
     Gamma A' = Gamma + lambda^(n-1) X.  The membership test is that the
-    defect lies in lambda^(n-1) and that det(A') = 1 mod lambda^(n-1);
-    both read lambda-adic orders from the coefficients (lambda_order), and
-    X and the top digit of det(A') - 1 come from lambda_digit, so no digits
-    are expanded here.  Solves X = Gamma Y + (-1)^(n-1) Y^T Gamma with
-    Y = (1/2) Gamma^(-1) X, fixes the trace with a multiple of E_11, and
-    returns A' - lambda^(n-1) Y.  The digits of A' are A's digits padded
-    with a zero, and those of the result carry A's digits and the top digit
+    defect lies in lambda^(n-1) and that det(A') = 1 mod lambda^(n-1).
+    top_digits reads X (or finds the defect outside lambda^(n-1)) and
+    lambda_digit the top digit of det(A') - 1 from the coefficients.
+    Solves X = Gamma Y + (-1)^(n-1) Y^T Gamma with Y = (1/2) Gamma^(-1) X,
+    fixes the trace with a multiple of E_11, and returns
+    A' - lambda^(n-1) Y.  The digits of A' are A's digits padded with a
+    zero, and those of the result carry A's digits and the top digit
     -Y mod ell, so a chain of lifts that starts from the identity expands
     no digits at all.
     """
@@ -588,7 +593,8 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     for i, g in enumerate(form.gamma):
         c = delta[i][i]
         delta[i][i] = (c[0] - g,) + c[1:]
-    if any(lambda_order(c, ell, n - 1) < n - 1 for row in delta for c in row):
+    x = top_digits(delta, ell, n)
+    if x is None:
         raise MembershipError("lift_su needs a member of U with multiplier 1")
     det = det_local(a_prime)
     dl = det.truncate(n - 1)
@@ -599,7 +605,6 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
         raise MembershipError("lift_su needs an SU member, got U")
     c = det.coeffs
     det_top = lambda_digit((c[0] - 1,) + c[1:], ell, n - 1)  # det - 1 lies in lambda^(n-1)
-    x = [[lambda_digit(c, ell, n - 1) for c in row] for row in delta]
     inv2 = pow(2, -1, ell)
     ginv = form.gamma_inv_mod()
     y = [[inv2 * ginv[i] * x[i][j] % ell for j in range(a.dim)] for i in range(a.dim)]

@@ -9,19 +9,17 @@ reduced.  The power-basis form is not unique mod lambda^n.  The canonical
 form is the lambda-adic digits in {0, ..., ell-1}, the coefficients of
 lambda^0, ..., lambda^(n-1); hashing and serialization read them.
 
-Valuations skip the digits: lambda_order reads ord_lambda from the
-coefficients on the basis 1, lambda, ..., lambda^(ell-2), a fixed
-triangular transform of the power-basis coefficients, and lambda_digit
-reads the first nonzero digit the same way.  Equality (when the
-coefficients differ), is_zero and ord_lambda use them.
-
-Digits are expanded (digits_from_poly, one division by lambda per digit)
-only when an element that does not know them is asked for them, and then
-cached.  They are carried without expansion where the rule is known:
-zero and one know theirs, truncate keeps the leading digits, pad_zero
-appends zeros, and add_top changes only the top digit.  Residues mod
-lambda (is_unit) read the coefficient sum and skip digits.  Everything is
-exact integer arithmetic.
+Valuations and digits are read on the basis 1, lambda, ..., lambda^(ell-2),
+a fixed triangular transform of the power-basis coefficients: lambda_order
+reads ord_lambda (for equality when the coefficients differ, is_zero and
+ord_lambda) and lambda_digit the first nonzero digit.  The digit expansion
+(digits_from_poly) reads each digit with lambda_digit and subtracts it
+times its power of lambda.  It runs only when an element that does not
+know its digits is asked for them, and is then cached.  They are carried
+without expansion where the rule is known: zero and one know theirs,
+truncate keeps the leading digits, pad_zero appends zeros, and add_top
+changes only the top digit.  Residues mod lambda (is_unit) read the
+coefficient sum and skip digits.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -203,30 +201,17 @@ def zeta_poly_galois(a: tuple, j: int, ell: int) -> tuple:
 
 
 def digits_from_poly(poly, ell: int, n: int) -> tuple:
-    """Extract the n leading lambda-adic digits of an integer zeta-polynomial.
-
-    Step i: the residue mod lambda is p(1) mod ell; subtracting it leaves an
-    exact multiple of lambda.  Division by lambda = 1 - zeta is performed by
-    lifting to a representative with a root at 1 (adding a multiple of the
-    minimal polynomial of zeta) and synthetic division by x - 1.
-    """
-    p = list(reduce_zeta_poly(poly, ell))
+    """The n leading lambda-adic digits of an integer zeta-polynomial: digit
+    t is read with lambda_digit once the digits below it, each times its
+    power of lambda (_lambda_power_table), are subtracted.  CheckFailed
+    unless the final rest lies in lambda^n."""
+    rest = reduce_zeta_poly(poly, ell)
     digits = []
-    for _ in range(n):
-        total = sum(p)
-        d = total % ell
-        digits.append(d)
-        p[0] -= d
-        k = (total - d) // ell
-        # q = p - k * Phi_ell has q(1) = 0; compute s = q / (x - 1), then
-        # p / lambda = -s since lambda = -(x - 1) at x = zeta.
-        s = [0] * (ell - 1)
-        s[ell - 2] = -k
-        for j in range(ell - 2, 0, -1):
-            s[j - 1] = (p[j] - k) + s[j]
-        if p[0] - k + s[0] != 0:
-            raise CheckFailed("inexact division by lambda")
-        p = [-c for c in s]
+    for t, power in enumerate(_lambda_power_table(ell, n)):
+        digits.append(lambda_digit(rest, ell, t))
+        rest = [c - digits[-1] * x for c, x in zip(rest, power)]
+    if lambda_order(rest, ell, n) != n:
+        raise CheckFailed("the digits do not reproduce the element mod lambda^n")
     return tuple(digits)
 
 
@@ -432,10 +417,6 @@ class CycloElt:
 
     def is_zero(self) -> bool:
         return self.ord_lambda == self.ctx.precision
-
-    def lift_poly(self) -> tuple:
-        """An exact integer representative in the zeta power basis."""
-        return self.coeffs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloElt):

@@ -76,7 +76,7 @@ def det_cofactor(a):
     memoized over column subsets: 2^d exact products in Z[zeta]."""
     d = a.dim
     ell = a.ctx.ell
-    lifts = [[e.lift_poly() for e in row] for row in a.entries]
+    lifts = [[e.coeffs for e in row] for row in a.entries]
     memo = {}
 
     def minor(row, colmask):

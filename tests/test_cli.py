@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from lamadic.cli import MAX_BUDGET, run
+from lamadic.cli import MAX_BUDGET, MAX_EPS_R, run
 
 
 def invoke(capsys, *argv):
@@ -18,6 +18,18 @@ def test_eps(capsys):
     assert code == 0 and out.strip() == "-1"
     code, out, _ = invoke(capsys, "eps", "--ell", "11", "--r", "8", "--json")
     assert json.loads(out)["epsilon"] == -1
+
+
+_BAD_R = [(("eps", "--ell", "11", f"--r={r}"), f"--r must be between 2 and {MAX_EPS_R}, got {r}")
+          for r in (1, -5, MAX_EPS_R + 1)]
+_BAD_R += [((sub, "--ell", "5", "--r", "1"), "need r >= 2")
+           for sub in ("c-lr", "lattice-index", "demjanenko", "kappa")]
+
+
+@pytest.mark.parametrize("argv, error", _BAD_R, ids=[" ".join(a) for a, _ in _BAD_R])
+def test_r_outside_its_limits_exits_2(capsys, argv, error):
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 2 and json.loads(out) == {"code": 2, "error": f"DomainError: {error}"}
 
 
 def test_unknown_command_exits_1(capsys):

@@ -7,7 +7,14 @@ import pytest
 import lamadic.commutators as commutators
 from lamadic.linalg import echelon_mod
 from lamadic.ring import RingCtx
-from lamadic.matrices import HermitianForm, MatLocal, mat_zero, random_su_element, su_dimension
+from lamadic.matrices import (
+    HermitianForm,
+    MatLocal,
+    mat_add_mod,
+    mat_mul_mod,
+    mat_zero,
+    su_dimension,
+)
 from lamadic.commutators import (
     _gamma_inv_eij,
     _lift_slice_generator,
@@ -107,6 +114,46 @@ def test_matrix_commutator_matches_case_formula():
             a = _level_n_matrix(ctx, d, big_n, rng)
             b = _level_n_matrix(ctx, d, big_n, rng)
             assert matrix_commutator_check(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_matrix_commutator_check_needs_n_at_least_3(n):
+    a = _level_n_matrix(RingCtx(5, n), 2, 1, random.Random(n))  # the identity at n = 1
+    with pytest.raises(ValueError, match="need n >= 3"):
+        matrix_commutator_check(a, a)
+
+
+def test_a_wrong_case_formula_fails_the_product_check_and_the_inverse_oracle(monkeypatch):
+    """Adding lambda^(n-1) [A_N, B_N] to the case formula E makes it wrong
+    whenever [A_N, B_N] != 0 mod ell: AB = E BA fails, and so does
+    ABA^(-1)B^(-1) = E, formed with inverses."""
+    right = commutator_case_expression
+
+    def wrong(n):
+        big_n = (n - 1) // 2
+        alphabet = commutator_alphabet(n)
+        a, b = (FreeSeries.symbol(alphabet, n, f"{s}{big_n}") for s in "AB")
+        return right(n) + (a * b - b * a).shift_t(n - 1)
+
+    monkeypatch.setattr(commutators, "commutator_case_expression", wrong)
+    rng = random.Random(38)
+    rejected = 0
+    for ell, d, n in ((3, 2, 4), (3, 3, 3), (5, 2, 5), (5, 3, 6), (3, 3, 7)):
+        ctx = RingCtx(ell, n)
+        big_n = (n - 1) // 2
+        for _ in range(6):
+            a = _level_n_matrix(ctx, d, big_n, rng)
+            b = _level_n_matrix(ctx, d, big_n, rng)
+            x, y = a.digit(big_n), b.digit(big_n)
+            neg_yx = [[-v % ell for v in row] for row in mat_mul_mod(y, x, ell)]
+            if not any(any(row) for row in mat_add_mod(mat_mul_mod(x, y, ell), neg_yx, ell)):
+                continue
+            assignment = {f"{s}{i}": m.digit(i) for s, m in (("A", a), ("B", b))
+                          for i in range(big_n, n)}
+            assert not matrix_commutator_check(a, b)
+            assert group_commutator(a, b) != series_evaluate(wrong(n), assignment, ctx, d)
+            rejected += 1
+    assert rejected >= 10
 
 
 def test_commutator_with_identity():

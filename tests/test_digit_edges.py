@@ -2,7 +2,9 @@
 coefficients and calls the digit constructor CycloElt(ctx, digits) only to
 read serialized or digit-matrix input.  A lift chain carries the digits it
 knows instead of expanding them again, and reads orders and the digits it
-needs from the coefficients, so it expands none."""
+needs from the coefficients, so it expands none.  Neither do filtration
+levels, unit decompositions or the commutator checks, and the commutator
+checks invert no matrix: they compare products."""
 
 import ast
 import random
@@ -11,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import lamadic.ring as ring
+from lamadic.commutators import matrix_commutator_check, su_commutator_span_check
+from lamadic.lattices import decompose_unit, u_prime_basis
 from lamadic.matrices import (
     HermitianForm,
     MatLocal,
@@ -19,10 +23,31 @@ from lamadic.matrices import (
     lift_su,
     random_su_element,
 )
-from lamadic.ring import CycloElt, RingCtx
+from lamadic.ring import CycloElt, RingCtx, exp
 from ring_oracles import lift_digits, mul_mod_phi
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lamadic"
+expand = ring.digits_from_poly
+
+
+def _spy(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments;
+    returns the list of records."""
+    calls = []
+    f = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """The calls of digits_from_poly made during the test."""
+    return _spy(monkeypatch, ring, "digits_from_poly")
 
 EDGE_CONSTRUCTORS = {
     "ring.py:CycloElt.from_json_dict",
@@ -74,15 +99,7 @@ def test_a_lift_chain_builds_no_element_from_digits(monkeypatch):
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11])
-def test_lift_chains_carry_the_digits_a_fresh_expansion_gives(monkeypatch, ell):
-    expand = ring.digits_from_poly
-    expansions = []
-
-    def counting(poly, ell, n):
-        expansions.append(n)
-        return expand(poly, ell, n)
-
-    monkeypatch.setattr(ring, "digits_from_poly", counting)
+def test_lift_chains_carry_the_digits_a_fresh_expansion_gives(expansions, ell):
     for d in (2, 3, 4, 5, 6, 10):
         for sign in (1, -1):
             form = HermitianForm.standard(RingCtx(ell, 1), d, sign)
@@ -98,15 +115,7 @@ def test_lift_chains_carry_the_digits_a_fresh_expansion_gives(monkeypatch, ell):
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11])
-def test_a_lift_chain_expands_no_digits(monkeypatch, ell):
-    expand = ring.digits_from_poly
-    expansions = []
-
-    def counting(poly, ell, n):
-        expansions.append(n)
-        return expand(poly, ell, n)
-
-    monkeypatch.setattr(ring, "digits_from_poly", counting)
+def test_a_lift_chain_expands_no_digits(expansions, ell):
     for d in (2, 6, 10):
         form = HermitianForm.standard(RingCtx(ell, 1), d, -1 if d == 6 else 1)
         a = random_su_element(form, 4, random.Random(f"{ell}/{d}"))
@@ -115,7 +124,7 @@ def test_a_lift_chain_expands_no_digits(monkeypatch, ell):
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11])
-def test_det_local_past_ell_expands_no_digits(monkeypatch, ell):
+def test_det_local_past_ell_expands_no_digits(expansions, ell):
     """At n > ell, Newton's identities divide by ell at an extended
     precision; level-one matrices, other units and non-units alike take no
     digit expansion."""
@@ -129,14 +138,6 @@ def test_det_local_past_ell_expands_no_digits(monkeypatch, ell):
             digit_mats += [[[rng.randrange(ell) for _ in range(d)] for _ in range(d)]
                            for _ in range(n - 1)]
             mats.append(MatLocal.from_digit_matrices(RingCtx(ell, n), d, digit_mats))
-    expand = ring.digits_from_poly
-    expansions = []
-
-    def counting(poly, ell, n):
-        expansions.append(n)
-        return expand(poly, ell, n)
-
-    monkeypatch.setattr(ring, "digits_from_poly", counting)
     dets = [det_local(a) for a in mats]
     assert expansions == []
     assert [det.is_unit for det in dets[2::3]] == [False, False]
@@ -161,3 +162,42 @@ def test_equal_elements_with_different_coefficients_hash_equal(ell):
             assert x != y.add_top(1)
             compared += 1
     assert compared
+
+
+def _level_member(ctx, d, level, rng):
+    """I + lambda^level X from digit matrices, with random digits from
+    `level` on."""
+    mats = [[[int(i == j) for j in range(d)] for i in range(d)]]
+    mats += [[[0] * d for _ in range(d)] for _ in range(level - 1)]
+    mats += [[[rng.randrange(ctx.ell) for _ in range(d)] for _ in range(d)]
+             for _ in range(ctx.precision - max(level, 1))]
+    return MatLocal.from_digit_matrices(ctx, d, mats)
+
+
+def test_commutator_checks_neither_invert_nor_expand_digits(monkeypatch, expansions):
+    rng = random.Random(36)
+    pairs = []
+    for ell, d, n in ((3, 2, 4), (3, 3, 3), (5, 3, 6), (5, 4, 7)):
+        ctx = RingCtx(ell, n)
+        pairs += [(_level_member(ctx, d, (n - 1) // 2, rng),
+                   _level_member(ctx, d, (n - 1) // 2, rng)) for _ in range(3)]
+    inverses = _spy(monkeypatch, MatLocal, "inverse")
+    assert all(matrix_commutator_check(a, b) for a, b in pairs)
+    assert su_commutator_span_check(3, 3, 4) and su_commutator_span_check(5, 3, 5, -1)
+    assert inverses == [] and expansions == []
+
+
+def test_filtration_levels_and_unit_decompositions_expand_no_digits(expansions):
+    rng = random.Random(37)
+    for ell, d, n in ((3, 3, 5), (5, 2, 4), (7, 3, 8)):
+        ctx = RingCtx(ell, n)
+        for level in range(1, n):
+            a = _level_member(ctx, d, level, rng) * _level_member(ctx, d, n - 1, rng)
+            assert a.filtration_level() >= level
+    for ell, r in ((3, 4), (5, 2), (7, 3)):
+        ctx = RingCtx(ell, 2 * ell)
+        x = sum((g * rng.randrange(ell) for g in u_prime_basis(ell, ctx.precision).log_generators),
+                CycloElt.zero(ctx))
+        for e in range(2 * ell):
+            assert decompose_unit((-CycloElt.zeta(ctx, 1)) ** e * exp(x), r)[0] == e
+    assert expansions == []

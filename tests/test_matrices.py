@@ -30,6 +30,7 @@ from lamadic.matrices import (
 from ring_oracles import (
     det_cofactor,
     filtration_order_sum,
+    in_lambda_n,
     random_slice_by_basis_sum,
     random_su_element_by_twist_products,
     su_slice_predicate,
@@ -249,7 +250,7 @@ def test_det_base_matches_integer_representation():
         for i in range(2):
             r1, r2 = [], []
             for j in range(2):
-                c0, c1 = a.entries[i][j].lift_poly()
+                c0, c1 = a.entries[i][j].coeffs
                 # multiplication by c0 + c1 z on basis (1, z), z^2 = -1 - z
                 r1.extend([c0, -c1])
                 r2.extend([c1, c0 - c1])
@@ -312,6 +313,9 @@ def test_weil_gram_examples():
         for r in range(3, 13, 2):
             if r % ell:
                 weil_gram_and_epsilon(ell, r, 1)  # internal assertion for odd r
+    for r in (1, -5):
+        with pytest.raises(DomainError, match="need r >= 2"):
+            weil_gram_and_epsilon(11, r)
 
 
 def test_su_basis_satisfies_predicate():
@@ -405,6 +409,38 @@ def test_lift_su_rejects_gu_members_and_level_one_non_members():
         lift_su(shear, form)
     with pytest.raises(ValueError):
         lift_su(MatLocal.identity(ctx, 3), form)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_filtration_level_of_products_matches_the_norm_oracle(ell):
+    """Products know no digits; their level is the largest k with every
+    entry of A - I in lambda^k (in_lambda_n).  A = I + lambda^k X times
+    B = I - lambda^k X lies at a level above k."""
+    rng = random.Random(ell)
+    for n in (1, 2, 4, ell + 1):
+        ctx = RingCtx(ell, n)
+        for d in (2, 3):
+            for k in range(n + 1):
+                ident = [[int(i == j) for j in range(d)] for i in range(d)]
+                x = [[rng.randrange(ell) for _ in range(d)] for _ in range(d)]
+                tail = [[[rng.randrange(ell) for _ in range(d)] for _ in range(d)]
+                        for _ in range(n - k - 1)]
+                zeros = [mat_zero(d)] * (k - 1)
+                if k == 0:
+                    a = MatLocal.from_digit_matrices(ctx, d, [x] + tail)
+                    b = rand_mat(ctx, d, rng)
+                else:
+                    neg = [[-v % ell for v in row] for row in x]
+                    a = MatLocal.from_digit_matrices(ctx, d, [ident] + zeros + [x] + tail)
+                    b = MatLocal.from_digit_matrices(ctx, d, [ident] + zeros + [neg])
+                for prod_ab in (a * b, b * a, a * a):
+                    want = max(j for j in range(n + 1) if all(
+                        in_lambda_n([c - (i == jj and t == 0) for t, c in enumerate(e.coeffs)],
+                                    ell, j)
+                        for i, row in enumerate(prod_ab.entries) for jj, e in enumerate(row)))
+                    assert prod_ab.filtration_level() == want, (ell, n, d, k)
+                if 0 < k < n:
+                    assert (a * b).filtration_level() > k
 
 
 def test_forms_over_another_ell_are_rejected():

@@ -3,7 +3,9 @@ from itertools import product
 
 import pytest
 
+import lamadic.ring as ring
 from lamadic.ring import (
+    CheckFailed,
     CycloElt,
     ContextMismatch,
     DomainError,
@@ -208,7 +210,9 @@ def test_in_lambda_n_oracle_on_lambda_powers():
 def test_lambda_order_and_digit_match_the_digit_expansion(ell):
     """lambda_order and lambda_digit read the lambda basis; they must agree
     with the norm oracle and with the expanded digits, for the reduced
-    coefficients and for other integer representatives of the element."""
+    coefficients and for other integer representatives of the element.
+    The digits lie in [0, ell) and reproduce the element mod lambda^n
+    (in_lambda_n), which determines them."""
     rng = random.Random(ell)
     for n in range(1, 3 * (ell - 1) + 2):  # passes n = (ell-1), 2(ell-1), 3(ell-1)
         ctx = RingCtx(ell, n)
@@ -227,12 +231,29 @@ def test_lambda_order_and_digit_match_the_digit_expansion(ell):
             assert order == n or not in_lambda_n(e.coeffs, ell, order + 1)
             shifted = [c + rng.randrange(-3, 4) * m for c in e.coeffs]
             for coeffs in (e.coeffs, shifted):
+                assert digits_from_poly(coeffs, ell, n) == digits
+                assert all(0 <= x < ell for x in digits)
+                rest = [a - b for a, b in zip(lift_digits(digits, ell), coeffs)]
+                assert in_lambda_n(rest, ell, n), (ell, n, coeffs)
                 assert lambda_order(coeffs, ell, n) == order
                 for cap in range(n):
                     assert lambda_order(coeffs, ell, cap) == min(order, cap)
                 for t in range(min(order + 1, n)):
                     assert lambda_digit(coeffs, ell, t) == digits[t], (n, e, t)
             assert e.ord_lambda == order and e.is_zero() == (order == n)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_digits_from_poly_rejects_a_wrong_digit(monkeypatch, ell):
+    """A digit read wrong at any place leaves a rest outside lambda^n."""
+    read = ring.lambda_digit
+    n = 2 * ell
+    coeffs = [random.Random(ell).randrange(ell**3) for _ in range(ell - 1)]
+    for bad in range(n):
+        monkeypatch.setattr(ring, "lambda_digit",
+                            lambda c, ell, t: (read(c, ell, t) + (t == bad)) % ell)
+        with pytest.raises(CheckFailed):
+            digits_from_poly(coeffs, ell, n)
 
 
 def test_multiplication_table_against_oracle():
