@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import echelon_mod
-from .ring import CheckFailed, CycloElt, RingCtx, DomainError
+from .ring import CheckFailed, RingCtx, DomainError, coords_from_lambda_poly
 from .matrices import (
     HermitianForm,
     MatLocal,
@@ -208,8 +208,8 @@ def series_evaluate(p: FreeSeries, assignment, ctx: RingCtx, dim: int) -> MatLoc
     """
     # Taking a rational with denominator prime to ell to the integers mod
     # ctx.modulus is a ring map, so each coefficient becomes one integer and
-    # the words are summed as plain integers per t-degree; they become ring
-    # elements once at the end.
+    # the words are summed as plain integers per t-degree; each entry is
+    # then one polynomial in lambda, turned into coordinates once.
     m = ctx.modulus
     by_deg = {}
     for (deg, word), coef in p.terms.items():
@@ -227,13 +227,12 @@ def series_evaluate(p: FreeSeries, assignment, ctx: RingCtx, dim: int) -> MatLoc
         for acc_row, w_row in zip(acc, w):
             for j, x in enumerate(w_row):
                 acc_row[j] += c * x
-    total = MatLocal.from_rows(
-        [[CycloElt.zero(ctx) for _ in range(dim)] for _ in range(dim)]
-    )
-    for deg, acc in by_deg.items():
-        lam_pow = CycloElt.lam(ctx, deg)
-        total = total + MatLocal.from_rows([[lam_pow * x for x in row] for row in acc])
-    return total
+    by_t = [by_deg.get(t) for t in range(max(by_deg, default=0) + 1)]
+    return MatLocal(ctx, tuple(
+        tuple(coords_from_lambda_poly([0 if acc is None else acc[i][j] for acc in by_t], ctx)
+              for j in range(dim))
+        for i in range(dim)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,7 @@ def su_commutator_span_check(ell: int, d: int, n: int, sign: int = 1) -> bool:
                 if l == j:
                     continue
                 a, b = lifted(big_n, i, j), lifted(big_m, j, l)
-                top = top_digits([[e.coeffs for e in r] for r in (a * b - b * a).entries], ell, n)
+                top = top_digits((a * b - b * a).rows, ell, n)
                 if top is None:
                     raise CheckFailed(f"AB - BA of lifted generators is not in lambda^{n - 1}")
                 vectors.append([x for row in top for x in row])

@@ -8,6 +8,7 @@ determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .ring import (
@@ -16,27 +17,46 @@ from .ring import (
     DomainError,
     NotAUnit,
     RingCtx,
-    _lambda_power_table,
+    coords_add_int,
     div_by_int,
     exp,
     lambda_digit,
     log1p,
     reduce_zeta_poly,
-    zeta_poly_add,
-    zeta_poly_galois,
+    residue,
 )
 from .classnum import demjanenko_det, fraction_det, ord_p, twice_n_prime
 
 
 # ---------------------------------------------------------------------------
-# Exact Z[zeta] helpers on the power basis 1, zeta, ..., zeta^(ell-2).
+# Exact Z[zeta] helpers on the power basis 1, zeta, ..., zeta^(ell-2):
+# integer tuples of length ell-1.
+
+
+def _zeta_galois(a: tuple, j: int, ell: int) -> tuple:
+    """sigma_j: zeta -> zeta^j on a reduced polynomial."""
+    out = [0] * ell
+    for e, c in enumerate(a):
+        out[(e * j) % ell] += c
+    return reduce_zeta_poly(out, ell)
+
+
+@lru_cache(maxsize=None)
+def _lambda_power_table(ell: int, n: int) -> tuple:
+    """lambda^0, ..., lambda^(n-1); lambda^(i+1) = lambda^i - zeta * lambda^i,
+    and multiplying by zeta rotates the coefficients."""
+    powers = [(1,) + (0,) * (ell - 2)]
+    for _ in range(1, n):
+        p = powers[-1]
+        powers.append(tuple(a - b for a, b in zip(p, reduce_zeta_poly((0,) + p, ell))))
+    return tuple(powers)
 
 
 def anti_fixed_basis_coords(ell: int):
     """Exact zeta-coordinates of lambda^i - conj(lambda)^i, i = 2..(ell+1)/2."""
     powers = _lambda_power_table(ell, (ell + 3) // 2)
     return [
-        zeta_poly_add(a, tuple(-c for c in zeta_poly_galois(a, ell - 1, ell)))
+        tuple(x - y for x, y in zip(a, _zeta_galois(a, ell - 1, ell)))
         for a in powers[2:]
     ]
 
@@ -140,12 +160,13 @@ def _torsion_exponent(w: CycloElt) -> int:
     first two digits: (-zeta)^e = s (1 - e lambda) mod lambda^2 with
     s = (-1)^e, so e = -s d_1 mod ell and e = (1 - s)/2 mod 2.  d_0 is the
     residue and d_1 the lambda_digit of w - d_0."""
-    ell, c = w.ctx.ell, w.coeffs
-    d0 = sum(c) % ell
-    if w.ctx.precision < 2 or d0 not in (1, ell - 1):
+    ctx, c = w.ctx, w.coords
+    ell = ctx.ell
+    d0 = residue(c, ell)
+    if ctx.precision < 2 or d0 not in (1, ell - 1):
         raise DomainError("no torsion representative found")
     s = 1 if d0 == 1 else -1
-    e = -s * lambda_digit((c[0] - d0,) + c[1:], ell, 1) % ell
+    e = -s * lambda_digit(coords_add_int(c, -d0, ctx), ell, 1) % ell
     return e if e % 2 == (1 - s) // 2 else e + ell
 
 
@@ -202,7 +223,7 @@ def _t_doubleprime_solve(ell: int, r: int, basis):
         for j in range(1, (ell - 1) // 2 + 1):
             c = weights[j]
             if c:
-                img = zeta_poly_add(img, tuple(c * x for x in zeta_poly_galois(b, j, ell)))
+                img = tuple(x + c * y for x, y in zip(img, _zeta_galois(b, j, ell)))
         images.append(img)
     return linalg.solve(list(zip(*basis)), images)
 

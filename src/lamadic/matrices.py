@@ -6,11 +6,10 @@ the Weil Gram model with its sign, and the permutation embedding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, prod
 from operator import mul
 
-from .linalg import echelon_mod
 from .ring import (
     _ord_ell_factorial,
     CheckFailed,
@@ -20,12 +19,26 @@ from .ring import (
     RingCtx,
     RingError,
     check_odd_prime,
+    coords_add,
+    coords_add_int,
+    coords_add_top,
+    coords_from_lambda_poly,
+    coords_galois,
+    coords_lift,
+    coords_mul,
+    coords_neg,
+    coords_pad_zero,
+    coords_reduce,
+    coords_scale,
+    coords_sub,
+    digits_from_poly,
     div_by_int,
     jacobi as legendre,
     lambda_digit,
     lambda_order,
     pack,
     product_width,
+    residue,
     unpack_reduced,
 )
 
@@ -63,146 +76,194 @@ def mat_zero(d):
 
 @dataclass(frozen=True)
 class MatLocal:
-    """A d x d matrix over O/lambda^n."""
+    """A d x d matrix over O/lambda^n, held as rows of canonical coordinate
+    tuples (the coords_* helpers of ring).  CycloElt appears only at the
+    edges: entries, from_rows, digit and JSON.
+
+    For n <= ell-1 the coordinates are the digits.  For n > ell-1,
+    digit_rows carries the digits of the entries where the rule is known,
+    as CycloElt does: identity and digit-matrix input know them, and
+    truncate, pad_zero and add_top pass them on.  Otherwise they are
+    expanded (digits_from_poly) on first use and kept.
+    """
 
     ctx: RingCtx
-    entries: tuple  # tuple of tuples of CycloElt
+    rows: tuple  # d tuples of d coordinate tuples
+    digit_rows: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        d = len(self.entries)
-        for row in self.entries:
-            if len(row) != d:
-                raise ValueError("matrix must be square")
-            for e in row:
-                if e.ctx is not self.ctx and e.ctx != self.ctx:
-                    raise ContextMismatch("entry context differs from matrix context")
+        d = len(self.rows)
+        if any(len(row) != d for row in self.rows):
+            raise ValueError("matrix must be square")
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as ring elements, with the digits the matrix knows."""
+        ctx = self.ctx
+        digit_rows = self.digit_rows or [[None] * self.dim] * self.dim
+        return tuple(
+            tuple(CycloElt.from_reduced(c, ctx, dg) for c, dg in zip(row, drow))
+            for row, drow in zip(self.rows, digit_rows)
+        )
 
     @staticmethod
     def from_rows(rows) -> "MatLocal":
+        """The matrix of rows of ring elements over one context."""
         ctx = rows[0][0].ctx
-        return MatLocal(ctx, tuple(tuple(row) for row in rows))
+        if any(e.ctx is not ctx and e.ctx != ctx for row in rows for e in row):
+            raise ContextMismatch("entry context differs from matrix context")
+        return MatLocal(ctx, tuple(tuple(e.coords for e in row) for row in rows))
 
     @staticmethod
     def identity(ctx: RingCtx, d: int) -> "MatLocal":
-        one, zero = CycloElt.one(ctx), CycloElt.zero(ctx)
-        return MatLocal(
-            ctx, tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
-        )
+        return MatLocal.from_digit_matrices(
+            ctx, d, [[[int(i == j) for j in range(d)] for i in range(d)]])
 
     @staticmethod
     def from_digit_matrices(ctx: RingCtx, d: int, digit_mats) -> "MatLocal":
         """Build sum_k lambda^k * D_k from matrices over F_ell."""
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                digits = [0] * ctx.precision
-                for k, mat in enumerate(digit_mats):
-                    if k < ctx.precision:
-                        digits[k] = mat[i][j] % ctx.ell
-                row.append(CycloElt(ctx, digits))
-            rows.append(tuple(row))
-        return MatLocal(ctx, tuple(rows))
+        mats = list(digit_mats)[:ctx.precision]
+        mats += [mat_zero(d)] * (ctx.precision - len(mats))
+        digit_rows = tuple(
+            tuple(tuple(mat[i][j] % ctx.ell for mat in mats) for j in range(d))
+            for i in range(d)
+        )
+        rows = tuple(tuple(coords_from_lambda_poly(dg, ctx) for dg in row) for row in digit_rows)
+        return MatLocal(ctx, rows, digit_rows if ctx.folds else None)
+
+    def _digits(self) -> tuple:
+        """The digit rows: the coordinates for n <= ell-1; otherwise the
+        known digits, or their expansion, kept from here on."""
+        if not self.ctx.folds:
+            return self.rows
+        if self.digit_rows is None:
+            ell, n = self.ctx.ell, self.ctx.precision
+            object.__setattr__(self, "digit_rows", tuple(
+                tuple(digits_from_poly(c, ell, n) for c in row) for row in self.rows))
+        return self.digit_rows
 
     def digit(self, k: int):
         """The k-th digit matrix over F_ell (Eq.-style expansion is entrywise)."""
-        return [[e.digits[k] for e in row] for row in self.entries]
+        return [[dg[k] for dg in row] for row in self._digits()]
 
     # -- arithmetic --------------------------------------------------------
 
     def _check_dim(self, other: "MatLocal"):
         if self.dim != other.dim:
             raise ValueError(f"matrix dimensions differ: {self.dim} vs {other.dim}")
+        if self.ctx != other.ctx:
+            raise ContextMismatch("matrix contexts differ")
 
     def __add__(self, other: "MatLocal") -> "MatLocal":
         self._check_dim(other)
-        return MatLocal.from_rows(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        ctx = self.ctx
+        return MatLocal(ctx, tuple(
+            tuple(coords_add(x, y, ctx) for x, y in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
+        ))
 
     def __sub__(self, other: "MatLocal") -> "MatLocal":
         self._check_dim(other)
-        return MatLocal.from_rows(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        ctx = self.ctx
+        return MatLocal(ctx, tuple(
+            tuple(coords_sub(x, y, ctx) for x, y in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
+        ))
 
     def __mul__(self, other: "MatLocal") -> "MatLocal":
         self._check_dim(other)
-        if self.ctx != other.ctx:
-            raise ContextMismatch("matrix contexts differ")
         # Each entry is packed once; an output entry sums d packed products
         # as plain integers and is reduced once.
         ctx = self.ctx
         w = product_width(ctx, self.dim)
-        rows_a = [[pack(e.coeffs, w) for e in row] for row in self.entries]
-        cols_b = [[pack(e.coeffs, w) for e in col] for col in zip(*other.entries)]
+        rows_a = [[pack(c, w) for c in row] for row in self.rows]
+        cols_b = [[pack(c, w) for c in col] for col in zip(*other.rows)]
         return MatLocal(ctx, tuple(
-            tuple(
-                CycloElt.from_reduced(
-                    unpack_reduced(sum(map(mul, row, col)), w, ctx), ctx)
-                for col in cols_b
-            )
+            tuple(unpack_reduced(sum(map(mul, row, col)), w, ctx) for col in cols_b)
             for row in rows_a
         ))
 
     def add_top(self, s) -> "MatLocal":
         """A + lambda^(n-1) S at precision n, for an integer matrix S taken
-        mod ell; the entries carry the digits they know (CycloElt.add_top)."""
-        return MatLocal(self.ctx, tuple(
-            tuple(e.add_top(x) for e, x in zip(row, srow))
-            for row, srow in zip(self.entries, s)
-        ))
+        mod ell: one coordinate of each entry moves, and known digits are
+        carried with their top digit moved."""
+        ctx, ell = self.ctx, self.ctx.ell
+        rows = tuple(
+            tuple(coords_add_top(c, x, ctx) for c, x in zip(row, srow))
+            for row, srow in zip(self.rows, s)
+        )
+        digit_rows = self.digit_rows and tuple(
+            tuple(dg[:-1] + ((dg[-1] + x) % ell,) for dg, x in zip(row, srow))
+            for row, srow in zip(self.digit_rows, s)
+        )
+        return MatLocal(ctx, rows, digit_rows)
 
     def scale(self, c: "CycloElt | int") -> "MatLocal":
-        return MatLocal.from_rows([[c * e for e in row] for row in self.entries])
+        ctx = self.ctx
+        if isinstance(c, int):
+            return MatLocal(ctx, tuple(tuple(coords_scale(x, c, ctx) for x in row)
+                                       for row in self.rows))
+        return MatLocal(ctx, tuple(tuple(coords_mul(c.coords, x, ctx) for x in row)
+                                   for row in self.rows))
 
     def dagger(self) -> "MatLocal":
         """Conjugate transpose for the involution zeta -> zeta^(-1)."""
-        d = self.dim
-        return MatLocal.from_rows(
-            [[self.entries[j][i].conjugate() for j in range(d)] for i in range(d)]
-        )
+        ctx = self.ctx
+        return MatLocal(ctx, tuple(
+            tuple(coords_galois(c, -1, ctx) for c in col) for col in zip(*self.rows)
+        ))
 
     def truncate(self, n: int) -> "MatLocal":
-        return MatLocal.from_rows([[e.truncate(n) for e in row] for row in self.entries])
+        if n > self.ctx.precision:
+            raise DomainError("cannot truncate upward")
+        ctx = self.ctx.at_precision(n)
+        digit_rows = self.digit_rows and tuple(
+            tuple(dg[:n] for dg in row) for row in self.digit_rows)
+        return MatLocal(ctx, tuple(tuple(coords_reduce(c, ctx) for c in row)
+                                   for row in self.rows),
+                        digit_rows if ctx.folds else None)
 
     def pad_zero(self, n: int) -> "MatLocal":
-        return MatLocal.from_rows([[e.pad_zero(n) for e in row] for row in self.entries])
+        """The representative with zero high digits at precision n."""
+        if n < self.ctx.precision:
+            raise DomainError("pad_zero only extends precision")
+        ctx = self.ctx.at_precision(n)
+        digit_rows = self._digits()
+        rows = tuple(tuple(coords_pad_zero(c, dg, ctx) for c, dg in zip(row, drow))
+                     for row, drow in zip(self.rows, digit_rows))
+        pad = (0,) * (n - self.ctx.precision)
+        digit_rows = tuple(tuple(dg + pad for dg in row) for row in digit_rows)
+        return MatLocal(ctx, rows, digit_rows if ctx.folds else None)
 
     def filtration_level(self) -> int:
         """Largest k with A congruent to I mod lambda^k (0 if A_0 != I): the
         least lambda_order of the entries of A - I, read from the
-        coefficients, so no digits are expanded."""
-        ell = self.ctx.ell
-        level = self.ctx.precision
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                c = e.coeffs
-                level = lambda_order((c[0] - 1,) + c[1:] if i == j else c, ell, level)
+        coordinates."""
+        ctx = self.ctx
+        level = ctx.precision
+        for i, row in enumerate(self.rows):
+            for j, c in enumerate(row):
+                level = lambda_order(coords_add_int(c, -1, ctx) if i == j else c, ctx.ell, level)
         return level
 
     def inverse(self) -> "MatLocal":
         """Gauss-Jordan inverse of [A | I] by the packed elimination kernel
         (_eliminate), which serves only the inverse: determinants come from
         power traces (det_local).  MembershipError when a column has no
-        unit pivot after row swaps, that is when det A is not a unit.  No
-        digits are expanded: pivots are found by their residues."""
+        unit pivot after row swaps, that is when det A is not a unit."""
         d = self.dim
         ctx = self.ctx
-        one, zero = CycloElt.one(ctx).coeffs, CycloElt.zero(ctx).coeffs
         rows = [
-            [e.coeffs for e in row] + [one if i == j else zero for j in range(d)]
-            for i, row in enumerate(self.entries)
+            list(row) + [ctx.one if i == j else ctx.zero for j in range(d)]
+            for i, row in enumerate(self.rows)
         ]
         if not _eliminate(rows, ctx):
             raise MembershipError("matrix is not invertible over the local ring")
-        return MatLocal(ctx, tuple(
-            tuple(CycloElt.from_reduced(c, ctx) for c in row[d:]) for row in rows
-        ))
+        return MatLocal(ctx, tuple(tuple(row[d:]) for row in rows))
 
     def inverse_neumann(self) -> "MatLocal":
         """(I + M)^(-1) = sum (-M)^k for A = I + M with M = 0 mod lambda."""
@@ -225,7 +286,7 @@ class MatLocal:
             "ell": self.ctx.ell,
             "precision": self.ctx.precision,
             "dim": self.dim,
-            "entries": [list(e.digits) for row in self.entries for e in row],
+            "entries": [list(dg) for row in self._digits() for dg in row],
         }
 
     @staticmethod
@@ -233,8 +294,7 @@ class MatLocal:
         ctx = RingCtx(d["ell"], d["precision"])
         dim = d["dim"]
         flat = [CycloElt(ctx, tuple(digs)) for digs in d["entries"]]
-        rows = [tuple(flat[i * dim : (i + 1) * dim]) for i in range(dim)]
-        return MatLocal(ctx, tuple(rows))
+        return MatLocal.from_rows([flat[i * dim : (i + 1) * dim] for i in range(dim)])
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -246,28 +306,28 @@ class MatLocal:
 
 def _eliminate(rows, ctx: RingCtx) -> bool:
     """Gauss-Jordan elimination on unit pivots in the first len(rows)
-    columns of `rows`, lists of reduced coefficient tuples, in place;
-    O(d^3) packed updates.
+    columns of `rows`, lists of coordinate tuples, in place; O(d^3) packed
+    updates.
 
     Per pivot column, the pivot row is scaled to 1 at the pivot, then
     negated and packed once at product_width(ctx, 2).  Each entry x of
     another row with f != 0 in the pivot column becomes
     unpack(pack(x) + f * (-p)): one integer product and one reduction, no
     ring objects.  Returns False when a column has no unit pivot.  Pivots
-    are found by their residues; no digits are expanded.
+    are found by their residues.
     """
-    ell, m = ctx.ell, ctx.modulus
+    ell = ctx.ell
     d = len(rows)
     w1, w2 = ctx.width, product_width(ctx, 2)
     for col in range(d):
-        piv = next((r for r in range(col, d) if sum(rows[r][col]) % ell), None)
+        piv = next((r for r in range(col, d) if residue(rows[r][col], ell)), None)
         if piv is None:
             return False
         rows[col], rows[piv] = rows[piv], rows[col]
-        p_inv = pack(CycloElt.from_reduced(rows[col][col], ctx).inverse().coeffs, w1)
+        p_inv = pack(CycloElt.from_reduced(rows[col][col], ctx).inverse().coords, w1)
         scaled = [unpack_reduced(p_inv * pack(x, w1), w1, ctx) for x in rows[col][col + 1:]]
         rows[col][col + 1:] = scaled
-        neg = [pack([-c % m for c in x], w2) for x in scaled]
+        neg = [pack(coords_neg(x, ctx), w2) for x in scaled]
         for r, row in enumerate(rows):
             if r == col or not any(row[col]):
                 continue
@@ -281,15 +341,16 @@ def _eliminate(rows, ctx: RingCtx) -> bool:
 
 def det_local(a: MatLocal) -> CycloElt:
     """O-linear determinant from power traces by Newton's identities, for
-    every matrix.  No digits are expanded and no ring element is inverted.
+    every matrix, on the coordinate rows.  No digits are expanded and no
+    ring element is inverted.
 
     With A = I + X, det A = e_0 + ... + e_d, where e_k = e_k(X) is the sum
     of the k x k principal minors of X.  For A = I mod lambda (read from
-    the residues, sum(coeffs) mod ell) e_k lies in lambda^k, so
-    K = min(n-1, d) terms suffice; otherwise K = d.  Newton's identities
+    the residues) e_k lies in lambda^k, so K = min(n-1, d) terms suffice;
+    otherwise K = d.  Newton's identities
     k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i with p_i = tr(X^i) hold over
     any commutative ring.  Dividing by k = ell^s k' (div_by_int) loses
-    (ell-1)s digits, so the coefficients of A are lifted to precision
+    (ell-1)s digits, so the coordinates of A are lifted to precision
     n + (ell-1) v_ell(K!), where every e_k, k <= K, is still known mod
     lambda^n; CheckFailed if k e_k is not divisible by k.  Each p_i is
     tr(X^floor(i/2) X^ceil(i/2)): one packed sum of d^2 products and one
@@ -297,15 +358,15 @@ def det_local(a: MatLocal) -> CycloElt:
     """
     ctx = a.ctx
     ell, n = ctx.ell, ctx.precision
-    rows = [[e.coeffs for e in row] for row in a.entries]
+    rows = a.rows
     d = len(rows)
-    level_one = all(sum(c) % ell == (i == j)
+    level_one = all(residue(c, ell) == (i == j)
                     for i, row in enumerate(rows) for j, c in enumerate(row))
     top = min(n - 1, d) if level_one else d
     ext = ctx.at_precision(n + (ell - 1) * _ord_ell_factorial(top, ell))
-    m = ext.modulus
     w = product_width(ext, d * d)
-    x = [[pack(((c[0] - 1) % m,) + c[1:] if i == j else c, w) for j, c in enumerate(row)]
+    x = [[pack(coords_add_int(coords_lift(c, ext), -1, ext) if i == j else coords_lift(c, ext), w)
+          for j, c in enumerate(row)]
          for i, row in enumerate(rows)]
     cols = list(zip(*x))
     powers = [None, x]  # powers[k] holds the packed rows of X^k
@@ -321,20 +382,19 @@ def det_local(a: MatLocal) -> CycloElt:
         tr = unpack_reduced(
             sum(map(mul, (y for row in low for y in row), (y for col in zip(*high) for y in col))),
             w, ext)
-        signed.append(pack([-c % m for c in tr] if i % 2 == 0 else tr, w))
-    one = CycloElt.one(ext).coeffs
-    elementary = [pack(one, w)]  # e_0, e_1, ..., packed
-    det = list(one)
+        signed.append(pack(coords_neg(tr, ext) if i % 2 == 0 else tr, w))
+    elementary = [pack(ext.one, w)]  # e_0, e_1, ..., packed
+    det = list(ext.one)
     for k in range(1, top + 1):
         kek = CycloElt.from_reduced(
             unpack_reduced(sum(map(mul, reversed(elementary), signed)), w, ext), ext)
         try:
-            ek = div_by_int(kek, k).coeffs
+            ek = div_by_int(kek, k).coords
         except DomainError as e:
             raise CheckFailed(f"k e_k is not divisible by k = {k}") from e
         elementary.append(pack(ek, w))
         det = [a + b for a, b in zip(det, ek)]
-    return CycloElt.from_reduced(tuple(c % ctx.modulus for c in det), ctx)
+    return CycloElt.from_reduced(coords_reduce(det, ctx), ctx)
 
 
 def det_base(a: MatLocal) -> CycloElt:
@@ -383,9 +443,10 @@ class HermitianForm:
 
     def gram_times(self, a: MatLocal) -> MatLocal:
         """Gamma A, by scaling row i of A by gamma_i."""
-        return MatLocal(a.ctx, tuple(
-            row if g == 1 else tuple(e * g for e in row)
-            for g, row in zip(self.gamma, a.entries)
+        ctx = a.ctx
+        return MatLocal(ctx, tuple(
+            row if g == 1 else tuple(coords_scale(c, g, ctx) for c in row)
+            for g, row in zip(self.gamma, a.rows)
         ))
 
     def gamma_inv_mod(self):
@@ -426,13 +487,13 @@ def classify_membership(a: MatLocal, form: HermitianForm) -> MembershipVerdict:
     members, the identity conj(det) * det = mu^d is checked as well.
     """
     _check_form(a, form)
+    ctx = a.ctx
     h = a.dagger() * form.gram_times(a)
-    mu = div_by_int(h.entries[0][0], form.gamma[0])
-    zero = CycloElt.zero(a.ctx)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            expected = mu * form.gamma[i] if i == j else zero
-            if h.entries[i][j] != expected:
+    mu = div_by_int(CycloElt.from_reduced(h.rows[0][0], ctx), form.gamma[0])
+    for i, row in enumerate(h.rows):
+        for j, c in enumerate(row):
+            expected = coords_scale(mu.coords, form.gamma[i], ctx) if i == j else ctx.zero
+            if c != expected:
                 return MembershipVerdict("none", None, None, (i, j))
     if not mu.is_unit:
         return MembershipVerdict("none", None, None, (0, 0))
@@ -456,7 +517,10 @@ def weil_gram_and_epsilon(ell: int, r: int, c: int = 1):
     epsilon is the Legendre symbol (r | ell).  For odd r the determinant's
     square class provably equals the class of r; for even r it depends on
     the unknown unit c (the two forms are then similitude-equivalent), so
-    the class is reported without the cross-assertion.
+    the class is reported without the cross-assertion.  The determinant is
+    taken in closed form: E - r*I has the eigenvalue (r-1) - r = -1 on the
+    all-ones vector and -r on its (r-2)-dimensional complement, so
+    det = c^(r-1) * (-1) * (-r)^(r-2).
     """
     check_odd_prime(ell)
     if r % ell == 0:
@@ -467,7 +531,7 @@ def weil_gram_and_epsilon(ell: int, r: int, c: int = 1):
         raise ValueError("c must be a unit mod ell")
     d = r - 1
     gram = [[c * ((1 if i != j else 1 - r)) % ell for j in range(d)] for i in range(d)]
-    det = echelon_mod(gram, ell)[1]
+    det = -pow(c, d, ell) * pow(-r, r - 2, ell) % ell
     square_class = legendre(det, ell)
     eps = legendre(r, ell)
     if r % 2 == 1 and square_class != eps:
@@ -556,9 +620,9 @@ def filtration_order_exponent(ell: int, d: int, n: int, k: int, group: str = "SU
 
 
 def top_digits(rows, ell: int, n: int):
-    """Digit n-1 of every entry of a matrix given as rows of power-basis
-    coefficients, read with lambda_digit; None when some entry lies
-    outside lambda^(n-1)."""
+    """Digit n-1 of every entry of a matrix given as rows of coordinates at
+    precision n, read with lambda_digit; None when some entry lies outside
+    lambda^(n-1)."""
     if any(lambda_order(c, ell, n - 1) < n - 1 for row in rows for c in row):
         return None
     return [[lambda_digit(c, ell, n - 1) for c in row] for row in rows]
@@ -567,12 +631,12 @@ def top_digits(rows, ell: int, n: int):
 def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     """Lift a member of SU(V/lambda^(n-1))_1 to SU(V/lambda^n)_1.
 
-    A = I mod lambda is read from the residues, sum(coeffs) mod ell, with
-    no digits.  Measures the defect of the padded lift A' as A'^dagger
-    Gamma A' = Gamma + lambda^(n-1) X.  The membership test is that the
-    defect lies in lambda^(n-1) and that det(A') = 1 mod lambda^(n-1).
-    top_digits reads X (or finds the defect outside lambda^(n-1)) and
-    lambda_digit the top digit of det(A') - 1 from the coefficients.
+    A = I mod lambda is read from the residues.  Measures the defect of
+    the padded lift A' as A'^dagger Gamma A' = Gamma + lambda^(n-1) X.  The
+    membership test is that the defect lies in lambda^(n-1) and that
+    det(A') = 1 mod lambda^(n-1).  top_digits reads X (or finds the defect
+    outside lambda^(n-1)) and lambda_digit the top digit of det(A') - 1
+    from the coordinates.
     Solves X = Gamma Y + (-1)^(n-1) Y^T Gamma with Y = (1/2) Gamma^(-1) X,
     fixes the trace with a multiple of E_11, and returns
     A' - lambda^(n-1) Y.  The digits of A' are A's digits padded with a
@@ -583,16 +647,16 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     ell = a.ctx.ell
     n = a.ctx.precision + 1
     _check_form(a, form)
-    if any(sum(e.coeffs) % ell != int(i == j)
-           for i, row in enumerate(a.entries) for j, e in enumerate(row)):
+    if any(residue(c, ell) != (i == j)
+           for i, row in enumerate(a.rows) for j, c in enumerate(row)):
         raise MembershipError("lift_su needs A = I mod lambda")
     a_prime = a.pad_zero(n)
+    ctx = a_prime.ctx
     h = a_prime.dagger() * form.gram_times(a_prime)
-    # the defect A'^dagger Gamma A' - Gamma as integer coefficients
-    delta = [[e.coeffs for e in row] for row in h.entries]
+    # the defect A'^dagger Gamma A' - Gamma
+    delta = [list(row) for row in h.rows]
     for i, g in enumerate(form.gamma):
-        c = delta[i][i]
-        delta[i][i] = (c[0] - g,) + c[1:]
+        delta[i][i] = coords_add_int(delta[i][i], -g, ctx)
     x = top_digits(delta, ell, n)
     if x is None:
         raise MembershipError("lift_su needs a member of U with multiplier 1")
@@ -603,8 +667,8 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
         raise CheckFailed("conj(det)*det != 1")
     if dl != one:
         raise MembershipError("lift_su needs an SU member, got U")
-    c = det.coeffs
-    det_top = lambda_digit((c[0] - 1,) + c[1:], ell, n - 1)  # det - 1 lies in lambda^(n-1)
+    # det - 1 lies in lambda^(n-1)
+    det_top = lambda_digit(coords_add_int(det.coords, -1, ctx), ell, n - 1)
     inv2 = pow(2, -1, ell)
     ginv = form.gamma_inv_mod()
     y = [[inv2 * ginv[i] * x[i][j] % ell for j in range(a.dim)] for i in range(a.dim)]

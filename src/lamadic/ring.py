@@ -1,25 +1,29 @@
 """Exact arithmetic in O/lambda^n, where O = Z[zeta_ell] and lambda = 1 - zeta_ell.
 
-An element is stored by its coefficients on the power basis 1, zeta, ...,
-zeta^(ell-2), each reduced mod ell^k with k = ceil(n/(ell-1)).  No
-information is lost: ell = lambda^(ell-1) * (a unit), so ell^k O lies in
-lambda^n O.  Products use Kronecker substitution: the coefficients are
-packed into one integer, multiplied once, unpacked, folded mod Phi_ell and
-reduced.  The power-basis form is not unique mod lambda^n.  The canonical
-form is the lambda-adic digits in {0, ..., ell-1}, the coefficients of
-lambda^0, ..., lambda^(n-1); hashing and serialization read them.
+An element is stored by its coordinates on 1, lambda, ..., lambda^(S-1),
+S = min(n, ell-1).  Phi_ell(1 - lambda) is Eisenstein at ell, so
+ell O = lambda^(ell-1) O and the term b_i lambda^i has order
+(ell-1) v_ell(b_i) + i.  These orders differ mod ell-1, so lambda^n O is
+the sum of the ell^(e_i) lambda^i Z with e_i = ceil((n-i)/(ell-1)), and
+coordinate i taken mod ell^(e_i) is a canonical representative: equality
+and hashing compare coordinates.
 
-Valuations and digits are read on the basis 1, lambda, ..., lambda^(ell-2),
-a fixed triangular transform of the power-basis coefficients: lambda_order
-reads ord_lambda (for equality when the coefficients differ, is_zero and
-ord_lambda) and lambda_digit the first nonzero digit.  The digit expansion
-(digits_from_poly) reads each digit with lambda_digit and subtracts it
-times its power of lambda.  It runs only when an element that does not
-know its digits is asked for them, and is then cached.  They are carried
-without expansion where the rule is known: zero and one know theirs,
-truncate keeps the leading digits, pad_zero appends zeros, and add_top
-changes only the top digit.  Residues mod lambda (is_unit) read the
-coefficient sum and skip digits.  Everything is exact integer arithmetic.
+For n <= ell-1 every modulus is ell and O/lambda^n = F_ell[lambda]/(lambda^n):
+the coordinates are the lambda-adic digits, and a product (Kronecker
+substitution) keeps the low n slots.  For n > ell-1 a product folds its
+slots from ell-1 on through lambda^(ell-1) = -sum_(i<ell-1) (-1)^i
+C(ell, i+1) lambda^i, as packed rows.  lambda_order reads ord_lambda and
+lambda_digit the digit t of an element of order at least t, each from one
+coordinate per place; the digit expansion (digits_from_poly) peels one
+digit at a time and runs only for n > ell-1, when an element that does
+not know its digits is asked for them.  Conjugation and sigma_j are linear
+maps given by packed tables per (ell, n, j).
+
+The coords_* helpers are the only code that knows the format: matrices
+and commutators hold rows of coordinates and work on them through these
+helpers, and CycloElt wraps one coordinate tuple.  Power-basis
+coefficients in zeta appear only at the edge, in from_poly.  Everything is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -162,19 +166,282 @@ class RingCtx:
         return RingCtx(self.ell, n)
 
     @cached_property
+    def slots(self) -> int:
+        """S = min(n, ell-1), the number of coordinates."""
+        return min(self.precision, self.ell - 1)
+
+    @cached_property
+    def folds(self) -> bool:
+        """n > ell-1: products reach lambda^(ell-1) below lambda^n and fold,
+        and the digits are not the coordinates."""
+        return self.precision > self.ell - 1
+
+    @cached_property
+    def moduli(self) -> tuple:
+        """ell^(e_i), e_i = ceil((n-i)/(ell-1)), for i < S: lambda^n O is the
+        sum of the ell^(e_i) lambda^i Z, so coordinate i is taken mod ell^(e_i)."""
+        ell, n = self.ell, self.precision
+        return tuple(ell ** -(-(n - i) // (ell - 1)) for i in range(self.slots))
+
+    @cached_property
     def modulus(self) -> int:
-        """ell^k with k = ceil(n/(ell-1)), the modulus of the coefficients."""
-        return self.ell ** -(-self.precision // (self.ell - 1))
+        """ell^k with k = ceil(n/(ell-1)), the largest coordinate modulus;
+        ell^k O lies in lambda^n O."""
+        return self.moduli[0]
 
     @cached_property
     def width(self) -> int:
         """Packing width for the product of two elements."""
         return product_width(self, 1)
 
+    @cached_property
+    def zero(self) -> tuple:
+        """The coordinates of 0."""
+        return (0,) * self.slots
+
+    @cached_property
+    def one(self) -> tuple:
+        """The coordinates of 1."""
+        return (1,) + (0,) * (self.slots - 1)
+
+    @cached_property
+    def top(self) -> tuple:
+        """(s, c) with lambda^(n-1) = c lambda^s mod lambda^n: with
+        n-1 = q(ell-1) + s, c = (-ell)^q, since lambda^(ell-1) = -ell times
+        a unit that is 1 mod lambda."""
+        q, s = divmod(self.precision - 1, self.ell - 1)
+        return s, (-self.ell) ** q % self.moduli[s]
+
+
+_context = lru_cache(maxsize=None)(RingCtx)
+
 
 # ---------------------------------------------------------------------------
-# Integer polynomials in zeta, reduced to the basis 1, zeta, ..., zeta^(ell-2).
-# Represented as tuples of ell-1 exact integers.
+# Coordinates: canonical integer tuples on 1, lambda, ..., lambda^(S-1).
+# The helpers below are the only code that knows this format.
+
+
+def coords_reduce(values, ctx: RingCtx) -> tuple:
+    """Canonical coordinates of sum values[i] lambda^i, for integers on at
+    most ell-1 places and at least S: places from S on (there only for
+    n < ell-1) lie in lambda^n."""
+    return tuple([v % q for v, q in zip(values, ctx.moduli)])
+
+
+def coords_lift(x: tuple, ctx: RingCtx) -> tuple:
+    """Canonical coordinates at a lower precision, read at the higher
+    precision of ctx: a lift (with zero high digits when the lower precision
+    is at most ell-1)."""
+    return x + (0,) * (ctx.slots - len(x))
+
+
+def coords_add(x: tuple, y: tuple, ctx: RingCtx) -> tuple:
+    return tuple([(a + b) % q for a, b, q in zip(x, y, ctx.moduli)])
+
+
+def coords_sub(x: tuple, y: tuple, ctx: RingCtx) -> tuple:
+    return tuple([(a - b) % q for a, b, q in zip(x, y, ctx.moduli)])
+
+
+def coords_neg(x: tuple, ctx: RingCtx) -> tuple:
+    return tuple([-a % q for a, q in zip(x, ctx.moduli)])
+
+
+def coords_scale(x: tuple, k: int, ctx: RingCtx) -> tuple:
+    """k x for an integer k."""
+    return tuple([a * k % q for a, q in zip(x, ctx.moduli)])
+
+
+def coords_add_int(x: tuple, k: int, ctx: RingCtx) -> tuple:
+    """x + k for an integer k: only coordinate 0 moves."""
+    return ((x[0] + k) % ctx.modulus,) + x[1:]
+
+
+def coords_add_top(x: tuple, s: int, ctx: RingCtx) -> tuple:
+    """x + s lambda^(n-1) for an integer s: one coordinate moves (RingCtx.top)."""
+    slot, c = ctx.top
+    out = list(x)
+    out[slot] = (out[slot] + s * c) % ctx.moduli[slot]
+    return tuple(out)
+
+
+def residue(x, ell: int) -> int:
+    """The residue mod lambda, in F_ell."""
+    return x[0] % ell
+
+
+def coords_mul(x: tuple, y: tuple, ctx: RingCtx) -> tuple:
+    w = ctx.width
+    return unpack_reduced(pack(x, w) * pack(y, w), w, ctx)
+
+
+def coords_galois(x: tuple, j: int, ctx: RingCtx) -> tuple:
+    """sigma_j (zeta -> zeta^j), linear in the coordinates: sum x_i
+    sigma_j(lambda^i) over the packed rows of _galois_rows."""
+    rows = _galois_rows(ctx.ell, ctx.precision, j % ctx.ell)
+    return unpack_reduced(sum(map(mul, x, rows)), ctx.width, ctx)
+
+
+@lru_cache(maxsize=None)
+def _galois_rows(ell: int, n: int, j: int) -> tuple:
+    """sigma_j(lambda^i), i < S, packed at the context's width;
+    sigma_j(lambda) = 1 - zeta^j."""
+    ctx = _context(ell, n)
+    image = from_poly((1,) + (0,) * (j - 1) + (-1,), ctx)
+    rows, power = [], ctx.one
+    for _ in range(ctx.slots):
+        rows.append(pack(power, ctx.width))
+        power = coords_mul(power, image, ctx)
+    return tuple(rows)
+
+
+def coords_from_lambda_poly(values, ctx: RingCtx) -> tuple:
+    """Canonical coordinates of sum values[t] lambda^t for integers values[t]:
+    the places below S are coordinates, those from ell-1 on add multiples of
+    the coordinates of lambda^t, and those from n on vanish."""
+    s = ctx.slots
+    acc = list(values[:s])
+    acc += [0] * (s - len(acc))
+    if ctx.folds:
+        powers = _lambda_powers(ctx.ell, ctx.precision, ctx.precision)
+        for v, power in zip(values[s:ctx.precision], powers[s:]):
+            if v:
+                acc = [a + v * c for a, c in zip(acc, power)]
+    return coords_reduce(acc, ctx)
+
+
+def coords_pad_zero(x: tuple, digits: tuple, ctx: RingCtx) -> tuple:
+    """Coordinates at the precision of ctx of the element whose digits are
+    `digits` followed by zeros, where x are its coordinates at precision
+    len(digits).  Up to precision ell-1 the coordinates are the digits, so
+    zero ones are appended."""
+    if len(digits) < ctx.ell:
+        return coords_lift(x, ctx)
+    return coords_from_lambda_poly(digits, ctx)
+
+
+@lru_cache(maxsize=None)
+def _lambda_powers(ell: int, n: int, count: int) -> tuple:
+    """Canonical coordinates at precision n of lambda^0, ...,
+    lambda^(count-1).  Multiplying by lambda shifts the coordinates up;
+    when n > ell-1 the coefficient shifted onto lambda^(ell-1) folds through
+    lambda^(ell-1) = -sum_(i<ell-1) (-1)^i C(ell, i+1) lambda^i
+    (Phi_ell(1 - lambda) = 0), and otherwise it lies in lambda^n."""
+    ctx = _context(ell, n)
+    fold = [-(-1) ** i * comb(ell, i + 1) for i in range(ell - 1)]
+    powers = [ctx.one]
+    for _ in range(1, count):
+        p = powers[-1]
+        shifted = (0,) + p[:-1]
+        if ctx.folds:
+            shifted = [a + p[-1] * f for a, f in zip(shifted, fold)]
+        powers.append(coords_reduce(shifted, ctx))
+    return tuple(powers)
+
+
+def lambda_order(coords, ell: int, cap: int) -> int:
+    """min(ord_lambda(sum b_i lambda^i), cap) for integers b_i.
+
+    ell is lambda^(ell-1) times a unit, so the term b_i lambda^i has order
+    (ell-1) v_ell(b_i) + i.  These orders differ mod ell-1, so the least of
+    them is the order of the sum.
+    """
+    best = cap
+    for i, b in enumerate(coords):
+        if i >= best:
+            break
+        if b:
+            order = i
+            while order < best and b % ell == 0:
+                b //= ell
+                order += ell - 1
+            best = min(best, order)
+    return best
+
+
+def lambda_digit(coords, ell: int, t: int) -> int:
+    """Digit t of sum b_i lambda^i, for an element of order at least t.
+
+    With t = q(ell-1) + s, every term b_i lambda^i with i != s has order
+    above t, and b_s = ell^q u.  Since ell = -lambda^(ell-1) mod lambda^ell,
+    the digit is (-1)^q u mod ell.
+    """
+    q, s = divmod(t, ell - 1)
+    u = coords[s] // ell**q
+    return (-u if q % 2 else u) % ell
+
+
+def digits_from_poly(coords, ell: int, n: int) -> tuple:
+    """The n leading lambda-adic digits of sum b_i lambda^i (any integers
+    b_i): digit t is read with lambda_digit once the digits below it, each
+    times its power of lambda, are subtracted.  CheckFailed unless the
+    final rest lies in lambda^n."""
+    rest = list(coords)
+    digits = []
+    for t, power in enumerate(_lambda_powers(ell, n, n)):
+        digit = lambda_digit(rest, ell, t)
+        digits.append(digit)
+        rest = [c - digit * x for c, x in zip(rest, power)]
+    if lambda_order(rest, ell, n) != n:
+        raise CheckFailed("the digits do not reproduce the element mod lambda^n")
+    return tuple(digits)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution on coordinates.
+
+
+def product_width(ctx: RingCtx, terms: int) -> int:
+    """Slot width that holds a sum of `terms` packed products exactly.
+
+    Each coordinate lies in [0, modulus) and a slot collects at most S
+    products.  When products fold (n > ell-1), each of the S-1 high slots,
+    taken mod the modulus, adds at most (modulus-1)^2 more to a slot."""
+    s = ctx.slots
+    return ((terms * s + (s - 1 if ctx.folds else 0)) * (ctx.modulus - 1) ** 2).bit_length()
+
+
+def pack(coeffs, width: int) -> int:
+    """The coefficients, each in [0, 2^width), as the digits of one integer."""
+    x = 0
+    for c in reversed(coeffs):
+        x = (x << width) | c
+    return x
+
+
+def unpack_reduced(x: int, width: int, ctx: RingCtx) -> tuple:
+    """Canonical coordinates of a packed product, or sum of packed products.
+
+    For n <= ell-1 the slots from n on lie in lambda^n and are dropped.
+    Otherwise the slots from ell-1 on, each taken mod the modulus, fold in
+    as multiples of the packed rows of lambda^(ell-1), ..., lambda^(2ell-4)
+    (_fold_rows).  Then each slot is taken mod its modulus."""
+    mask = (1 << width) - 1
+    if ctx.folds:
+        low = ctx.slots * width
+        high = x >> low
+        if high:
+            x &= (1 << low) - 1
+            m = ctx.modulus
+            for row in _fold_rows(ctx.ell, ctx.precision, width):
+                x += (high & mask) % m * row
+                high >>= width
+    out = []
+    for q in ctx.moduli:
+        out.append((x & mask) % q)
+        x >>= width
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _fold_rows(ell: int, n: int, width: int) -> tuple:
+    """lambda^(ell-1+k), k < ell-2, at precision n, packed at the width."""
+    return tuple(pack(p, width) for p in _lambda_powers(ell, n, 2 * ell - 3)[ell - 1:])
+
+
+# ---------------------------------------------------------------------------
+# The power basis 1, zeta, ..., zeta^(ell-2): an edge format.
+
 
 def reduce_zeta_poly(coeffs, ell: int) -> tuple:
     """Reduce an integer polynomial in zeta to the canonical power basis."""
@@ -188,134 +455,19 @@ def reduce_zeta_poly(coeffs, ell: int) -> tuple:
     return tuple(folded[i] - top for i in range(ell - 1))
 
 
-def zeta_poly_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def zeta_poly_galois(a: tuple, j: int, ell: int) -> tuple:
-    """Apply sigma_j: zeta -> zeta^j to a reduced polynomial."""
-    out = [0] * (ell + 1)
-    for e, c in enumerate(a):
-        out[(e * j) % ell] += c
-    return reduce_zeta_poly(out, ell)
-
-
-def digits_from_poly(poly, ell: int, n: int) -> tuple:
-    """The n leading lambda-adic digits of an integer zeta-polynomial: digit
-    t is read with lambda_digit once the digits below it, each times its
-    power of lambda (_lambda_power_table), are subtracted.  CheckFailed
-    unless the final rest lies in lambda^n."""
-    rest = reduce_zeta_poly(poly, ell)
-    digits = []
-    for t, power in enumerate(_lambda_power_table(ell, n)):
-        digits.append(lambda_digit(rest, ell, t))
-        rest = [c - digits[-1] * x for c, x in zip(rest, power)]
-    if lambda_order(rest, ell, n) != n:
-        raise CheckFailed("the digits do not reproduce the element mod lambda^n")
-    return tuple(digits)
-
-
 @lru_cache(maxsize=None)
 def _lambda_basis_rows(ell: int) -> tuple:
     """Row i holds (-1)^i C(k, i) for k = i, ..., ell-2, the coefficient of
-    lambda^i in zeta^k = (1 - lambda)^k.  So b_i = row_i . c[i:] writes
-    sum c_k zeta^k as sum b_i lambda^i on the basis 1, lambda, ...,
-    lambda^(ell-2)."""
+    lambda^i in zeta^k = (1 - lambda)^k."""
     return tuple(tuple((-1) ** i * comb(k, i) for k in range(i, ell - 1))
                  for i in range(ell - 1))
 
 
-def lambda_order(coeffs, ell: int, cap: int) -> int:
-    """min(ord_lambda(sum c_k zeta^k), cap), without expanding digits.
-
-    ell is lambda^(ell-1) times a unit, so the term b_i lambda^i on the
-    lambda basis has order (ell-1) v_ell(b_i) + i.  These orders differ
-    mod ell-1, so the least of them is the order of the sum.  Exact for
-    integer coefficients, and for coefficients known mod ell^k when cap is
-    at most (ell-1)k, as for the precision of a CycloElt.
-    """
-    best = cap
-    for i, row in enumerate(_lambda_basis_rows(ell)):
-        if i >= best:
-            break
-        b = sum(map(mul, row, coeffs[i:]))
-        if b:
-            order = i
-            while order < best and b % ell == 0:
-                b //= ell
-                order += ell - 1
-            best = min(best, order)
-    return best
-
-
-def lambda_digit(coeffs, ell: int, t: int) -> int:
-    """Digit t of sum c_k zeta^k, for an element of order at least t.
-
-    With t = q(ell-1) + s, every term b_i lambda^i with i != s has order
-    above t, and b_s = ell^q u.  By Wilson's theorem ell = -lambda^(ell-1)
-    mod lambda^ell, so the digit is (-1)^q u mod ell.  t must lie below
-    (ell-1)k for coefficients known mod ell^k.
-    """
-    q, s = divmod(t, ell - 1)
-    u = sum(map(mul, _lambda_basis_rows(ell)[s], coeffs[s:])) // ell**q
-    return (-u if q % 2 else u) % ell
-
-
-@lru_cache(maxsize=None)
-def _lambda_power_table(ell: int, n: int) -> tuple:
-    """lambda^0, ..., lambda^(n-1); lambda^(i+1) = lambda^i - zeta * lambda^i,
-    and multiplying by zeta rotates the coefficients."""
-    powers = [(1,) + (0,) * (ell - 2)]
-    for _ in range(1, n):
-        p = powers[-1]
-        powers.append(tuple(a - b for a, b in zip(p, reduce_zeta_poly((0,) + p, ell))))
-    return tuple(powers)
-
-
-def poly_from_digits(digits, ell: int) -> tuple:
-    """Exact integer lift sum_i digits[i] * lambda^i."""
-    powers = _lambda_power_table(ell, len(digits))
-    acc = [0] * (ell - 1)
-    for d, p in zip(digits, powers):
-        if d:
-            for s, c in enumerate(p):
-                acc[s] += d * c
-    return tuple(acc)
-
-
-# ---------------------------------------------------------------------------
-# Kronecker substitution on reduced coefficients.
-
-
-def product_width(ctx: RingCtx, terms: int) -> int:
-    """Slot width that holds a sum of `terms` packed products exactly.
-
-    Each power-basis coefficient lies in [0, modulus), and after folding
-    zeta^ell = 1 every slot of one product collects at most ell-1 terms."""
-    return (terms * (ctx.ell - 1) * (ctx.modulus - 1) ** 2).bit_length()
-
-
-def pack(coeffs, width: int) -> int:
-    """The coefficients, each in [0, 2^width), as the digits of one integer."""
-    x = 0
-    for c in reversed(coeffs):
-        x = (x << width) | c
-    return x
-
-
-def unpack_reduced(x: int, width: int, ctx: RingCtx) -> tuple:
-    """Reduced coefficients of a packed product, or sum of packed products.
-
-    The 2*ell - 3 slots of x fold to ell with zeta^ell = 1 (in the packed
-    integer, without carries), then zeta^(ell-1) = -(1 + ... + zeta^(ell-2))
-    takes the top slot out of the others."""
-    top_shift = (ctx.ell - 1) * width
-    low = top_shift + width
-    x = (x & ((1 << low) - 1)) + (x >> low)
-    mask = (1 << width) - 1
-    top = x >> top_shift
-    m = ctx.modulus
-    return tuple([(((x >> s) & mask) - top) % m for s in range(0, top_shift, width)])
+def from_poly(coeffs, ctx: RingCtx) -> tuple:
+    """Canonical coordinates of the integer polynomial sum c_k zeta^k."""
+    c = reduce_zeta_poly(coeffs, ctx.ell)
+    rows = _lambda_basis_rows(ctx.ell)
+    return coords_reduce([sum(map(mul, rows[i], c[i:])) for i in range(ctx.slots)], ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +476,18 @@ def unpack_reduced(x: int, width: int, ctx: RingCtx) -> tuple:
 class CycloElt:
     """An element of O/lambda^n.
 
-    `coeffs` holds its power-basis coefficients mod ctx.modulus; `digits`
-    holds its canonical lambda-adic digits.  An element built from digits
-    knows them, as do zero and one; truncate, pad_zero and add_top pass
-    known digits on; any other result expands them on first use.  Digits
-    are an edge format: the constructor takes them for deserialization and
-    digit matrices, while constants and results are built from
-    coefficients.
+    `coords` holds its canonical coordinates on 1, lambda, ...,
+    lambda^(S-1), S = min(n, ell-1) (the coords_* helpers), so equality and
+    hashing compare them.  For n <= ell-1 they are the lambda-adic digits.
+    For n > ell-1 the digits are read by digits_from_poly on first use,
+    unless the element knows them: one built from digits does, as do zero
+    and one, and truncate, pad_zero and add_top pass known digits on.
+    Digits are an edge format: the constructor takes them for
+    deserialization and digit matrices, while constants and results are
+    built from coordinates.
     """
 
-    __slots__ = ("ctx", "coeffs", "_digits")
+    __slots__ = ("ctx", "coords", "_digits")
 
     def __init__(self, ctx: RingCtx, digits):
         digits = tuple(digits)
@@ -341,55 +495,49 @@ class CycloElt:
             raise ValueError("digit count must equal the context precision")
         if any(not (0 <= d < ctx.ell) for d in digits):
             raise ValueError("digits must lie in {0, ..., ell-1}")
-        m = ctx.modulus
         self.ctx = ctx
-        self.coeffs = tuple(c % m for c in poly_from_digits(digits, ctx.ell))
-        self._digits = digits
+        self.coords = coords_from_lambda_poly(digits, ctx)
+        self._digits = digits if ctx.folds else None
 
     @staticmethod
-    def from_reduced(coeffs: tuple, ctx: RingCtx) -> "CycloElt":
-        """Wrap ell-1 power-basis coefficients already reduced mod ctx.modulus."""
+    def from_reduced(coords: tuple, ctx: RingCtx, digits=None) -> "CycloElt":
+        """Wrap canonical coordinates, and the digits when they are known."""
         e = object.__new__(CycloElt)
         e.ctx = ctx
-        e.coeffs = coeffs
-        e._digits = None
+        e.coords = coords
+        e._digits = digits if ctx.folds else None
         return e
 
     @property
     def digits(self) -> tuple:
+        if not self.ctx.folds:
+            return self.coords
         if self._digits is None:
-            self._digits = digits_from_poly(self.coeffs, self.ctx.ell, self.ctx.precision)
+            self._digits = digits_from_poly(self.coords, self.ctx.ell, self.ctx.precision)
         return self._digits
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_poly(coeffs, ctx: RingCtx) -> "CycloElt":
-        m = ctx.modulus
-        return CycloElt.from_reduced(
-            tuple(c % m for c in reduce_zeta_poly(coeffs, ctx.ell)), ctx
-        )
+        """The element sum c_k zeta^k of integer coefficients."""
+        return CycloElt.from_reduced(from_poly(coeffs, ctx), ctx)
 
     @staticmethod
     def from_int(k: int, ctx: RingCtx) -> "CycloElt":
-        return CycloElt.from_reduced((k % ctx.modulus,) + (0,) * (ctx.ell - 2), ctx)
+        return CycloElt.from_reduced(coords_add_int(ctx.zero, k, ctx), ctx)
 
     @staticmethod
     def zero(ctx: RingCtx) -> "CycloElt":
-        out = CycloElt.from_int(0, ctx)
-        out._digits = (0,) * ctx.precision
-        return out
+        return CycloElt.from_reduced(ctx.zero, ctx, (0,) * ctx.precision)
 
     @staticmethod
     def one(ctx: RingCtx) -> "CycloElt":
-        out = CycloElt.from_int(1, ctx)
-        out._digits = (1,) + (0,) * (ctx.precision - 1)
-        return out
+        return CycloElt.from_reduced(ctx.one, ctx, (1,) + (0,) * (ctx.precision - 1))
 
     @staticmethod
     def zeta(ctx: RingCtx, power: int = 1) -> "CycloElt":
-        coeffs = [0] * (power % ctx.ell) + [1]
-        return CycloElt.from_poly(coeffs, ctx)
+        return CycloElt.from_poly([0] * (power % ctx.ell) + [1], ctx)
 
     @staticmethod
     def lam(ctx: RingCtx, power: int = 1) -> "CycloElt":
@@ -399,38 +547,29 @@ class CycloElt:
             raise DomainError(f"lambda has no inverse, got power {power}")
         if power >= ctx.precision:
             return CycloElt.zero(ctx)
-        m = ctx.modulus
-        return CycloElt.from_reduced(
-            tuple(c % m for c in _lambda_power_table(ctx.ell, ctx.precision)[power]), ctx
-        )
+        powers = _lambda_powers(ctx.ell, ctx.precision, ctx.precision)
+        return CycloElt.from_reduced(powers[power], ctx)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def ord_lambda(self) -> int:
-        return lambda_order(self.coeffs, self.ctx.ell, self.ctx.precision)
+        return lambda_order(self.coords, self.ctx.ell, self.ctx.precision)
 
     @property
     def is_unit(self) -> bool:
-        # zeta = 1 mod lambda, so the residue mod lambda is p(1) mod ell
-        return sum(self.coeffs) % self.ctx.ell != 0
+        return residue(self.coords, self.ctx.ell) != 0
 
     def is_zero(self) -> bool:
-        return self.ord_lambda == self.ctx.precision
+        return not any(self.coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloElt):
             return NotImplemented
-        ctx = self.ctx
-        if ctx != other.ctx:
-            return False
-        if self.coeffs == other.coeffs:
-            return True
-        diff = [x - y for x, y in zip(self.coeffs, other.coeffs)]
-        return lambda_order(diff, ctx.ell, ctx.precision) == ctx.precision
+        return self.ctx == other.ctx and self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.digits))
+        return hash((self.ctx, self.coords))
 
     # -- ring structure ----------------------------------------------------
 
@@ -440,32 +579,21 @@ class CycloElt:
 
     def __add__(self, other: "CycloElt") -> "CycloElt":
         self._check(other)
-        m = self.ctx.modulus
-        return CycloElt.from_reduced(
-            tuple((x + y) % m for x, y in zip(self.coeffs, other.coeffs)), self.ctx
-        )
+        return CycloElt.from_reduced(coords_add(self.coords, other.coords, self.ctx), self.ctx)
 
     def __neg__(self) -> "CycloElt":
-        m = self.ctx.modulus
-        return CycloElt.from_reduced(tuple(-x % m for x in self.coeffs), self.ctx)
+        return CycloElt.from_reduced(coords_neg(self.coords, self.ctx), self.ctx)
 
     def __sub__(self, other: "CycloElt") -> "CycloElt":
         self._check(other)
-        m = self.ctx.modulus
-        return CycloElt.from_reduced(
-            tuple((x - y) % m for x, y in zip(self.coeffs, other.coeffs)), self.ctx
-        )
+        return CycloElt.from_reduced(coords_sub(self.coords, other.coords, self.ctx), self.ctx)
 
     def __mul__(self, other) -> "CycloElt":
         ctx = self.ctx
         if isinstance(other, int):
-            m = ctx.modulus
-            return CycloElt.from_reduced(tuple(x * other % m for x in self.coeffs), ctx)
+            return CycloElt.from_reduced(coords_scale(self.coords, other, ctx), ctx)
         self._check(other)
-        w = ctx.width
-        return CycloElt.from_reduced(
-            unpack_reduced(pack(self.coeffs, w) * pack(other.coeffs, w), w, ctx), ctx
-        )
+        return CycloElt.from_reduced(coords_mul(self.coords, other.coords, ctx), ctx)
 
     __rmul__ = __mul__
 
@@ -482,52 +610,43 @@ class CycloElt:
         return result
 
     def inverse(self) -> "CycloElt":
-        """Multiplicative inverse; Newton iteration doubles lambda-precision."""
+        """Multiplicative inverse by Newton's iteration x -> x (2 - a x),
+        which doubles the lambda-precision: step j runs at precision
+        min(2^j, n), on a truncated to it."""
+        ctx = self.ctx
         if not self.is_unit:
             raise NotAUnit(self.ord_lambda)
-        ell = self.ctx.ell
-        x = CycloElt.from_int(pow(sum(self.coeffs) % ell, -1, ell), self.ctx)
-        two = CycloElt.from_int(2, self.ctx)
+        x = (pow(residue(self.coords, ctx.ell), -1, ctx.ell),)
         prec = 1
-        while prec < self.ctx.precision:
-            x = x * (two - self * x)
-            prec *= 2
-        return x
+        while prec < ctx.precision:
+            prec = min(2 * prec, ctx.precision)
+            step = ctx.at_precision(prec)
+            x = coords_lift(x, step)
+            ax = coords_mul(coords_reduce(self.coords, step), x, step)
+            x = coords_mul(x, coords_add_int(coords_neg(ax, step), 2, step), step)
+        return CycloElt.from_reduced(x, ctx)
 
     def conjugate(self) -> "CycloElt":
-        """The involution zeta -> zeta^(-1), read off the coefficients:
-        zeta^e goes to zeta^(ell-e), and zeta^(ell-1) = -(1 + ... +
-        zeta^(ell-2)) subtracts c_1 from every coefficient."""
-        c = self.coeffs
-        c1 = c[1]
-        m = self.ctx.modulus
-        return CycloElt.from_reduced(
-            ((c[0] - c1) % m, -c1 % m) + tuple((x - c1) % m for x in c[:1:-1]), self.ctx
-        )
+        """The involution zeta -> zeta^(-1), sigma_(ell-1)."""
+        return CycloElt.from_reduced(coords_galois(self.coords, -1, self.ctx), self.ctx)
 
     def galois(self, j: int) -> "CycloElt":
         """Apply sigma_j: zeta -> zeta^j.  Requires gcd(j, ell) = 1."""
         if j % self.ctx.ell == 0:
             raise DomainError(f"sigma_j needs j invertible mod ell, got j = {j}")
-        return CycloElt.from_poly(
-            zeta_poly_galois(self.coeffs, j % self.ctx.ell, self.ctx.ell), self.ctx
-        )
+        return CycloElt.from_reduced(coords_galois(self.coords, j, self.ctx), self.ctx)
 
     def add_top(self, s: int) -> "CycloElt":
         """self + s * lambda^(n-1) at precision n.  Only the top digit moves,
-        by s mod ell, so digits the element knows are carried, not expanded."""
+        by s mod ell, so digits the element knows are carried."""
         ctx = self.ctx
         s %= ctx.ell
         if not s:
             return self
-        m = ctx.modulus
-        top = _lambda_power_table(ctx.ell, ctx.precision)[ctx.precision - 1]
-        out = CycloElt.from_reduced(
-            tuple((c + s * t) % m for c, t in zip(self.coeffs, top)), ctx
-        )
-        if self._digits is not None:
-            out._digits = self._digits[:-1] + ((self._digits[-1] + s) % ctx.ell,)
-        return out
+        digits = self._digits
+        if digits is not None:
+            digits = digits[:-1] + ((digits[-1] + s) % ctx.ell,)
+        return CycloElt.from_reduced(coords_add_top(self.coords, s, ctx), ctx, digits)
 
     # -- precision management ---------------------------------------------
 
@@ -535,23 +654,16 @@ class CycloElt:
         if n > self.ctx.precision:
             raise DomainError("cannot truncate upward")
         ctx = self.ctx.at_precision(n)
-        m = ctx.modulus
-        out = CycloElt.from_reduced(tuple(c % m for c in self.coeffs), ctx)
-        if self._digits is not None:
-            out._digits = self._digits[:n]
-        return out
+        digits = self._digits and self._digits[:n]
+        return CycloElt.from_reduced(coords_reduce(self.coords, ctx), ctx, digits)
 
     def pad_zero(self, n: int) -> "CycloElt":
         """Choose the representative with zero high digits at precision n."""
         if n < self.ctx.precision:
             raise DomainError("pad_zero only extends precision")
         ctx = self.ctx.at_precision(n)
-        m = ctx.modulus
-        out = CycloElt.from_reduced(
-            tuple(c % m for c in poly_from_digits(self.digits, ctx.ell)), ctx
-        )
-        out._digits = self.digits + (0,) * (n - self.ctx.precision)
-        return out
+        coords = coords_pad_zero(self.coords, self.digits, ctx)
+        return CycloElt.from_reduced(coords, ctx, self.digits + (0,) * (n - self.ctx.precision))
 
     # -- serialization -----------------------------------------------------
 
@@ -584,10 +696,11 @@ class CycloElt:
 def div_by_int(a: CycloElt, k: int) -> CycloElt:
     """Exact division by a nonzero integer k = +-ell^s * k' with k' prime to ell.
 
-    ell^s O = lambda^((ell-1)s) O contains lambda^n O, so a is divisible
-    exactly when its coefficients are divisible by ell^s; they are divided
-    as integers, and the result lives at precision n - (ell-1)s.  Then
-    +-k' is inverted mod the modulus of that precision.
+    ell^s O = lambda^((ell-1)s) O contains lambda^n O, and the coordinate
+    moduli from precision n down to n - (ell-1)s lose a factor ell^s each,
+    so a is divisible exactly when its coordinates are divisible by ell^s;
+    they are divided as integers, and the result lives at precision
+    n - (ell-1)s.  Then +-k' is inverted mod the modulus of that precision.
     """
     if k == 0:
         raise ZeroDivisionError
@@ -597,17 +710,15 @@ def div_by_int(a: CycloElt, k: int) -> CycloElt:
     while unit % ell == 0:
         unit //= ell
         s += 1
-    coeffs = a.coeffs
+    coords = a.coords
     if s:
         q = ell**s
         loss = (ell - 1) * s
-        if loss > ctx.precision or any(c % q for c in coeffs):
+        if loss > ctx.precision or any(c % q for c in coords):
             raise DomainError(f"element not divisible by ell^{s}")
         ctx = ctx.at_precision(ctx.precision - loss)
-        coeffs = [c // q for c in coeffs]
-    m = ctx.modulus
-    inv = pow(unit, -1, m)
-    return CycloElt.from_reduced(tuple(c * inv % m for c in coeffs), ctx)
+        coords = [c // q for c in coords]
+    return CycloElt.from_reduced(coords_scale(coords, pow(unit, -1, ctx.modulus), ctx), ctx)
 
 
 def _ord_ell_factorial(k: int, ell: int) -> int:
@@ -633,7 +744,8 @@ def log1p(x: CycloElt) -> CycloElt:
         smax += 1
         p *= ell
     n_ext = n + (ell - 1) * smax
-    w_ext = CycloElt.from_reduced(w.coeffs, ctx.at_precision(n_ext))  # any lift will do
+    ext = ctx.at_precision(n_ext)
+    w_ext = CycloElt.from_reduced(coords_lift(w.coords, ext), ext)  # any lift will do
     total = CycloElt.zero(ctx.at_precision(n))
     power = CycloElt.one(ctx.at_precision(n_ext))
     for k in range(1, kmax + 1):
@@ -652,7 +764,8 @@ def exp(x: CycloElt) -> CycloElt:
         raise DomainError("exp requires ord_lambda(x) >= 2")
     kmax = n  # term k has valuation >= k + 1
     n_ext = n + (ell - 1) * _ord_ell_factorial(kmax, ell)
-    x_ext = CycloElt.from_reduced(x.coeffs, ctx.at_precision(n_ext))  # any lift will do
+    ext = ctx.at_precision(n_ext)
+    x_ext = CycloElt.from_reduced(coords_lift(x.coords, ext), ext)  # any lift will do
     total = CycloElt.one(ctx.at_precision(n))
     power = CycloElt.one(ctx.at_precision(n_ext))
     fact = 1

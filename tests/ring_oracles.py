@@ -1,6 +1,10 @@
 """Reference algorithms the tests compare lamadic's ring, matrix and curve
-layers against.  They share no code path with the implementation: products
-are schoolbook multiplication mod Phi_ell written here, membership in
+layers against.  They share no code path with the implementation: ring
+elements are read on the power basis 1, zeta, ..., zeta^(ell-2) (zeta_coeffs)
+instead of lamadic's lambda-adic coordinates, where products are schoolbook
+multiplication or Kronecker substitution mod Phi_ell, conjugation and
+sigma_j permute exponents, digits are peeled through the lambda basis and
+inverses, quotients, log and exp are computed on coefficients, membership in
 lambda^n is decided through the norm, determinants by cofactor expansion,
 filtration orders by summing the slice dimensions level by level,
 trinomial discriminants by their closed form, slice membership and the
@@ -14,6 +18,7 @@ product, and linear systems by Gauss-Jordan elimination over Fractions.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from lamadic.curves import _poldivmod, _polmul
 from lamadic.lattices import is_anti_fixed, u_lr_member
@@ -71,12 +76,164 @@ def lift_digits(digits, ell):
     return acc
 
 
+# ---------------------------------------------------------------------------
+# The power basis: integer tuples of length ell-1, reduced mod
+# m = ell^ceil(n/(ell-1)), which kills O/lambda^n.  Several integer tuples
+# stand for one element; zeta_digits reads its canonical digits.
+
+
+def zeta_poly(coords, ell):
+    """sum b_i (1 - zeta)^i on the power basis, for lambda-coordinates b_i,
+    i <= ell-2, as exact integers."""
+    out = [0] * (ell - 1)
+    for i, b in enumerate(coords):
+        for k in range(i + 1):
+            out[k] += b * (-1) ** k * comb(i, k)
+    return out
+
+
+def zeta_coeffs(x):
+    """The power-basis coefficients of a CycloElt, mod ell^ceil(n/(ell-1))."""
+    m = x.ctx.modulus
+    return tuple(c % m for c in zeta_poly(x.coords, x.ctx.ell))
+
+
+def zeta_reduced(poly, ell, m):
+    """An integer polynomial in zeta on the power basis, mod m."""
+    folded = [0] * ell
+    for e, c in enumerate(poly):
+        folded[e % ell] += c
+    return tuple((c - folded[ell - 1]) % m for c in folded[:ell - 1])
+
+
+def _pack(coeffs, width):
+    x = 0
+    for c in reversed(coeffs):
+        x = (x << width) | c
+    return x
+
+
+def zeta_mul(a, b, ell, m):
+    """The product of reduced coefficients by Kronecker substitution: the
+    2ell-3 slots fold with zeta^ell = 1, then zeta^(ell-1) = -(1 + ... +
+    zeta^(ell-2)) takes the top slot out of the others."""
+    width = ((ell - 1) * (m - 1) ** 2).bit_length()
+    x = _pack(a, width) * _pack(b, width)
+    low = ell * width
+    x = (x & ((1 << low) - 1)) + (x >> low)
+    mask = (1 << width) - 1
+    top = x >> ((ell - 1) * width)
+    return tuple((((x >> s) & mask) - top) % m for s in range(0, (ell - 1) * width, width))
+
+
+def zeta_conjugate(c, m):
+    """zeta^e -> zeta^(ell-e) read off the coefficients: zeta^(ell-1) =
+    -(1 + ... + zeta^(ell-2)) subtracts c_1 from every coefficient."""
+    c1 = c[1]
+    return ((c[0] - c1) % m, -c1 % m) + tuple((x - c1) % m for x in c[:1:-1])
+
+
+def zeta_poly_galois(a, j, ell):
+    """sigma_j: zeta -> zeta^j on a reduced polynomial, exact."""
+    out = [0] * ell
+    for e, c in enumerate(a):
+        out[(e * j) % ell] += c
+    return tuple(c - out[ell - 1] for c in out[:ell - 1])
+
+
+@lru_cache(maxsize=None)
+def _zeta_lambda_powers(ell, n):
+    """lambda^0, ..., lambda^(n-1) on the power basis, exact."""
+    lam = [1, -1] + [0] * (ell - 3)
+    powers = [tuple([1] + [0] * (ell - 2))]
+    for _ in range(1, n):
+        powers.append(tuple(mul_mod_phi(powers[-1], lam, ell)))
+    return powers
+
+
+def zeta_digits(coeffs, ell, n):
+    """The n lambda-adic digits of sum c_k zeta^k, peeled one at a time.
+    Digit t = q(ell-1) + s of an element of order at least t is (-1)^q u
+    mod ell, where ell^q u is its coefficient b_s on the lambda basis
+    (b_s = sum_k (-1)^s C(k, s) c_k, as zeta^k = (1 - lambda)^k)."""
+    rest = list(coeffs)
+    digits = []
+    for t, power in enumerate(_zeta_lambda_powers(ell, n)):
+        q, s = divmod(t, ell - 1)
+        b = sum((-1) ** s * comb(k, s) * c for k, c in enumerate(rest) if k >= s)
+        if b % ell**q:
+            raise AssertionError("the rest is not in lambda^t")
+        u = b // ell**q
+        digits.append((-u if q % 2 else u) % ell)
+        rest = [c - digits[-1] * x for c, x in zip(rest, power)]
+    return tuple(digits)
+
+
+def zeta_inverse(c, ell, m):
+    """Newton's iteration x -> x (2 - a x) at full precision from the
+    inverse of the residue sum(c) mod ell, until a x = 1 mod m."""
+    x = (pow(sum(c) % ell, -1, ell),) + (0,) * (ell - 2)
+    one = (1,) + (0,) * (ell - 2)
+    while zeta_mul(c, x, ell, m) != one:
+        ax = zeta_mul(c, x, ell, m)
+        x = zeta_mul(x, ((2 - ax[0]) % m,) + tuple(-y % m for y in ax[1:]), ell, m)
+    return x
+
+
+def zeta_div_by_int(c, k, ell, n):
+    """(coefficients, precision) of c / k for k = ell^s k': the coefficients
+    divided by ell^s (None unless they are divisible, or when (ell-1)s
+    exceeds n), then times k'^(-1) mod the modulus at n - (ell-1)s."""
+    s = 0
+    while k % ell == 0:
+        k //= ell
+        s += 1
+    if (ell - 1) * s > n or any(x % ell**s for x in c):
+        return None
+    n -= (ell - 1) * s
+    m = ell ** -(-n // (ell - 1))
+    return tuple(x // ell**s * pow(k, -1, m) % m for x in c), n
+
+
+def zeta_log1p(c, ell, n):
+    """log(1 + w) = sum_(k<=n) (-1)^(k+1) w^k / k for w = c - 1, each power
+    at a precision extended by (ell-1) ord_ell(k) for the division."""
+    ext = n + (ell - 1) * max(s for s in range(n + 1) if ell**s <= n)
+    m_ext, m = ell ** -(-ext // (ell - 1)), ell ** -(-n // (ell - 1))
+    w = ((c[0] - 1) % m_ext,) + tuple(x % m_ext for x in c[1:])
+    total, power = (0,) * (ell - 1), (1,) + (0,) * (ell - 2)
+    for k in range(1, n + 1):
+        power = zeta_mul(power, w, ell, m_ext)
+        term = zeta_div_by_int(power, (-1) ** (k + 1) * k, ell, ext)[0]
+        total = tuple((a + b) % m for a, b in zip(total, term))
+    return total
+
+
+def zeta_exp(c, ell, n):
+    """exp(x) = sum_(k<=n) x^k / k!, each power at a precision extended by
+    (ell-1) ord_ell(n!) for the division."""
+    v, f = 0, ell
+    while f <= n:
+        v += n // f
+        f *= ell
+    ext = n + (ell - 1) * v
+    m_ext, m = ell ** -(-ext // (ell - 1)), ell ** -(-n // (ell - 1))
+    x = tuple(a % m_ext for a in c)
+    total, power, fact = (1,) + (0,) * (ell - 2), (1,) + (0,) * (ell - 2), 1
+    for k in range(1, n + 1):
+        power = zeta_mul(power, x, ell, m_ext)
+        fact *= k
+        term = zeta_div_by_int(power, fact, ell, ext)[0]
+        total = tuple((a + b) % m for a, b in zip(total, term))
+    return total
+
+
 def det_cofactor(a):
     """O-linear determinant of a MatLocal by cofactor expansion along rows,
     memoized over column subsets: 2^d exact products in Z[zeta]."""
     d = a.dim
     ell = a.ctx.ell
-    lifts = [[e.coeffs for e in row] for row in a.entries]
+    lifts = [[zeta_coeffs(e) for e in row] for row in a.entries]
     memo = {}
 
     def minor(row, colmask):

@@ -1,10 +1,11 @@
-"""Digits are an edge format: lamadic builds ring elements from power-basis
-coefficients and calls the digit constructor CycloElt(ctx, digits) only to
-read serialized or digit-matrix input.  A lift chain carries the digits it
+"""Digits are an edge format: lamadic builds ring elements from
+lambda-adic coordinates and calls the digit constructor CycloElt(ctx,
+digits) only to read serialized or digit-matrix input.  For n <= ell-1 the
+coordinates are the digits; past that, a lift chain carries the digits it
 knows instead of expanding them again, and reads orders and the digits it
-needs from the coefficients, so it expands none.  Neither do filtration
-levels, unit decompositions or the commutator checks, and the commutator
-checks invert no matrix: they compare products."""
+needs from the coordinates, so it expands none.  Neither do filtration
+levels, unit decompositions, hashing or the commutator checks, and the
+commutator checks invert no matrix: they compare products."""
 
 import ast
 import random
@@ -24,7 +25,7 @@ from lamadic.matrices import (
     random_su_element,
 )
 from lamadic.ring import CycloElt, RingCtx, exp
-from ring_oracles import lift_digits, mul_mod_phi
+from ring_oracles import lift_digits, mul_mod_phi, zeta_reduced
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lamadic"
 expand = ring.digits_from_poly
@@ -110,7 +111,7 @@ def test_lift_chains_carry_the_digits_a_fresh_expansion_gives(expansions, ell):
                 n = m.ctx.precision
                 for row in m.entries:
                     for e in row:
-                        assert e.digits == expand(e.coeffs, ell, n), (ell, d, sign)
+                        assert e.digits == expand(e.coords, ell, n), (ell, d, sign)
             assert expansions == []  # every digit read above was carried
 
 
@@ -154,9 +155,10 @@ def test_equal_elements_with_different_coefficients_hash_equal(ell):
         for _ in range(5):
             c = [rng.randrange(m) for _ in range(ell - 1)]
             r = [rng.randrange(1, m) for _ in range(ell - 1)]
+            c2 = [a + b for a, b in zip(c, mul_mod_phi(lam_n, r, ell))]
             x = CycloElt.from_poly(c, ctx)
-            y = CycloElt.from_poly([a + b for a, b in zip(c, mul_mod_phi(lam_n, r, ell))], ctx)
-            if x.coeffs == y.coeffs:  # lambda^n r can be 0 mod ell^k
+            y = CycloElt.from_poly(c2, ctx)
+            if zeta_reduced(c, ell, m) == zeta_reduced(c2, ell, m):  # lambda^n r can be 0 mod ell^k
                 continue
             assert x == y and hash(x) == hash(y)
             assert x != y.add_top(1)
@@ -181,6 +183,10 @@ def test_commutator_checks_neither_invert_nor_expand_digits(monkeypatch, expansi
         ctx = RingCtx(ell, n)
         pairs += [(_level_member(ctx, d, (n - 1) // 2, rng),
                    _level_member(ctx, d, (n - 1) // 2, rng)) for _ in range(3)]
+    # products know no digits; at n <= ell-1 the digits are the coordinates
+    ctx = RingCtx(7, 5)
+    pairs.append(tuple(_level_member(ctx, 3, 2, rng) * _level_member(ctx, 3, 3, rng)
+                       for _ in range(2)))
     inverses = _spy(monkeypatch, MatLocal, "inverse")
     assert all(matrix_commutator_check(a, b) for a, b in pairs)
     assert su_commutator_span_check(3, 3, 4) and su_commutator_span_check(5, 3, 5, -1)
@@ -200,4 +206,33 @@ def test_filtration_levels_and_unit_decompositions_expand_no_digits(expansions):
                 CycloElt.zero(ctx))
         for e in range(2 * ell):
             assert decompose_unit((-CycloElt.zeta(ctx, 1)) ** e * exp(x), r)[0] == e
+    assert expansions == []
+
+
+def test_hashing_reads_coordinates_and_expands_no_digits(expansions):
+    """Two representatives of one class on the power basis, past n = ell-1
+    where digits are not coordinates, hash equal without a digit expansion."""
+    for ell, n in ((3, 7), (5, 9), (7, 8)):
+        ctx = RingCtx(ell, n)
+        lam_n = lift_digits([0] * n + [1], ell)
+        c = [k * k + 1 for k in range(ell - 1)]
+        x = CycloElt.from_poly(c, ctx)
+        y = CycloElt.from_poly([a + 2 * b for a, b in zip(c, lam_n)], ctx)
+        assert hash(x) == hash(y) and {x, y} == {x}
+    assert expansions == []
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11])
+def test_lift_chains_up_to_ell_minus_one_expand_no_digits(expansions, ell):
+    """At n <= ell-1 a lift chain reads its digits off the coordinates:
+    every digit of the chain and of the lift is read, and none expanded."""
+    for d in (2, 5):
+        form = HermitianForm.standard(RingCtx(ell, 1), d, -1)
+        a = random_su_element(form, ell - 2, random.Random(f"{ell}/{d}"))
+        lifted = lift_su(a, form)
+        assert lifted.ctx.precision == ell - 1
+        assert classify_membership(lifted, form).kind == "SU"
+        for m in (a, lifted):
+            assert [m.digit(k) for k in range(m.ctx.precision)]
+            assert MatLocal.from_json_dict(m.to_json_dict()) == m
     assert expansions == []

@@ -34,6 +34,7 @@ from ring_oracles import (
     random_slice_by_basis_sum,
     random_su_element_by_twist_products,
     su_slice_predicate,
+    zeta_coeffs,
 )
 
 
@@ -250,7 +251,7 @@ def test_det_base_matches_integer_representation():
         for i in range(2):
             r1, r2 = [], []
             for j in range(2):
-                c0, c1 = a.entries[i][j].coeffs
+                c0, c1 = zeta_coeffs(a.entries[i][j])
                 # multiplication by c0 + c1 z on basis (1, z), z^2 = -1 - z
                 r1.extend([c0, -c1])
                 r2.extend([c1, c0 - c1])
@@ -316,6 +317,20 @@ def test_weil_gram_examples():
     for r in (1, -5):
         with pytest.raises(DomainError, match="need r >= 2"):
             weil_gram_and_epsilon(11, r)
+
+
+def test_weil_gram_square_class_matches_elimination():
+    """The closed-form determinant against elimination of the returned Gram
+    matrix over F_ell."""
+    for ell in (3, 5, 7, 11, 13, 101):
+        for r in range(2, 40):
+            if r % ell == 0:
+                continue
+            for c in (1, 2, ell - 1):
+                gram, sc, _ = weil_gram_and_epsilon(ell, r, c)
+                assert gram == [[c * (1 if i != j else 1 - r) % ell for j in range(r - 1)]
+                                for i in range(r - 1)]
+                assert sc == legendre(echelon_mod(gram, ell)[1], ell), (ell, r, c)
 
 
 def test_su_basis_satisfies_predicate():
@@ -435,7 +450,8 @@ def test_filtration_level_of_products_matches_the_norm_oracle(ell):
                     b = MatLocal.from_digit_matrices(ctx, d, [ident] + zeros + [neg])
                 for prod_ab in (a * b, b * a, a * a):
                     want = max(j for j in range(n + 1) if all(
-                        in_lambda_n([c - (i == jj and t == 0) for t, c in enumerate(e.coeffs)],
+                        in_lambda_n([c - (i == jj and t == 0)
+                                     for t, c in enumerate(zeta_coeffs(e))],
                                     ell, j)
                         for i, row in enumerate(prod_ab.entries) for jj, e in enumerate(row)))
                     assert prod_ab.filtration_level() == want, (ell, n, d, k)

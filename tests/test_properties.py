@@ -12,6 +12,17 @@ from hypothesis import strategies as st
 
 from lamadic.matrices import MatLocal, det_local
 from lamadic.ring import CycloElt, DomainError, RingCtx, div_by_int, exp, log1p
+from ring_oracles import (
+    zeta_coeffs,
+    zeta_conjugate,
+    zeta_digits,
+    zeta_div_by_int,
+    zeta_exp,
+    zeta_inverse,
+    zeta_log1p,
+    zeta_mul,
+    zeta_poly_galois,
+)
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -143,7 +154,7 @@ def test_div_by_int_rejects_non_multiples(data):
 def test_conjugation_is_an_involutive_ring_homomorphism(data):
     ctx = data.draw(wide_contexts())
     a, b = data.draw(elements(ctx)), data.draw(elements(ctx))
-    assert a.conjugate().conjugate().coeffs == a.coeffs
+    assert zeta_coeffs(a.conjugate().conjugate()) == zeta_coeffs(a)
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
     assert CycloElt.one(ctx).conjugate() == CycloElt.one(ctx)
@@ -171,3 +182,50 @@ def test_exp_inverts_log(data):
     x = log1p(u)
     assert x.is_zero() or x.ord_lambda >= 2
     assert exp(x) == u
+
+
+@settings(checked, max_examples=200)
+@given(st.data())
+def test_coordinates_agree_with_the_power_basis(data):
+    """Every operation on lambda-coordinates, at ell <= 23 and n <= 3 ell,
+    against the same operation on power-basis coefficients (ring_oracles),
+    compared by the digits peeled off the power basis."""
+    ell = data.draw(st.sampled_from(SMALL_PRIMES))
+    n = data.draw(st.integers(1, 3 * ell))
+    ctx = RingCtx(ell, n)
+    m = ctx.modulus
+    a, b = data.draw(elements(ctx)), data.draw(elements(ctx))
+    za, zb = zeta_coeffs(a), zeta_coeffs(b)
+
+    def digits(z, precision=n):
+        return zeta_digits(z, ell, precision)
+
+    assert a.digits == digits(za)
+    assert a.ord_lambda == next((t for t, x in enumerate(a.digits) if x), n)
+    assert (a + b).digits == digits([(x + y) % m for x, y in zip(za, zb)])
+    assert (a - b).digits == digits([(x - y) % m for x, y in zip(za, zb)])
+    assert (a * b).digits == digits(zeta_mul(za, zb, ell, m))
+    assert a.conjugate().digits == digits(zeta_conjugate(za, m))
+    j = data.draw(st.integers(1, ell - 1))
+    assert a.galois(j).digits == digits([c % m for c in zeta_poly_galois(za, j, ell)])
+    if a.is_unit:
+        assert a.inverse().digits == digits(zeta_inverse(za, ell, m))
+    k = data.draw(st.integers(1, n))
+    assert a.truncate(k).digits == a.digits[:k] == digits(zeta_coeffs(a.truncate(k)), k)
+    k = data.draw(st.integers(n, n + ell))
+    padded = a.pad_zero(k)
+    assert padded.digits == a.digits + (0,) * (k - n) == digits(zeta_coeffs(padded), k)
+    s = data.draw(st.integers(0, n // (ell - 1)))
+    k = ell**s * data.draw(cofactors(ell))
+    q, precision = zeta_div_by_int(zeta_coeffs(a * k), k, ell, n)
+    assert div_by_int(a * k, k).digits == digits(q, precision)
+    if zeta_div_by_int(za, ell, ell, n) is None:
+        with pytest.raises(DomainError):
+            div_by_int(a, ell)
+    else:
+        q, precision = zeta_div_by_int(za, ell, ell, n)
+        assert div_by_int(a, ell).digits == digits(q, precision)
+    x = a * CycloElt.lam(ctx, 2)
+    assert exp(x).digits == digits(zeta_exp(zeta_coeffs(x), ell, n))
+    u = CycloElt.one(ctx) + x
+    assert log1p(u).digits == digits(zeta_log1p(zeta_coeffs(u), ell, n))

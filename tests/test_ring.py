@@ -19,10 +19,17 @@ from lamadic.ring import (
     lambda_digit,
     lambda_order,
     log1p,
-    poly_from_digits,
+)
+from ring_oracles import (
+    in_lambda_n,
+    lift_digits,
+    mul_mod_phi,
+    zeta_coeffs,
+    zeta_digits,
+    zeta_inverse,
+    zeta_poly,
     zeta_poly_galois,
 )
-from ring_oracles import in_lambda_n, lift_digits, mul_mod_phi
 
 
 def test_digit_examples():
@@ -48,7 +55,7 @@ def test_digit_bijection_small():
         seen = set()
         for k in range(3**n):
             digits = tuple((k // 3**i) % 3 for i in range(n))
-            e = CycloElt.from_poly(poly_from_digits(digits, 3), ctx)
+            e = CycloElt.from_poly(lift_digits(digits, 3), ctx)
             assert e.digits == digits
             seen.add(e.digits)
         assert len(seen) == 3**n
@@ -86,8 +93,10 @@ def test_lambda_conjugate_and_norm():
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
 def test_conjugate_is_the_galois_action_of_minus_one(ell):
-    """The coefficients read off by conjugate() equal sigma_(ell-1) applied
-    to the power basis and reduced, also where the modulus is ell^2 or more."""
+    """conjugate(), a linear map on the lambda-coordinates, equals
+    sigma_(ell-1) applied to the power basis, also where the modulus is
+    ell^2 or more.  The power-basis image is one representative of the
+    element, so the two are compared as elements."""
     rng = random.Random(ell)
     moduli = set()
     for n in (1, ell - 1, ell, 2 * (ell - 1) + 1, 3 * ell):
@@ -95,9 +104,9 @@ def test_conjugate_is_the_galois_action_of_minus_one(ell):
         m = ctx.modulus
         moduli.add(m)
         for _ in range(20):
-            a = CycloElt.from_reduced(tuple(rng.randrange(m) for _ in range(ell - 1)), ctx)
-            want = tuple(c % m for c in zeta_poly_galois(a.coeffs, ell - 1, ell))
-            assert a.conjugate().coeffs == want
+            a = CycloElt.from_poly([rng.randrange(m) for _ in range(ell - 1)], ctx)
+            want = zeta_poly_galois(zeta_coeffs(a), ell - 1, ell)
+            assert a.conjugate() == CycloElt.from_poly(want, ctx)
     assert max(moduli) >= ell**3
 
 
@@ -122,6 +131,28 @@ def test_inverse_and_units():
         digits = [rng.randrange(1, 5)] + [rng.randrange(5) for _ in range(5)]
         a = CycloElt(ctx, tuple(digits))
         assert a * a.inverse() == CycloElt.one(ctx)
+
+
+def test_inverse_rises_in_precision_and_matches_the_full_precision_inverse(monkeypatch):
+    """Newton step j runs at precision min(2^j, n); the result equals the
+    inverse taken at full precision on the power basis, for every ell <= 23
+    and n <= 3 ell."""
+    rng = random.Random(5)
+    for ell in (3, 5, 7, 11, 13, 17, 19, 23):
+        for n in range(1, 3 * ell + 1):
+            ctx = RingCtx(ell, n)
+            for _ in range(2):
+                digits = [rng.randrange(1, ell)] + [rng.randrange(ell) for _ in range(n - 1)]
+                a = CycloElt(ctx, digits)
+                inv = a.inverse()
+                assert inv.digits == zeta_digits(
+                    zeta_inverse(zeta_coeffs(a), ell, ctx.modulus), ell, n), (ell, n)
+    precisions = []
+    product = ring.coords_mul
+    monkeypatch.setattr(ring, "coords_mul",
+                        lambda x, y, ctx: precisions.append(ctx.precision) or product(x, y, ctx))
+    CycloElt(RingCtx(5, 13), (2,) + (1,) * 12).inverse()
+    assert precisions == [2, 2, 4, 4, 8, 8, 13, 13]
 
 
 def test_div_by_int():
@@ -208,11 +239,13 @@ def test_in_lambda_n_oracle_on_lambda_powers():
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
 def test_lambda_order_and_digit_match_the_digit_expansion(ell):
-    """lambda_order and lambda_digit read the lambda basis; they must agree
-    with the norm oracle and with the expanded digits, for the reduced
-    coefficients and for other integer representatives of the element.
-    The digits lie in [0, ell) and reproduce the element mod lambda^n
-    (in_lambda_n), which determines them."""
+    """lambda_order and lambda_digit read the lambda-coordinates; they must
+    agree with the norm oracle and with the expanded digits, for the
+    canonical coordinates and for other integer representatives of the
+    element (each coordinate moved by multiples of its modulus).  The
+    digits lie in [0, ell), reproduce the element mod lambda^n
+    (in_lambda_n), which determines them, and equal those peeled off the
+    power basis (zeta_digits)."""
     rng = random.Random(ell)
     for n in range(1, 3 * (ell - 1) + 2):  # passes n = (ell-1), 2(ell-1), 3(ell-1)
         ctx = RingCtx(ell, n)
@@ -222,24 +255,25 @@ def test_lambda_order_and_digit_match_the_digit_expansion(ell):
         samples += [CycloElt.from_int(s * ell**j, ctx)
                     for j in range(-(-n // (ell - 1)) + 1) for s in (1, -1)]
         for _ in range(12):
-            x = CycloElt.from_reduced(tuple(rng.randrange(m) for _ in range(ell - 1)), ctx)
+            x = CycloElt.from_poly([rng.randrange(m) for _ in range(ell - 1)], ctx)
             samples += [x, CycloElt.lam(ctx, rng.randrange(n)) * x]
         for e in samples:
-            digits = digits_from_poly(e.coeffs, ell, n)
+            digits = digits_from_poly(e.coords, ell, n)
+            assert digits == e.digits == zeta_digits(zeta_coeffs(e), ell, n)
             order = next((i for i, x in enumerate(digits) if x), n)
-            assert in_lambda_n(e.coeffs, ell, order)
-            assert order == n or not in_lambda_n(e.coeffs, ell, order + 1)
-            shifted = [c + rng.randrange(-3, 4) * m for c in e.coeffs]
-            for coeffs in (e.coeffs, shifted):
-                assert digits_from_poly(coeffs, ell, n) == digits
+            assert in_lambda_n(zeta_coeffs(e), ell, order)
+            assert order == n or not in_lambda_n(zeta_coeffs(e), ell, order + 1)
+            shifted = [c + rng.randrange(-3, 4) * q for c, q in zip(e.coords, ctx.moduli)]
+            for coords in (e.coords, shifted):
+                assert digits_from_poly(coords, ell, n) == digits
                 assert all(0 <= x < ell for x in digits)
-                rest = [a - b for a, b in zip(lift_digits(digits, ell), coeffs)]
-                assert in_lambda_n(rest, ell, n), (ell, n, coeffs)
-                assert lambda_order(coeffs, ell, n) == order
+                rest = [a - b for a, b in zip(lift_digits(digits, ell), zeta_poly(coords, ell))]
+                assert in_lambda_n(rest, ell, n), (ell, n, coords)
+                assert lambda_order(coords, ell, n) == order
                 for cap in range(n):
-                    assert lambda_order(coeffs, ell, cap) == min(order, cap)
+                    assert lambda_order(coords, ell, cap) == min(order, cap)
                 for t in range(min(order + 1, n)):
-                    assert lambda_digit(coeffs, ell, t) == digits[t], (n, e, t)
+                    assert lambda_digit(coords, ell, t) == digits[t], (n, e, t)
             assert e.ord_lambda == order and e.is_zero() == (order == n)
 
 
