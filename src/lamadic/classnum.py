@@ -185,11 +185,11 @@ def demjanenko_det(ell: int, r: int, reps=None) -> DemjanenkoReport:
     det is the Bareiss determinant of the integer matrix [2 n'] divided by
     2^g, and t is ord_ell of that integer."""
     reps, twice = _twice_half_system(ell, r, reps)
+    h = h_minus(ell)  # first: it refuses an ell past H_MINUS_MAX_ELL
     g = len(reps)
     twice_det = linalg.det(twice)
     det = Fraction(twice_det, 2**g)
     r_ell, c = c_lr(ell, r)
-    h = h_minus(ell)
     expected = Fraction(h * c, 2 * ell)
     if abs(det) != expected:
         raise CheckFailed(f"determinant magnitude {abs(det)} != h^- c / (2 ell) = {expected}")

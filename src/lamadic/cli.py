@@ -64,6 +64,16 @@ MAX_BUDGET = 4_000_000
 # weil_gram_and_epsilon, and r = 801 would take 0.066 s there (2-core Intel
 # Xeon, Python 3.11.7; elimination of the matrix took 3.8-4.8 s at r = 501).
 MAX_EPS_R = 501
+# Upper limit of c-lr's --ell.  c_lr finds the order of r mod ell in up to
+# ell - 1 steps: 0.19 s at ell = 999983 with r = 5 a primitive root, 1.9 s
+# near 10^7, and ell = 1000000007 ran past 30 s.  ell = 20011 runs in 0.17 s
+# of wall time (2-core Intel Xeon, Python 3.11.7).
+MAX_C_LR_ELL = 1_000_000
+# Upper limit of verify-commutator's --n.  The symbolic check grows about as
+# n^2: verify_commutator_identity takes 0.49 s at n = 500 and 1.4 s at
+# n = 800; `verify-commutator --n 1000` took 3.2 s and --n 4000 ran past 30 s
+# (same host).
+MAX_COMMUTATOR_N = 500
 
 
 def _in_range(flag: str, value: int, low: int, high: int | None = None) -> int:
@@ -150,6 +160,7 @@ def _cmd_eps(args):
 
 
 def _cmd_c_lr(args):
+    _in_range("--ell", args.ell, 3, MAX_C_LR_ELL)
     r_ell, c = c_lr(args.ell, args.r)
     _emit(args, {"ell": args.ell, "r": args.r, "r_ell": r_ell, "c": c},
           f"r_ell = {r_ell}, c = {c}")
@@ -185,6 +196,7 @@ def _cmd_su_order(args):
 
 
 def _cmd_verify_commutator(args):
+    _in_range("--n", args.n, 3, MAX_COMMUTATOR_N)
     ok, residual = verify_commutator_identity(args.n)
     _emit(
         args,

@@ -8,9 +8,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .linalg import echelon_mod
-from .ring import CheckFailed, RingCtx, DomainError, coords_from_lambda_poly
+from .linalg import index_modulo
+from .ring import (
+    CheckFailed,
+    DomainError,
+    RingCtx,
+    coords_add_int,
+    coords_from_lambda_poly,
+    coords_scale,
+    coords_sub,
+    lambda_digit,
+)
 from .matrices import (
     HermitianForm,
     MatLocal,
@@ -216,13 +226,10 @@ def series_evaluate(p: FreeSeries, assignment, ctx: RingCtx, dim: int) -> MatLoc
         if coef.denominator % ctx.ell == 0:
             raise DomainError("coefficient denominator not invertible")
         c = coef.numerator * pow(coef.denominator, -1, m) % m
-        w = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-        for sym in word:
-            sm = assignment[sym]
-            w = [
-                [sum(w[i][k] * sm[k][j] for k in range(dim)) for j in range(dim)]
-                for i in range(dim)
-            ]
+        w = assignment[word[0]] if word else [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for sym in word[1:]:
+            cols = tuple(zip(*assignment[sym]))
+            w = [[sum(map(mul, row, col)) for col in cols] for row in w]
         acc = by_deg.setdefault(deg, mat_zero(dim))
         for acc_row, w_row in zip(acc, w):
             for j, x in enumerate(w_row):
@@ -243,10 +250,25 @@ def group_commutator(a: MatLocal, b: MatLocal) -> MatLocal:
     return a * b * a.inverse() * b.inverse()
 
 
+def _level_digits(a: MatLocal, level: int):
+    """The digit matrices `level` and level+1 of A = I mod lambda^level,
+    read from the coordinates by lambda_digit: digit `level` of A - I, then
+    digit level+1 of A - I - lambda^level A_level."""
+    ctx, ell = a.ctx, a.ctx.ell
+    x = [[coords_add_int(c, -1, ctx) if i == j else c for j, c in enumerate(row)]
+         for i, row in enumerate(a.rows)]
+    low = [[lambda_digit(c, ell, level) for c in row] for row in x]
+    power = coords_from_lambda_poly((0,) * level + (1,), ctx)
+    high = [[lambda_digit(coords_sub(c, coords_scale(power, t, ctx), ctx), ell, level + 1)
+             for c, t in zip(row, trow)] for row, trow in zip(x, low)]
+    return low, high
+
+
 def matrix_commutator_check(a: MatLocal, b: MatLocal) -> bool:
     """Check ABA^(-1)B^(-1) = E, the case formula, for level-N members as
     AB = E BA, the form commutator_residual verifies: A = B = I mod lambda
     are invertible.  Elements at levels i, j with i + j >= n must commute.
+    E reads the digit matrices N and N+1 of A and B only (_level_digits).
     """
     if a.ctx != b.ctx or a.dim != b.dim:
         raise ValueError("matrix mismatch")
@@ -259,7 +281,9 @@ def matrix_commutator_check(a: MatLocal, b: MatLocal) -> bool:
     if level_a < big_n or level_b < big_n:
         raise MembershipError(f"both matrices must be trivial mod lambda^{big_n}")
     ab, ba = a * b, b * a
-    assignment = {f"{s}{i}": m.digit(i) for s, m in (("A", a), ("B", b)) for i in range(big_n, n)}
+    assignment = {f"{s}{big_n + k}": digits
+                  for s, m in (("A", a), ("B", b))
+                  for k, digits in enumerate(_level_digits(m, big_n))}
     expected = series_evaluate(commutator_case_expression(n), assignment, ctx, a.dim)
     if ab != expected * ba:
         return False
@@ -371,4 +395,6 @@ def su_commutator_span_check(ell: int, d: int, n: int, sign: int = 1) -> bool:
                 if top is None:
                     raise CheckFailed(f"AB - BA of lifted generators is not in lambda^{n - 1}")
                 vectors.append([x for row in top for x in row])
-    return echelon_mod(vectors, ell)[0] == su_dimension(d, n)
+    # the F_ell-rank from |F_ell^(d^2) / span| = ell^(d^2 - rank), by the
+    # Hermite fold modulo ell
+    return index_modulo(d * d, vectors, ell) == ell ** (d * d - su_dimension(d, n))

@@ -260,11 +260,11 @@ def lattice_index_check(ell: int, r: int):
 
     The matrix has denominators prime to ell, so on Z_ell^g its cokernel
     has order ell^t' with t' = ord_ell of its determinant."""
+    rep = demjanenko_det(ell, r)  # first: h^- refuses an ell past its limit
     m = t_doubleprime_matrix(ell, r)
     if any(x.denominator % ell == 0 for row in m for x in row):
         raise DomainError("denominators must be prime to ell")
     t_prime = ord_p(fraction_det(m), ell)
-    rep = demjanenko_det(ell, r)
     if t_prime != rep.t:
         raise CheckFailed(f"cokernel exponent {t_prime} != determinant order {rep.t}")
     return t_prime

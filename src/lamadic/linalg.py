@@ -1,10 +1,11 @@
-"""Exact linear algebra over Z, Z/p and Q: the one kernel behind the
-resultants, the class-number determinants, the F_ell ranks and the orders
-of finitely presented abelian groups.
+"""Exact linear algebra over Z, Z/D and Q: the kernel behind the
+resultants, the class-number determinants, the local inverses' seeds, the
+F_ell ranks and the orders of finitely presented abelian groups.
 
 Matrices are lists of rows of Python integers.  Over Z and Q there is one
 elimination, `_bareiss`: `det` runs it forward, `solve` runs it
 Gauss-Jordan, and rational rows reach it through `clear_denominators`.
+Over Z/D there is the Hermite fold of `index_modulo`.
 """
 
 from __future__ import annotations
@@ -61,34 +62,6 @@ def clear_denominators(rows):
             for row, d in zip(rows, dens)], prod(dens)
 
 
-def echelon_mod(rows, p: int):
-    """(rank, det) of an integer matrix over F_p from one row-echelon pass;
-    det is taken mod p and is 0 unless the matrix is square of full rank."""
-    a = [[x % p for x in row] for row in rows]
-    ncols = len(a[0]) if a else 0
-    rank, det_p = 0, 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if piv is None:
-            det_p = 0
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-            det_p = -det_p
-        pivot_row = a[rank]
-        det_p = det_p * pivot_row[col] % p
-        inv = pow(pivot_row[col], -1, p)
-        for row in a[rank + 1:]:
-            f = row[col] * inv % p
-            if f:
-                for j in range(col, ncols):
-                    row[j] = (row[j] - f * pivot_row[j]) % p
-        rank += 1
-    if rank != len(a):
-        det_p = 0
-    return rank, det_p % p
-
-
 def lattice_index(g: int, columns) -> int:
     """|Z^g / span(columns)| for integer columns of length g; DomainError
     when the span has rank < g, so that the quotient is infinite.
@@ -109,7 +82,9 @@ def lattice_index(g: int, columns) -> int:
 
 
 def index_modulo(g: int, columns, big_d: int) -> int:
-    """|Z^g / span(columns)| for a positive D with D Z^g inside the span.
+    """|Z^g / span(columns)| for a positive D with D Z^g inside the span;
+    for any positive D, |Z^g / (span + D Z^g)|, so at a prime D = p the
+    rank r of the columns over F_p is read from the value p^(g - r).
 
     The quotient is then that of (Z/D)^g, and Hermite elimination modulo D
     (Cohen, A Course in Computational Algebraic Number Theory, 2.4.2)

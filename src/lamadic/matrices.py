@@ -1,4 +1,5 @@
-"""Matrices over O/lambda^n: determinants, unitary-group membership,
+"""Matrices over O/lambda^n: determinants from power traces, inverses by
+Newton's iteration (no elimination here), unitary-group membership,
 su^(n) bases, congruence-filtration orders, the constructive SU lift,
 the Weil Gram model with its sign, and the permutation embedding.
 """
@@ -10,6 +11,7 @@ from dataclasses import dataclass, field
 from math import comb, prod
 from operator import mul
 
+from . import linalg
 from .ring import (
     _ord_ell_factorial,
     CheckFailed,
@@ -251,19 +253,33 @@ class MatLocal:
         return level
 
     def inverse(self) -> "MatLocal":
-        """Gauss-Jordan inverse of [A | I] by the packed elimination kernel
-        (_eliminate), which serves only the inverse: determinants come from
-        power traces (det_local).  MembershipError when a column has no
-        unit pivot after row swaps, that is when det A is not a unit."""
-        d = self.dim
-        ctx = self.ctx
-        rows = [
-            list(row) + [ctx.one if i == j else ctx.zero for j in range(d)]
-            for i, row in enumerate(self.rows)
-        ]
-        if not _eliminate(rows, ctx):
-            raise MembershipError("matrix is not invertible over the local ring")
-        return MatLocal(ctx, tuple(tuple(row[d:]) for row in rows))
+        """Newton's iteration X -> X (2I - A X) at precisions min(2^j, n), on
+        A truncated to each, as in CycloElt.inverse.  The seed inverts the
+        residue matrix mod ell through its rational inverse (linalg.solve);
+        MembershipError when det A is not a unit, that is when the residue
+        matrix is singular over Q or its inverse has ell in a denominator."""
+        d, ctx, ell = self.dim, self.ctx, self.ctx.ell
+        if not d:
+            return self
+        singular = MembershipError("matrix is not invertible over the local ring")
+        try:
+            cols = linalg.solve([[residue(c, ell) for c in row] for row in self.rows],
+                                [[int(i == j) for i in range(d)] for j in range(d)])
+        except DomainError as e:
+            raise singular from e
+        if any(f.denominator % ell == 0 for col in cols for f in col):
+            raise singular
+        x = MatLocal(ctx.at_precision(1), tuple(
+            tuple((f.numerator * pow(f.denominator, -1, ell) % ell,) for f in row)
+            for row in zip(*cols)))
+        while x.ctx.precision < ctx.precision:
+            step = ctx.at_precision(min(2 * x.ctx.precision, ctx.precision))
+            x = MatLocal(step, tuple(tuple(coords_lift(c, step) for c in row) for row in x.rows))
+            ax = self.truncate(step.precision) * x
+            x = x * MatLocal(step, tuple(
+                tuple(coords_add_int(coords_neg(c, step), 2 * (i == j), step)
+                      for j, c in enumerate(row)) for i, row in enumerate(ax.rows)))
+        return MatLocal(ctx, x.rows)
 
     def inverse_neumann(self) -> "MatLocal":
         """(I + M)^(-1) = sum (-M)^k for A = I + M with M = 0 mod lambda."""
@@ -301,42 +317,7 @@ class MatLocal:
 
 
 # ---------------------------------------------------------------------------
-# The Gauss-Jordan kernel of the inverse, and determinants.
-
-
-def _eliminate(rows, ctx: RingCtx) -> bool:
-    """Gauss-Jordan elimination on unit pivots in the first len(rows)
-    columns of `rows`, lists of coordinate tuples, in place; O(d^3) packed
-    updates.
-
-    Per pivot column, the pivot row is scaled to 1 at the pivot, then
-    negated and packed once at product_width(ctx, 2).  Each entry x of
-    another row with f != 0 in the pivot column becomes
-    unpack(pack(x) + f * (-p)): one integer product and one reduction, no
-    ring objects.  Returns False when a column has no unit pivot.  Pivots
-    are found by their residues.
-    """
-    ell = ctx.ell
-    d = len(rows)
-    w1, w2 = ctx.width, product_width(ctx, 2)
-    for col in range(d):
-        piv = next((r for r in range(col, d) if residue(rows[r][col], ell)), None)
-        if piv is None:
-            return False
-        rows[col], rows[piv] = rows[piv], rows[col]
-        p_inv = pack(CycloElt.from_reduced(rows[col][col], ctx).inverse().coords, w1)
-        scaled = [unpack_reduced(p_inv * pack(x, w1), w1, ctx) for x in rows[col][col + 1:]]
-        rows[col][col + 1:] = scaled
-        neg = [pack(coords_neg(x, ctx), w2) for x in scaled]
-        for r, row in enumerate(rows):
-            if r == col or not any(row[col]):
-                continue
-            f = pack(row[col], w2)
-            row[col + 1:] = [
-                unpack_reduced(pack(x, w2) + f * p, w2, ctx)
-                for x, p in zip(row[col + 1:], neg)
-            ]
-    return True
+# Determinants.
 
 
 def det_local(a: MatLocal) -> CycloElt:

@@ -165,6 +165,25 @@ def test_t_bounded_by_kappa():
             assert t == ord_p(Fraction(h_minus(ell) * c_lr(ell, r)[1]), ell) - 1
 
 
+def test_kappa_equals_t_below_110_and_t_is_positive_at_the_irregular_primes():
+    """For every prime ell < 110 and r in 2..6 with ell not dividing r,
+    the index bound kappa is attained: kappa = t.  The irregular primes
+    come from Kummer's criterion (ell divides the numerator of some B_k,
+    k even, k <= ell-3; Washington, Cyclotomic Fields, Ch. 5), and t >= 1
+    for every r at each of them."""
+    primes = [ell for ell in range(3, 110) if is_prime(ell)]
+    irregular = {ell for ell in primes
+                 if any(sympy.bernoulli(k).p % ell == 0 for k in range(2, ell - 2, 2))}
+    assert irregular == {37, 59, 67, 101, 103}
+    for ell in primes:
+        for r in range(2, 7):
+            if r % ell == 0:
+                continue
+            kappa, t = kappa_and_t(ell, r)
+            assert kappa == t, (ell, r)
+            assert t >= 1 or ell not in irregular, (ell, r)
+
+
 def test_report_json():
     rep = demjanenko_det(5, 2)
     data = json.loads(rep.to_json())

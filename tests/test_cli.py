@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from lamadic.cli import MAX_BUDGET, MAX_EPS_R, run
+from lamadic import linalg
+from lamadic.classnum import H_MINUS_MAX_ELL
+from lamadic.cli import MAX_BUDGET, MAX_C_LR_ELL, MAX_COMMUTATOR_N, MAX_EPS_R, run
 
 
 def invoke(capsys, *argv):
@@ -48,6 +50,8 @@ def test_c_lr_and_h_minus(capsys):
     code, out, _ = invoke(capsys, "c-lr", "--ell", "11", "--r", "8", "--json")
     data = json.loads(out)
     assert code == 0 and data["r_ell"] == 10 and data["c"] == 32769
+    code, out, _ = invoke(capsys, "c-lr", "--ell", "20011", "--r", "2", "--json")
+    assert code == 0 and json.loads(out)["r_ell"] == 6670  # below cli.MAX_C_LR_ELL
     code, out, _ = invoke(capsys, "h-minus", "--ell", "23")
     assert code == 0 and out.strip() == "3"
 
@@ -114,6 +118,36 @@ def test_lift_check_limits_exit_2(capsys, flags, message):
     code, out, err = invoke(capsys, "lift-check", *(x for kv in argv.items() for x in kv))
     assert code == 2 and not out
     assert err == f"error: DomainError: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("c-lr", "--ell", str(MAX_C_LR_ELL + 3), "--r", "2"),
+     f"--ell must be between 3 and {MAX_C_LR_ELL}, got {MAX_C_LR_ELL + 3}"),
+    (("c-lr", "--ell", "1000000007", "--r", "2"),
+     f"--ell must be between 3 and {MAX_C_LR_ELL}, got 1000000007"),
+    (("verify-commutator", "--n", str(MAX_COMMUTATOR_N + 1)),
+     f"--n must be between 3 and {MAX_COMMUTATOR_N}, got {MAX_COMMUTATOR_N + 1}"),
+    (("verify-commutator", "--n", "4000"), f"--n must be between 3 and {MAX_COMMUTATOR_N}, got 4000"),
+    (("verify-commutator", "--n", "2"), f"--n must be between 3 and {MAX_COMMUTATOR_N}, got 2"),
+])
+def test_c_lr_and_verify_commutator_limits_exit_2(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"error: DomainError: {message}\n"
+
+
+@pytest.mark.parametrize("sub", ["demjanenko", "kappa", "lattice-index"])
+def test_class_number_commands_refuse_ell_past_the_h_minus_limit_first(capsys, monkeypatch, sub):
+    """At ell = 1009 the h^- limit refuses the input before any determinant
+    or solve of size about ell/2 runs."""
+    calls = []
+    for name in ("det", "solve"):
+        f = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    code, out, _ = invoke(capsys, sub, "--ell", "1009", "--r", "2", "--json")
+    assert code == 2 and calls == []
+    assert json.loads(out)["error"] == (
+        f"DomainError: ell = 1009 exceeds the limit {H_MINUS_MAX_ELL} for h^-")
 
 
 def test_selftest_trials_limits_exit_2(capsys):

@@ -3,9 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from sympy import GF, Matrix
+from sympy.polys.matrices import DomainMatrix
 
 import lamadic.commutators as commutators
-from lamadic.linalg import echelon_mod
 from lamadic.ring import RingCtx
 from lamadic.matrices import (
     HermitianForm,
@@ -261,7 +262,8 @@ def test_top_commutators_span_slice():
 
 def _span_check_lifting_every_pair(ell, d, n):
     """su_commutator_span_check with both generators lifted afresh for
-    every (i, j, l), as it was before lifts were shared."""
+    every (i, j, l), as it was before lifts were shared, and the rank taken
+    over GF(ell) by sympy."""
     form = HermitianForm.standard(RingCtx(ell, 1), d)
     big_n = (n - 1) // 2
     big_m = n - 1 - big_n
@@ -273,7 +275,8 @@ def _span_check_lifting_every_pair(ell, d, n):
         b = _lift_slice_generator(form, big_m, _gamma_inv_eij(form, j, l, big_m + 1), n)
         top = group_commutator(a, b).digit(n - 1)
         vectors.append([x for row in top for x in row])
-    return echelon_mod(vectors, ell)[0] == su_dimension(d, n)
+    rank = DomainMatrix.from_Matrix(Matrix(vectors)).convert_to(GF(ell)).rank()
+    return rank == su_dimension(d, n)
 
 
 @pytest.mark.parametrize("d, n", list(product((3, 4), (3, 4, 5))))

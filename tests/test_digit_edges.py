@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import lamadic.matrices as matrices
 import lamadic.ring as ring
 from lamadic.commutators import matrix_commutator_check, su_commutator_span_check
 from lamadic.lattices import decompose_unit, u_prime_basis
@@ -47,8 +48,11 @@ def _spy(monkeypatch, owner, name):
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """The calls of digits_from_poly made during the test."""
-    return _spy(monkeypatch, ring, "digits_from_poly")
+    """The calls of digits_from_poly made during the test, through ring and
+    through the name matrices imports (MatLocal's digit expansion)."""
+    calls = _spy(monkeypatch, ring, "digits_from_poly")
+    monkeypatch.setattr(matrices, "digits_from_poly", ring.digits_from_poly)
+    return calls
 
 EDGE_CONSTRUCTORS = {
     "ring.py:CycloElt.from_json_dict",
@@ -183,10 +187,12 @@ def test_commutator_checks_neither_invert_nor_expand_digits(monkeypatch, expansi
         ctx = RingCtx(ell, n)
         pairs += [(_level_member(ctx, d, (n - 1) // 2, rng),
                    _level_member(ctx, d, (n - 1) // 2, rng)) for _ in range(3)]
-    # products know no digits; at n <= ell-1 the digits are the coordinates
-    ctx = RingCtx(7, 5)
-    pairs.append(tuple(_level_member(ctx, 3, 2, rng) * _level_member(ctx, 3, 3, rng)
-                       for _ in range(2)))
+    # products know no digits: at n <= ell-1 the digits are the coordinates,
+    # and past that the digits N and N+1 are read from the coordinates
+    for ell, n in ((7, 5), (5, 6)):
+        ctx = RingCtx(ell, n)
+        pairs.append(tuple(_level_member(ctx, 3, 2, rng) * _level_member(ctx, 3, 3, rng)
+                           for _ in range(2)))
     inverses = _spy(monkeypatch, MatLocal, "inverse")
     assert all(matrix_commutator_check(a, b) for a, b in pairs)
     assert su_commutator_span_check(3, 3, 4) and su_commutator_span_check(5, 3, 5, -1)

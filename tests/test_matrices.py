@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lamadic import matrices
-from lamadic.linalg import echelon_mod
+from lamadic import linalg, matrices
 from lamadic.ring import CheckFailed, CycloElt, DomainError, RingCtx
 from lamadic.matrices import (
     HermitianForm,
@@ -111,17 +110,19 @@ def _first_pivot_needs_a_swap(ctx, d, rng):
     while True:
         residues = [[rng.randrange(ctx.ell) for _ in range(d)] for _ in range(d)]
         residues[0][0] = 0
-        if echelon_mod(residues, ctx.ell)[1]:
+        if linalg.det(residues) % ctx.ell:
             return _residues_and_lifts(ctx, d, rng, residues)
 
 
 @pytest.mark.parametrize("ell, n", [(3, 8), (11, 12)])
 def test_packed_elimination_at_wide_slots(ell, n):
     """The modulus is ell^4 at (3, 8) and ell^2 at (11, 12), so the packed
-    slots are wider than at modulus ell.  The inverse's elimination meets a
-    row swap at the first pivot and a matrix with no unit pivot
-    (MembershipError); det_local takes all three matrices, none of them
-    I mod lambda, by power traces at an extended precision."""
+    slots are wider than at modulus ell.  The inverse's Newton steps run
+    at those slots from a residue matrix with a zero corner; a matrix whose
+    residue matrix is singular mod ell, and one whose residue matrix has a
+    zero row (singular over Q as well), raise MembershipError.  det_local
+    takes the first three matrices, none of them I mod lambda, by power
+    traces at an extended precision."""
     rng = random.Random(ell * 1000 + n)
     ctx = RingCtx(ell, n)
     assert ctx.modulus == ell ** (4 if ell == 3 else 2)
@@ -140,6 +141,10 @@ def test_packed_elimination_at_wide_slots(ell, n):
                 with pytest.raises(MembershipError):
                     a.inverse()
         assert det_local(swap).is_unit and not det_local(singular).is_unit
+        zero_row = _residues_and_lifts(
+            ctx, d, rng, [[0] * d] + [[rng.randrange(ell) for _ in range(d)] for _ in range(d - 1)])
+        with pytest.raises(MembershipError):
+            zero_row.inverse()
 
 
 def test_det_local_of_su_members_matches_oracle():
@@ -210,13 +215,12 @@ def test_det_local_past_ell_or_off_level_one_matches_cofactor(ell, monkeypatch):
 def test_level_one_chain_makes_no_elimination(monkeypatch):
     """An (ell, d, n) = (11, 10, 4) lift chain, as in the benchmark: its two
     determinants, one in lift_su and one in classify_membership, match the
-    cofactor expansion, and no Gauss-Jordan elimination runs."""
+    cofactor expansion, and no matrix is inverted."""
     form1 = HermitianForm.standard(RingCtx(11, 1), 10, -1)
     a = random_su_element(form1, 3, random.Random(7))
     calls = []
-    eliminate = matrices._eliminate
-    monkeypatch.setattr(matrices, "_eliminate",
-                        lambda rows, ctx: calls.append(ctx) or eliminate(rows, ctx))
+    inverse = MatLocal.inverse
+    monkeypatch.setattr(MatLocal, "inverse", lambda m: calls.append(m) or inverse(m))
     dets = []
     det_local_ = matrices.det_local
     monkeypatch.setattr(matrices, "det_local",
@@ -320,8 +324,8 @@ def test_weil_gram_examples():
 
 
 def test_weil_gram_square_class_matches_elimination():
-    """The closed-form determinant against elimination of the returned Gram
-    matrix over F_ell."""
+    """The closed-form determinant against the Bareiss determinant of the
+    returned Gram matrix, taken mod ell."""
     for ell in (3, 5, 7, 11, 13, 101):
         for r in range(2, 40):
             if r % ell == 0:
@@ -330,7 +334,7 @@ def test_weil_gram_square_class_matches_elimination():
                 gram, sc, _ = weil_gram_and_epsilon(ell, r, c)
                 assert gram == [[c * (1 if i != j else 1 - r) % ell for j in range(r - 1)]
                                 for i in range(r - 1)]
-                assert sc == legendre(echelon_mod(gram, ell)[1], ell), (ell, r, c)
+                assert sc == legendre(linalg.det(gram) % ell, ell), (ell, r, c)
 
 
 def test_su_basis_satisfies_predicate():
@@ -544,6 +548,25 @@ def test_inverse_routes_agree():
         assert a * a.inverse() == MatLocal.identity(a.ctx, 3)
 
 
+def test_inverse_doubles_the_precision_per_newton_step(monkeypatch):
+    """Each step X -> X (2I - A X) makes two products, at precisions 2, 4,
+    8 and then n = 13; the result inverts A from both sides, and a 0 x 0
+    matrix is its own inverse."""
+    ctx = RingCtx(5, 13)
+    a = rand_mat(ctx, 4, random.Random(10))
+    assert det_local(a).is_unit
+    precisions = []
+    mul = MatLocal.__mul__
+    monkeypatch.setattr(MatLocal, "__mul__",
+                        lambda x, y: precisions.append(x.ctx.precision) or mul(x, y))
+    inv = a.inverse()
+    assert precisions == [2, 2, 4, 4, 8, 8, 13, 13]
+    ident = MatLocal.identity(ctx, 4)
+    assert a * inv == ident and inv * a == ident
+    empty = MatLocal(ctx, ())
+    assert empty.inverse() == empty
+
+
 def test_perm_embed_det_is_sign():
     for r, ell in ((3, 5), (4, 7)):
         for sigma in permutations(range(1, r + 1)):
@@ -554,7 +577,7 @@ def test_perm_embed_det_is_sign():
                 if sigma[i] > sigma[j]
             )
             m = perm_embed(sigma, ell)
-            assert echelon_mod(m, ell)[1] == (-1) ** inv % ell
+            assert linalg.det(m) % ell == (-1) ** inv % ell
 
 
 def test_perm_embed_is_homomorphism():
