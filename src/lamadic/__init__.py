@@ -19,7 +19,6 @@ from .matrices import (
     MembershipError,
     MembershipVerdict,
     classify_membership,
-    det_base,
     det_local,
     filtration_order_exponent,
     legendre,
@@ -27,13 +26,10 @@ from .matrices import (
     perm_embed,
     random_su_element,
     su_dimension,
-    su_dimension_and_basis,
     weil_gram_and_epsilon,
 )
 from .commutators import (
     FreeSeries,
-    central_commutator_check,
-    eij_bracket_table,
     matrix_commutator_check,
     su_commutator_span_check,
     verify_commutator_identity,
@@ -45,7 +41,6 @@ from .classnum import (
     h_minus,
     kappa_and_t,
     n_of,
-    n_prime,
 )
 from .lattices import (
     AbelianPresentation,

@@ -1,5 +1,5 @@
 """Exact arithmetic of the class-number invariants: the weights n(j) and
-n'(j), the half-system determinant matrix [n'(i j^{-1})], the constant
+2n'(j), the half-system determinant matrix [n'(i j^{-1})], the constant
 c_{l,r} attached to the multiplicative order of r, the relative class
 number h_l^- as a resultant (the Maillet determinant), and the exponents
 (kappa bound, t).
@@ -7,7 +7,6 @@ number h_l^- as a resultant (the Maillet determinant), and the exponents
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,11 +30,6 @@ def n_of(ell: int, r: int, j: int) -> int:
         raise DomainError("j must be a unit mod ell")
     j %= ell
     return (r * (ell - j)) // ell
-
-
-def n_prime(ell: int, r: int, j: int) -> Fraction:
-    """n'(j) = n(j) - (r-1)/2, half-integral exactly when r is even."""
-    return Fraction(n_of(ell, r, j)) - Fraction(r - 1, 2)
 
 
 def twice_n_prime(ell: int, r: int) -> dict:
@@ -158,9 +152,6 @@ class DemjanenkoReport:
             "t": self.t,
             "sign": self.sign,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _twice_half_system(ell: int, r: int, reps):

@@ -58,12 +58,17 @@ MAX_TRIALS = 20
 # 2^22 costs at most about 2^23 squarings: 7 s on a 40-digit semiprime.
 # 5,000,000 begins a round of 2^22 steps and takes 17 s.
 MAX_BUDGET = 4_000_000
-# Upper limit of eps's --r.  The Gram determinant is taken in closed form
-# and only building the (r-1) x (r-1) Gram matrix grows, as r^2:
-# `eps --ell 1009 --r 501` takes 0.16 s of wall time, 0.024 s of it in
-# weil_gram_and_epsilon, and r = 801 would take 0.066 s there (2-core Intel
-# Xeon, Python 3.11.7; elimination of the matrix took 3.8-4.8 s at r = 501).
-MAX_EPS_R = 501
+# Upper limit of --r for eps, c-lr, demjanenko, kappa and lattice-index.  The
+# eps Gram determinant is taken in closed form and only building the
+# (r-1) x (r-1) Gram matrix grows, as r^2: `eps --ell 1009 --r 501` takes
+# 0.16 s of wall time, 0.024 s of it in weil_gram_and_epsilon (2-core Intel
+# Xeon, Python 3.11.7).  The class-number commands grow with r only through
+# integer size: at ell = 211 and r = 501, demjanenko takes 1.4 s and
+# lattice-index 7.4 s of wall time (4.7 s at r = 5), while with no limit
+# demjanenko took 12 s at r = 10^20 + 1 and 74 s at r = 10^60 + 1, which it
+# then could not print.  c-lr's c has about (ell-1)/2 log10(r) digits and is
+# refused when it cannot be printed.
+MAX_R = 501
 # Upper limit of c-lr's --ell.  c_lr finds the order of r mod ell in up to
 # ell - 1 steps: 0.19 s at ell = 999983 with r = 5 a primitive root, 1.9 s
 # near 10^7, and ell = 1000000007 ran past 30 s.  ell = 20011 runs in 0.17 s
@@ -152,7 +157,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_eps(args):
-    _in_range("--r", args.r, 2, MAX_EPS_R)
+    _in_range("--r", args.r, 2, MAX_R)
     _, square_class, eps = weil_gram_and_epsilon(args.ell, args.r)
     _emit(args, {"ell": args.ell, "r": args.r, "epsilon": eps,
                  "gram_square_class": square_class}, str(eps))
@@ -161,7 +166,12 @@ def _cmd_eps(args):
 
 def _cmd_c_lr(args):
     _in_range("--ell", args.ell, 3, MAX_C_LR_ELL)
+    _in_range("--r", args.r, 2, MAX_R)
     r_ell, c = c_lr(args.ell, args.r)
+    limit = sys.get_int_max_str_digits()
+    if limit and c >= 10**limit:
+        raise DomainError(f"c has more than {limit} digits, the limit for printing an "
+                          f"integer (sys.get_int_max_str_digits())")
     _emit(args, {"ell": args.ell, "r": args.r, "r_ell": r_ell, "c": c},
           f"r_ell = {r_ell}, c = {c}")
     return 0
@@ -174,6 +184,7 @@ def _cmd_h_minus(args):
 
 
 def _cmd_demjanenko(args):
+    _in_range("--r", args.r, 2, MAX_R)
     rep = demjanenko_det(args.ell, args.r)
     _emit(args, rep.to_json_dict(),
           f"det = {rep.det}, h_minus = {rep.h_minus}, c = {rep.c_lr}, "
@@ -182,6 +193,7 @@ def _cmd_demjanenko(args):
 
 
 def _cmd_kappa(args):
+    _in_range("--r", args.r, 2, MAX_R)
     kappa, t = kappa_and_t(args.ell, args.r)
     _emit(args, {"ell": args.ell, "r": args.r, "kappa_bound": kappa, "t": t},
           f"kappa_bound = {kappa}, t = {t}")
@@ -228,6 +240,7 @@ def _cmd_lift_check(args):
 
 
 def _cmd_lattice_index(args):
+    _in_range("--r", args.r, 2, MAX_R)
     t_prime = lattice_index_check(args.ell, args.r)
     _emit(args, {"ell": args.ell, "r": args.r, "t": t_prime}, f"t = {t_prime}")
     return 0

@@ -1,7 +1,7 @@
 """Noncommutative truncated power series over free symbols, used to verify
 the group-commutator expansion ABA^(-1)B^(-1) for congruence-filtration
-elements symbolically, plus the matching numeric checks on matrices and
-the E_ij bracket table.
+elements symbolically, plus the matching numeric check on matrices and
+the span check for commutators of lifted slice generators.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from .matrices import (
     MatLocal,
     MembershipError,
     lift_su,
-    mat_add_mod,
-    mat_mul_mod,
-    mat_scale_mod,
     mat_zero,
     su_dimension,
     top_digits,
@@ -290,16 +287,8 @@ def matrix_commutator_check(a: MatLocal, b: MatLocal) -> bool:
     return level_a + level_b < n or ab == ba
 
 
-def central_commutator_check(a: MatLocal, b: MatLocal) -> bool:
-    """Elements of levels i, j with i + j >= n commute exactly."""
-    n = a.ctx.precision
-    if a.filtration_level() + b.filtration_level() < n:
-        raise MembershipError("levels do not add up to the precision")
-    return group_commutator(a, b) == MatLocal.identity(a.ctx, a.dim)
-
-
 # ---------------------------------------------------------------------------
-# The bracket table for the slice generators.
+# Span of top-level commutators of lifted slice generators.
 
 
 def _gamma_inv_eij(form: HermitianForm, i: int, j: int, parity: int):
@@ -310,44 +299,6 @@ def _gamma_inv_eij(form: HermitianForm, i: int, j: int, parity: int):
     m[i][j] = (m[i][j] + ginv[i]) % ell
     m[j][i] = (m[j][i] + (-1) ** parity * ginv[j]) % ell
     return m
-
-
-def _bracket_closed_form(form: HermitianForm, i0: int, j0: int, l0: int, m: int, n: int):
-    """alpha_j^(-1) Gamma^(-1) E_il^(m+n+1) for i != l, and
-    (1 + (-1)^(m+n+1)) alpha_i^(-1) alpha_j^(-1) (E_ii - E_jj) for i = l."""
-    ell = form.ctx.ell
-    ginv = form.gamma_inv_mod()
-    if i0 != l0:
-        return mat_scale_mod(ginv[j0], _gamma_inv_eij(form, i0, l0, m + n + 1), ell)
-    coef = (1 + (-1) ** (m + n + 1)) * ginv[i0] * ginv[j0]
-    e = mat_zero(form.dim)
-    e[i0][i0] = 1
-    e[j0][j0] = -1 % ell
-    return mat_scale_mod(coef, e, ell)
-
-
-def eij_bracket_table(form: HermitianForm, i: int, j: int, l: int, m: int, n: int):
-    """[Gamma^(-1)E_ij^(m), Gamma^(-1)E_jl^(n)] over F_ell (1-based indices),
-    checked against its closed form (CheckFailed on a mismatch)."""
-    if j == i or j == l:
-        raise ValueError("need j distinct from i and l")
-    d = form.dim
-    if not all(1 <= t <= d for t in (i, j, l)):
-        raise ValueError("indices out of range")
-    ell = form.ctx.ell
-    i0, j0, l0 = i - 1, j - 1, l - 1
-    x = _gamma_inv_eij(form, i0, j0, m)
-    y = _gamma_inv_eij(form, j0, l0, n)
-    bracket = mat_add_mod(
-        mat_mul_mod(x, y, ell), mat_scale_mod(-1, mat_mul_mod(y, x, ell), ell), ell
-    )
-    if bracket != _bracket_closed_form(form, i0, j0, l0, m, n):
-        raise CheckFailed(f"bracket table mismatch at (i, j, l, m, n) = {(i, j, l, m, n)}")
-    return bracket
-
-
-# ---------------------------------------------------------------------------
-# Span of top-level commutators of lifted slice generators.
 
 
 def _lift_slice_generator(form: HermitianForm, level: int, gen, precision: int) -> MatLocal:

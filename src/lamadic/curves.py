@@ -6,7 +6,6 @@ degree report for the torsion field of the associated Jacobian.
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -605,9 +604,6 @@ class GaloisVerdict:
     status: str  # "symmetric" | "inconclusive" | "reducible"
     witnesses: dict
 
-    def certified(self) -> bool:
-        return self.status == "symmetric"
-
 
 def galois_certificate(f: IntPoly, budget: int = 500) -> GaloisVerdict:
     """Certify that the Galois group is the full symmetric group by
@@ -713,9 +709,6 @@ class CurveReport:
             "reference": self.reference,
             "discrepancy": self.discrepancy,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def check_curve_input(ell: int, f: IntPoly):

@@ -1,12 +1,11 @@
 """Matrices over O/lambda^n: determinants from power traces, inverses by
 Newton's iteration (no elimination here), unitary-group membership,
-su^(n) bases, congruence-filtration orders, the constructive SU lift,
+su^(n) slices, congruence-filtration orders, the constructive SU lift,
 the Weil Gram model with its sign, and the permutation embedding.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import comb, prod
 from operator import mul
@@ -49,26 +48,6 @@ class MembershipError(RingError):
     """Matrix fails a group-membership precondition."""
 
 
-# ---------------------------------------------------------------------------
-# Small helpers over F_ell (plain integer matrices taken mod ell).
-
-
-def mat_mul_mod(a, b, ell):
-    d, m, k = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(m)) % ell for j in range(k)]
-        for i in range(d)
-    ]
-
-
-def mat_add_mod(a, b, ell):
-    return [[(x + y) % ell for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale_mod(c, a, ell):
-    return [[(c * x) % ell for x in row] for row in a]
-
-
 def mat_zero(d):
     return [[0] * d for _ in range(d)]
 
@@ -80,7 +59,8 @@ def mat_zero(d):
 class MatLocal:
     """A d x d matrix over O/lambda^n, held as rows of canonical coordinate
     tuples (the coords_* helpers of ring).  CycloElt appears only at the
-    edges: entries, from_rows, digit and JSON.
+    edges: entries and from_rows; digit reads the digit matrices over
+    F_ell, and from_digit_matrices builds a matrix from them.
 
     For n <= ell-1 the coordinates are the digits.  For n > ell-1,
     digit_rows carries the digits of the entries where the rule is known,
@@ -295,26 +275,6 @@ class MatLocal:
             total = total + power
         return total
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ell": self.ctx.ell,
-            "precision": self.ctx.precision,
-            "dim": self.dim,
-            "entries": [list(dg) for row in self._digits() for dg in row],
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "MatLocal":
-        ctx = RingCtx(d["ell"], d["precision"])
-        dim = d["dim"]
-        flat = [CycloElt(ctx, tuple(digs)) for digs in d["entries"]]
-        return MatLocal.from_rows([flat[i * dim : (i + 1) * dim] for i in range(dim)])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # Determinants.
@@ -378,15 +338,6 @@ def det_local(a: MatLocal) -> CycloElt:
     return CycloElt.from_reduced(coords_reduce(det, ctx), ctx)
 
 
-def det_base(a: MatLocal) -> CycloElt:
-    """Z_ell-linear determinant: the norm of the O-linear determinant."""
-    dl = det_local(a)
-    acc = dl
-    for j in range(2, a.ctx.ell):
-        acc = acc * dl.galois(j)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Hermitian forms and membership.
 
@@ -432,14 +383,6 @@ class HermitianForm:
 
     def gamma_inv_mod(self):
         return [pow(g, -1, self.ctx.ell) for g in self.gamma]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ell": self.ctx.ell,
-            "dim": self.dim,
-            "gamma": list(self.gamma),
-            "sign": self.sign,
-        }
 
 
 @dataclass(frozen=True)
@@ -535,8 +478,9 @@ def su_dimension(d: int, parity_n: int, group: str = "SU") -> int:
 
 
 def _su_basis_entries(form: HermitianForm, parity_n: int, group: str = "SU"):
-    """The elements of su_basis in order, each as its nonzero entries
-    (i, j, x): at most two per element."""
+    """A basis of {A : Gamma A = (-1)^n A^T Gamma (, tr A = 0)} over F_ell,
+    each element as its nonzero entries (i, j, x): at most two per
+    element."""
     ell = form.ctx.ell
     d = form.dim
     ginv = form.gamma_inv_mod()
@@ -551,17 +495,6 @@ def _su_basis_entries(form: HermitianForm, parity_n: int, group: str = "SU"):
     return basis
 
 
-def su_basis(form: HermitianForm, parity_n: int, group: str = "SU"):
-    """Basis of {A : Gamma A = (-1)^n A^T Gamma (, tr A = 0)} over F_ell."""
-    basis = []
-    for entries in _su_basis_entries(form, parity_n, group):
-        m = mat_zero(form.dim)
-        for i, j, x in entries:
-            m[i][j] = x
-        basis.append(m)
-    return basis
-
-
 def random_slice(form: HermitianForm, parity_n: int, rng):
     """sum c_k B_k over the SU slice basis B_k, with c_k = rng.randrange(ell)
     drawn in basis order, assembled entrywise from the at most two nonzero
@@ -573,14 +506,6 @@ def random_slice(form: HermitianForm, parity_n: int, rng):
         for i, j, x in entries:
             s[i][j] += c * x
     return s
-
-
-def su_dimension_and_basis(form: HermitianForm, parity_n: int, group: str = "SU"):
-    basis = su_basis(form, parity_n, group)
-    dim = su_dimension(form.dim, parity_n, group)
-    if len(basis) != dim:
-        raise CheckFailed(f"slice basis has {len(basis)} elements, expected {dim}")
-    return dim, basis
 
 
 def filtration_order_exponent(ell: int, d: int, n: int, k: int, group: str = "SU") -> int:

@@ -28,7 +28,6 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, isqrt
@@ -482,9 +481,9 @@ class CycloElt:
     For n > ell-1 the digits are read by digits_from_poly on first use,
     unless the element knows them: one built from digits does, as do zero
     and one, and truncate, pad_zero and add_top pass known digits on.
-    Digits are an edge format: the constructor takes them for
-    deserialization and digit matrices, while constants and results are
-    built from coordinates.
+    Digits are an edge format: the constructor takes them for digit input,
+    while constants, results and digit matrices are built from
+    coordinates.
     """
 
     __slots__ = ("ctx", "coords", "_digits")
@@ -664,26 +663,6 @@ class CycloElt:
         ctx = self.ctx.at_precision(n)
         coords = coords_pad_zero(self.coords, self.digits, ctx)
         return CycloElt.from_reduced(coords, ctx, self.digits + (0,) * (n - self.ctx.precision))
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ell": self.ctx.ell,
-            "precision": self.ctx.precision,
-            "digits": list(self.digits),
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "CycloElt":
-        return CycloElt(RingCtx(d["ell"], d["precision"]), tuple(d["digits"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str) -> "CycloElt":
-        return CycloElt.from_json_dict(json.loads(s))
 
     def __repr__(self):
         return f"CycloElt(ell={self.ctx.ell}, digits={list(self.digits)})"

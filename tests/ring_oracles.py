@@ -22,7 +22,7 @@ from math import comb
 
 from lamadic.curves import _poldivmod, _polmul
 from lamadic.lattices import is_anti_fixed, u_lr_member
-from lamadic.matrices import MatLocal, lift_su, su_basis
+from lamadic.matrices import MatLocal, _su_basis_entries, lift_su, mat_zero
 from lamadic.ring import CycloElt, DomainError, RingCtx, div_by_int, exp, log1p
 
 
@@ -379,6 +379,17 @@ def t_doubleprime_apply(r, x):
     for j in range(1, (ell - 1) // 2 + 1):
         acc = acc + x.galois(j) * (2 * (r * (ell - j) // ell) - (r - 1))
     return acc
+
+
+def su_basis(form, parity_n, group="SU"):
+    """The slice basis of _su_basis_entries as dense matrices over F_ell."""
+    basis = []
+    for entries in _su_basis_entries(form, parity_n, group):
+        m = mat_zero(form.dim)
+        for i, j, x in entries:
+            m[i][j] = x
+        basis.append(m)
+    return basis
 
 
 def random_slice_by_basis_sum(form, parity_n, rng):

@@ -166,7 +166,7 @@ def test_criterion_07_curve_pipeline():
     assert rep.reference == {"coeff": 40320, "ell_exponent": 260}
     assert rep.discrepancy["coeff_matches"] is True
     assert rep.degree_ell_exponent != rep.reference["ell_exponent"]
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_json_dict(), sort_keys=True))
     assert data["discrepancy"]["ell_exponent_difference"] == (
         rep.degree_ell_exponent - rep.reference["ell_exponent"]
     )

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from lamadic import linalg
 from lamadic.classnum import H_MINUS_MAX_ELL
-from lamadic.cli import MAX_BUDGET, MAX_C_LR_ELL, MAX_COMMUTATOR_N, MAX_EPS_R, run
+from lamadic.cli import MAX_BUDGET, MAX_C_LR_ELL, MAX_COMMUTATOR_N, MAX_R, run
 
 
 def invoke(capsys, *argv):
@@ -22,10 +23,11 @@ def test_eps(capsys):
     assert json.loads(out)["epsilon"] == -1
 
 
-_BAD_R = [(("eps", "--ell", "11", f"--r={r}"), f"--r must be between 2 and {MAX_EPS_R}, got {r}")
-          for r in (1, -5, MAX_EPS_R + 1)]
-_BAD_R += [((sub, "--ell", "5", "--r", "1"), "need r >= 2")
-           for sub in ("c-lr", "lattice-index", "demjanenko", "kappa")]
+_BAD_R = [(argv, f"--r must be between 2 and {MAX_R}, got {r}")
+          for r in (1, -5, MAX_R + 1)
+          for argv in (("eps", "--ell", "11", f"--r={r}"),
+                       *((sub, "--ell", "5", "--r", str(r))
+                         for sub in ("c-lr", "lattice-index", "demjanenko", "kappa")))]
 
 
 @pytest.mark.parametrize("argv, error", _BAD_R, ids=[" ".join(a) for a, _ in _BAD_R])
@@ -54,6 +56,21 @@ def test_c_lr_and_h_minus(capsys):
     assert code == 0 and json.loads(out)["r_ell"] == 6670  # below cli.MAX_C_LR_ELL
     code, out, _ = invoke(capsys, "h-minus", "--ell", "23")
     assert code == 0 and out.strip() == "3"
+
+
+def test_c_lr_prints_c_up_to_the_str_digits_limit(capsys):
+    """At ell = 28559 and r = 2, c has 4299 digits; at ell = 28571, 4301."""
+    default = sys.get_int_max_str_digits()
+    try:
+        for limit, ell, digits in ((4299, 28559, 4299), (4298, 28559, None), (default, 28571, None)):
+            sys.set_int_max_str_digits(limit)
+            code, out, err = invoke(capsys, "c-lr", "--ell", str(ell), "--r", "2")
+            if digits is None:
+                assert code == 2 and not out and f"more than {limit} digits" in err
+            else:
+                assert code == 0 and len(out.split("c = ")[1].strip()) == digits
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_computation_error_exits_2(capsys):
@@ -120,6 +137,10 @@ def test_lift_check_limits_exit_2(capsys, flags, message):
     assert err == f"error: DomainError: {message}\n"
 
 
+_UNPRINTABLE_C = (f"c has more than {sys.get_int_max_str_digits()} digits, the limit for "
+                  "printing an integer (sys.get_int_max_str_digits())")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("c-lr", "--ell", str(MAX_C_LR_ELL + 3), "--r", "2"),
      f"--ell must be between 3 and {MAX_C_LR_ELL}, got {MAX_C_LR_ELL + 3}"),
@@ -129,6 +150,8 @@ def test_lift_check_limits_exit_2(capsys, flags, message):
      f"--n must be between 3 and {MAX_COMMUTATOR_N}, got {MAX_COMMUTATOR_N + 1}"),
     (("verify-commutator", "--n", "4000"), f"--n must be between 3 and {MAX_COMMUTATOR_N}, got 4000"),
     (("verify-commutator", "--n", "2"), f"--n must be between 3 and {MAX_COMMUTATOR_N}, got 2"),
+    (("c-lr", "--ell", "20011", "--r", "10"), _UNPRINTABLE_C),
+    (("c-lr", "--ell", "999983", "--r", "5"), _UNPRINTABLE_C),
 ])
 def test_c_lr_and_verify_commutator_limits_exit_2(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)

@@ -479,7 +479,7 @@ def test_division_degree_report_reference_input():
     assert rep.reference == {"coeff": 40320, "ell_exponent": 260}
     assert rep.discrepancy is not None
     assert rep.discrepancy["coeff_matches"] is True
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_json_dict(), sort_keys=True))
     assert data["degree"]["coeff"] == 40320
 
 

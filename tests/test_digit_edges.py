@@ -1,11 +1,12 @@
 """Digits are an edge format: lamadic builds ring elements from
-lambda-adic coordinates and calls the digit constructor CycloElt(ctx,
-digits) only to read serialized or digit-matrix input.  For n <= ell-1 the
-coordinates are the digits; past that, a lift chain carries the digits it
-knows instead of expanding them again, and reads orders and the digits it
-needs from the coordinates, so it expands none.  Neither do filtration
-levels, unit decompositions, hashing or the commutator checks, and the
-commutator checks invert no matrix: they compare products."""
+lambda-adic coordinates, digit matrices included (from_digit_matrices), and
+only the selftest's digit round trip calls the digit constructor
+CycloElt(ctx, digits).  For n <= ell-1 the coordinates are the digits;
+past that, a lift chain carries the digits it knows instead of expanding
+them again, and reads orders and the digits it needs from the coordinates,
+so it expands none.  Neither do filtration levels, unit decompositions,
+hashing or the commutator checks, and the commutator checks invert no
+matrix: they compare products."""
 
 import ast
 import random
@@ -55,9 +56,6 @@ def expansions(monkeypatch):
     return calls
 
 EDGE_CONSTRUCTORS = {
-    "ring.py:CycloElt.from_json_dict",
-    "matrices.py:MatLocal.from_digit_matrices",
-    "matrices.py:MatLocal.from_json_dict",
     "cli.py:_cmd_selftest",  # the digit round trip of the selftest
 }
 
@@ -85,7 +83,7 @@ def _digit_constructor_calls(path):
 def test_digit_constructor_is_called_only_by_the_edge_constructors():
     found = [site for path in sorted(SRC.rglob("*.py")) for site in _digit_constructor_calls(path)]
     assert found
-    assert set(found) <= EDGE_CONSTRUCTORS, sorted(set(found) - EDGE_CONSTRUCTORS)
+    assert set(found) == EDGE_CONSTRUCTORS, sorted(set(found) ^ EDGE_CONSTRUCTORS)
 
 
 def test_a_lift_chain_builds_no_element_from_digits(monkeypatch):
@@ -239,6 +237,6 @@ def test_lift_chains_up_to_ell_minus_one_expand_no_digits(expansions, ell):
         assert lifted.ctx.precision == ell - 1
         assert classify_membership(lifted, form).kind == "SU"
         for m in (a, lifted):
-            assert [m.digit(k) for k in range(m.ctx.precision)]
-            assert MatLocal.from_json_dict(m.to_json_dict()) == m
+            digits = [m.digit(k) for k in range(m.ctx.precision)]
+            assert MatLocal.from_digit_matrices(m.ctx, d, digits) == m
     assert expansions == []

@@ -14,7 +14,6 @@ from lamadic.matrices import (
     MatLocal,
     MembershipError,
     classify_membership,
-    det_base,
     det_local,
     filtration_order_exponent,
     legendre,
@@ -23,7 +22,7 @@ from lamadic.matrices import (
     perm_embed,
     random_slice,
     random_su_element,
-    su_dimension_and_basis,
+    su_dimension,
     weil_gram_and_epsilon,
 )
 from ring_oracles import (
@@ -32,6 +31,7 @@ from ring_oracles import (
     in_lambda_n,
     random_slice_by_basis_sum,
     random_su_element_by_twist_products,
+    su_basis,
     su_slice_predicate,
     zeta_coeffs,
 )
@@ -63,7 +63,6 @@ def test_det_multiplicative():
     for _ in range(10):
         a, b = rand_mat(ctx, 2, rng), rand_mat(ctx, 2, rng)
         assert det_local(a * b) == det_local(a) * det_local(b)
-        assert det_base(a * b) == det_base(a) * det_base(b)
 
 
 def _singular_mod_lambda(ctx, d, rng):
@@ -234,12 +233,22 @@ def test_level_one_chain_makes_no_elimination(monkeypatch):
     assert dets[-1][1] == CycloElt.one(lifted.ctx)
 
 
+def _norm_of_det_local(a):
+    """The Z_ell-linear determinant: the product of the conjugates
+    sigma_j(det_local A), j = 1, ..., ell-1."""
+    dl = det_local(a)
+    acc = dl
+    for j in range(2, a.ctx.ell):
+        acc = acc * dl.galois(j)
+    return acc
+
+
 def test_det_base_is_galois_stable():
     rng = random.Random(3)
     ctx = RingCtx(5, 4)
     for _ in range(5):
         a = rand_mat(ctx, 3, rng)
-        db = det_base(a)
+        db = _norm_of_det_local(a)
         for j in range(2, 5):
             assert db.galois(j) == db
 
@@ -262,7 +271,7 @@ def test_det_base_matches_integer_representation():
             big.append(r1)
             big.append(r2)
         want = _int_det(big)
-        got = det_base(a)
+        got = _norm_of_det_local(a)
         diff_digits = (got - CycloElt.from_int(want, ctx)).digits
         assert diff_digits == (0, 0, 0, 0)
 
@@ -345,8 +354,8 @@ def test_su_basis_satisfies_predicate():
                 form = HermitianForm.standard(ctx, d, sign)
                 for parity in (3, 4):
                     for group in ("SU", "U"):
-                        dim, basis = su_dimension_and_basis(form, parity, group)
-                        assert len(basis) == dim
+                        basis = su_basis(form, parity, group)
+                        assert len(basis) == su_dimension(d, parity, group)
                         for b in basis:
                             assert su_slice_predicate(b, form.gamma, ell, parity, group)
 
@@ -585,19 +594,9 @@ def test_perm_embed_is_homomorphism():
     for s1 in permutations((1, 2, 3, 4)):
         s2 = (2, 4, 1, 3)
         comp = tuple(s1[s2[i] - 1] for i in range(4))
-        from lamadic.matrices import mat_mul_mod
-
-        assert perm_embed(comp, ell) == mat_mul_mod(
-            perm_embed(s1, ell), perm_embed(s2, ell), ell
-        )
-
-
-def test_matrix_json_roundtrip():
-    rng = random.Random(10)
-    a = rand_mat(RingCtx(5, 3), 2, rng)
-    import json
-
-    assert MatLocal.from_json_dict(json.loads(a.to_json())) == a
+        x, y = perm_embed(s1, ell), perm_embed(s2, ell)
+        assert perm_embed(comp, ell) == [
+            [sum(a * b for a, b in zip(row, col)) % ell for col in zip(*y)] for row in x]
 
 
 _PLANTED = """
@@ -615,10 +614,10 @@ lat.demjanenko_det = lambda ell, r: dataclasses.replace(true_demjanenko(ell, r),
 print(run(["lattice-index", "--ell", "7", "--r", "3"]))
 c.h_minus = lambda ell: 2
 print(run(["demjanenko", "--ell", "7", "--r", "3"]))
-import lamadic.commutators as co
-co._bracket_closed_form = lambda *args: m.mat_zero(3)
+true_presentation = lat.additive_ring_presentation
+lat.additive_ring_presentation = lambda ell, k: true_presentation(ell, k + 1)
 try:
-    co.eij_bracket_table(m.HermitianForm.standard(m.RingCtx(5, 2), 3), 1, 2, 3, 1, 1)
+    lat.u_prime_reduction_exponent(5, 6)
 except m.CheckFailed as e:
     print(type(e).__name__)
 """
@@ -626,7 +625,7 @@ except m.CheckFailed as e:
 
 def test_planted_check_failure_raises_check_failed(monkeypatch):
     import lamadic.classnum as classnum
-    import lamadic.commutators as commutators
+    import lamadic.lattices as lattices
     import lamadic.matrices as matrices
 
     monkeypatch.setattr(matrices, "det_local", lambda a: CycloElt.from_int(2, a.ctx))
@@ -637,10 +636,12 @@ def test_planted_check_failure_raises_check_failed(monkeypatch):
     monkeypatch.setattr(classnum, "h_minus", lambda ell: 2)
     with pytest.raises(CheckFailed):
         classnum.demjanenko_det(7, 3)
-    # the E_ij bracket table against a closed form that disagrees
-    monkeypatch.setattr(commutators, "_bracket_closed_form", lambda *args: mat_zero(3))
-    with pytest.raises(CheckFailed, match="bracket table mismatch"):
-        commutators.eij_bracket_table(HermitianForm.standard(RingCtx(5, 2), 3), 1, 2, 3, 1, 1)
+    # the group order N(lambda)^m of O/lambda^m, from relations for lambda^(m+1)
+    true_presentation = lattices.additive_ring_presentation
+    monkeypatch.setattr(lattices, "additive_ring_presentation",
+                        lambda ell, m: true_presentation(ell, m + 1))
+    with pytest.raises(CheckFailed, match="has order"):
+        lattices.u_prime_reduction_exponent(5, 6)
     # the check survives python -O, and the CLI maps it to exit code 2
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -85,16 +85,6 @@ def test_galois_is_a_ring_homomorphism(data, j):
 
 
 @checked
-@given(ctx_and_elements())
-def test_json_round_trip(data):
-    ctx, (a, b, _) = data
-    for x in (a, a * b - b):
-        back = CycloElt.from_json(x.to_json())
-        assert back == x and back.to_json() == x.to_json()
-        assert repr(back) == repr(x)
-
-
-@checked
 @given(st.data())
 def test_det_local_is_multiplicative(data):
     ctx = data.draw(contexts())

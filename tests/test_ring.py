@@ -214,12 +214,6 @@ def test_log_is_homomorphism():
         assert log1p((one + x) * (one + y)) == log1p(one + x) + log1p(one + y)
 
 
-def test_json_roundtrip():
-    ctx = RingCtx(5, 4)
-    a = CycloElt(ctx, (2, 0, 3, 1))
-    assert CycloElt.from_json(a.to_json()) == a
-
-
 # ---------------------------------------------------------------------------
 # Independent multiplication oracle: schoolbook products mod Phi_ell, with
 # equality modulo lambda^n decided by ideal membership through the norm.
