@@ -13,7 +13,7 @@ import random
 import sys
 from math import comb
 
-from .ring import RingCtx, CycloElt, RingError, DomainError
+from .ring import RingCtx, CycloElt, RingError, DomainError, is_prime
 from .matrices import (
     HermitianForm,
     classify_membership,
@@ -67,7 +67,8 @@ MAX_BUDGET = 4_000_000
 # lattice-index 7.4 s of wall time (4.7 s at r = 5), while with no limit
 # demjanenko took 12 s at r = 10^20 + 1 and 74 s at r = 10^60 + 1, which it
 # then could not print.  c-lr's c has about (ell-1)/2 log10(r) digits and is
-# refused when it cannot be printed.
+# refused when it cannot be printed, before it is built when a lower bound on
+# its digit count already says so.
 MAX_R = 501
 # Upper limit of c-lr's --ell.  c_lr finds the order of r mod ell in up to
 # ell - 1 steps: 0.19 s at ell = 999983 with r = 5 a primitive root, 1.9 s
@@ -167,11 +168,18 @@ def _cmd_eps(args):
 def _cmd_c_lr(args):
     _in_range("--ell", args.ell, 3, MAX_C_LR_ELL)
     _in_range("--r", args.r, 2, MAX_R)
-    r_ell, c = c_lr(args.ell, args.r)
     limit = sys.get_int_max_str_digits()
+    unprintable = DomainError(f"c has more than {limit} digits, the limit for printing an "
+                              f"integer (sys.get_int_max_str_digits())")
+    # c >= (r-1)^((ell-1)/2) for either parity of r_ell, and 2^b has more than
+    # 0.30102 b digits: past the limit, refuse before the order and the power
+    # are computed (for an ell and r that c_lr accepts).
+    bits = (args.ell - 1) // 2 * ((args.r - 1).bit_length() - 1)
+    if limit and bits * 30102 // 100000 >= limit and is_prime(args.ell) and args.r % args.ell:
+        raise unprintable
+    r_ell, c = c_lr(args.ell, args.r)
     if limit and c >= 10**limit:
-        raise DomainError(f"c has more than {limit} digits, the limit for printing an "
-                          f"integer (sys.get_int_max_str_digits())")
+        raise unprintable
     _emit(args, {"ell": args.ell, "r": args.r, "r_ell": r_ell, "c": c},
           f"r_ell = {r_ell}, c = {c}")
     return 0

@@ -6,7 +6,7 @@ the Weil Gram model with its sign, and the permutation embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, prod
 from operator import mul
 
@@ -28,11 +28,9 @@ from .ring import (
     coords_lift,
     coords_mul,
     coords_neg,
-    coords_pad_zero,
     coords_reduce,
     coords_scale,
     coords_sub,
-    digits_from_poly,
     div_by_int,
     jacobi as legendre,
     lambda_digit,
@@ -58,20 +56,14 @@ def mat_zero(d):
 @dataclass(frozen=True)
 class MatLocal:
     """A d x d matrix over O/lambda^n, held as rows of canonical coordinate
-    tuples (the coords_* helpers of ring).  CycloElt appears only at the
-    edges: entries and from_rows; digit reads the digit matrices over
-    F_ell, and from_digit_matrices builds a matrix from them.
-
-    For n <= ell-1 the coordinates are the digits.  For n > ell-1,
-    digit_rows carries the digits of the entries where the rule is known,
-    as CycloElt does: identity and digit-matrix input know them, and
-    truncate, pad_zero and add_top pass them on.  Otherwise they are
-    expanded (digits_from_poly) on first use and kept.
+    tuples (the coords_* helpers of ring), its one representation.
+    CycloElt appears only at the edges: entries and from_rows; digit input
+    enters through from_digit_matrices, which turns each entry's digits
+    into coordinates, and digits are read only through the entries.
     """
 
     ctx: RingCtx
     rows: tuple  # d tuples of d coordinate tuples
-    digit_rows: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         d = len(self.rows)
@@ -84,13 +76,9 @@ class MatLocal:
 
     @property
     def entries(self) -> tuple:
-        """The entries as ring elements, with the digits the matrix knows."""
+        """The entries as ring elements."""
         ctx = self.ctx
-        digit_rows = self.digit_rows or [[None] * self.dim] * self.dim
-        return tuple(
-            tuple(CycloElt.from_reduced(c, ctx, dg) for c, dg in zip(row, drow))
-            for row, drow in zip(self.rows, digit_rows)
-        )
+        return tuple(tuple(CycloElt.from_reduced(c, ctx) for c in row) for row in self.rows)
 
     @staticmethod
     def from_rows(rows) -> "MatLocal":
@@ -102,35 +90,19 @@ class MatLocal:
 
     @staticmethod
     def identity(ctx: RingCtx, d: int) -> "MatLocal":
-        return MatLocal.from_digit_matrices(
-            ctx, d, [[[int(i == j) for j in range(d)] for i in range(d)]])
+        return MatLocal(ctx, tuple(tuple(ctx.one if i == j else ctx.zero for j in range(d))
+                                   for i in range(d)))
 
     @staticmethod
     def from_digit_matrices(ctx: RingCtx, d: int, digit_mats) -> "MatLocal":
         """Build sum_k lambda^k * D_k from matrices over F_ell."""
         mats = list(digit_mats)[:ctx.precision]
         mats += [mat_zero(d)] * (ctx.precision - len(mats))
-        digit_rows = tuple(
-            tuple(tuple(mat[i][j] % ctx.ell for mat in mats) for j in range(d))
+        return MatLocal(ctx, tuple(
+            tuple(coords_from_lambda_poly([mat[i][j] % ctx.ell for mat in mats], ctx)
+                  for j in range(d))
             for i in range(d)
-        )
-        rows = tuple(tuple(coords_from_lambda_poly(dg, ctx) for dg in row) for row in digit_rows)
-        return MatLocal(ctx, rows, digit_rows if ctx.folds else None)
-
-    def _digits(self) -> tuple:
-        """The digit rows: the coordinates for n <= ell-1; otherwise the
-        known digits, or their expansion, kept from here on."""
-        if not self.ctx.folds:
-            return self.rows
-        if self.digit_rows is None:
-            ell, n = self.ctx.ell, self.ctx.precision
-            object.__setattr__(self, "digit_rows", tuple(
-                tuple(digits_from_poly(c, ell, n) for c in row) for row in self.rows))
-        return self.digit_rows
-
-    def digit(self, k: int):
-        """The k-th digit matrix over F_ell (Eq.-style expansion is entrywise)."""
-        return [[dg[k] for dg in row] for row in self._digits()]
+        ))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -171,18 +143,12 @@ class MatLocal:
 
     def add_top(self, s) -> "MatLocal":
         """A + lambda^(n-1) S at precision n, for an integer matrix S taken
-        mod ell: one coordinate of each entry moves, and known digits are
-        carried with their top digit moved."""
-        ctx, ell = self.ctx, self.ctx.ell
-        rows = tuple(
+        mod ell: one coordinate of each entry moves."""
+        ctx = self.ctx
+        return MatLocal(ctx, tuple(
             tuple(coords_add_top(c, x, ctx) for c, x in zip(row, srow))
             for row, srow in zip(self.rows, s)
-        )
-        digit_rows = self.digit_rows and tuple(
-            tuple(dg[:-1] + ((dg[-1] + x) % ell,) for dg, x in zip(row, srow))
-            for row, srow in zip(self.digit_rows, s)
-        )
-        return MatLocal(ctx, rows, digit_rows)
+        ))
 
     def scale(self, c: "CycloElt | int") -> "MatLocal":
         ctx = self.ctx
@@ -203,23 +169,8 @@ class MatLocal:
         if n > self.ctx.precision:
             raise DomainError("cannot truncate upward")
         ctx = self.ctx.at_precision(n)
-        digit_rows = self.digit_rows and tuple(
-            tuple(dg[:n] for dg in row) for row in self.digit_rows)
         return MatLocal(ctx, tuple(tuple(coords_reduce(c, ctx) for c in row)
-                                   for row in self.rows),
-                        digit_rows if ctx.folds else None)
-
-    def pad_zero(self, n: int) -> "MatLocal":
-        """The representative with zero high digits at precision n."""
-        if n < self.ctx.precision:
-            raise DomainError("pad_zero only extends precision")
-        ctx = self.ctx.at_precision(n)
-        digit_rows = self._digits()
-        rows = tuple(tuple(coords_pad_zero(c, dg, ctx) for c, dg in zip(row, drow))
-                     for row, drow in zip(self.rows, digit_rows))
-        pad = (0,) * (n - self.ctx.precision)
-        digit_rows = tuple(tuple(dg + pad for dg in row) for row in digit_rows)
-        return MatLocal(ctx, rows, digit_rows if ctx.folds else None)
+                                   for row in self.rows))
 
     def filtration_level(self) -> int:
         """Largest k with A congruent to I mod lambda^k (0 if A_0 != I): the
@@ -537,18 +488,17 @@ def top_digits(rows, ell: int, n: int):
 def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     """Lift a member of SU(V/lambda^(n-1))_1 to SU(V/lambda^n)_1.
 
-    A = I mod lambda is read from the residues.  Measures the defect of
-    the padded lift A' as A'^dagger Gamma A' = Gamma + lambda^(n-1) X.  The
+    A = I mod lambda is read from the residues.  The lift A' of A is its
+    canonical coordinates read at precision n (coords_lift, as in
+    MatLocal.inverse); any lift serves, since the correction is solved from
+    the defect of A' itself, A'^dagger Gamma A' = Gamma + lambda^(n-1) X.  The
     membership test is that the defect lies in lambda^(n-1) and that
     det(A') = 1 mod lambda^(n-1).  top_digits reads X (or finds the defect
     outside lambda^(n-1)) and lambda_digit the top digit of det(A') - 1
     from the coordinates.
     Solves X = Gamma Y + (-1)^(n-1) Y^T Gamma with Y = (1/2) Gamma^(-1) X,
     fixes the trace with a multiple of E_11, and returns
-    A' - lambda^(n-1) Y.  The digits of A' are A's digits padded with a
-    zero, and those of the result carry A's digits and the top digit
-    -Y mod ell, so a chain of lifts that starts from the identity expands
-    no digits at all.
+    A' - lambda^(n-1) Y, which truncates to A.  No digit is expanded.
     """
     ell = a.ctx.ell
     n = a.ctx.precision + 1
@@ -556,8 +506,8 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     if any(residue(c, ell) != (i == j)
            for i, row in enumerate(a.rows) for j, c in enumerate(row)):
         raise MembershipError("lift_su needs A = I mod lambda")
-    a_prime = a.pad_zero(n)
-    ctx = a_prime.ctx
+    ctx = a.ctx.at_precision(n)
+    a_prime = MatLocal(ctx, tuple(tuple(coords_lift(c, ctx) for c in row) for row in a.rows))
     h = a_prime.dagger() * form.gram_times(a_prime)
     # the defect A'^dagger Gamma A' - Gamma
     delta = [list(row) for row in h.rows]
@@ -588,7 +538,7 @@ def random_su_element(form: HermitianForm, precision: int, rng) -> MatLocal:
     """Random member of SU(V/lambda^n)_1, built by lifting with random
     twists by level slices I + lambda^m * S, S in su^(m+1).  A lift is
     I mod lambda, so the twisted lift is A + lambda^m * S mod lambda^(m+1),
-    which moves only the top digit: the chain carries its digits."""
+    which moves one coordinate of each entry."""
     a = MatLocal.identity(form.ctx.at_precision(1), form.dim)
     for m in range(1, precision):
         a = lift_su(a, form).add_top(random_slice(form, m + 1, rng))

@@ -14,10 +14,10 @@ substitution) keeps the low n slots.  For n > ell-1 a product folds its
 slots from ell-1 on through lambda^(ell-1) = -sum_(i<ell-1) (-1)^i
 C(ell, i+1) lambda^i, as packed rows.  lambda_order reads ord_lambda and
 lambda_digit the digit t of an element of order at least t, each from one
-coordinate per place; the digit expansion (digits_from_poly) peels one
-digit at a time and runs only for n > ell-1, when an element that does
-not know its digits is asked for them.  Conjugation and sigma_j are linear
-maps given by packed tables per (ell, n, j).
+coordinate per place.  The coordinates are the only representation: for
+n > ell-1 the digits are kept nowhere, and CycloElt.digits expands them on
+demand (digits_from_poly), one digit at a time.  Conjugation and sigma_j
+are linear maps given by packed tables per (ell, n, j).
 
 The coords_* helpers are the only code that knows the format: matrices
 and commutators hold rows of coordinates and work on them through these
@@ -309,16 +309,6 @@ def coords_from_lambda_poly(values, ctx: RingCtx) -> tuple:
     return coords_reduce(acc, ctx)
 
 
-def coords_pad_zero(x: tuple, digits: tuple, ctx: RingCtx) -> tuple:
-    """Coordinates at the precision of ctx of the element whose digits are
-    `digits` followed by zeros, where x are its coordinates at precision
-    len(digits).  Up to precision ell-1 the coordinates are the digits, so
-    zero ones are appended."""
-    if len(digits) < ctx.ell:
-        return coords_lift(x, ctx)
-    return coords_from_lambda_poly(digits, ctx)
-
-
 @lru_cache(maxsize=None)
 def _lambda_powers(ell: int, n: int, count: int) -> tuple:
     """Canonical coordinates at precision n of lambda^0, ...,
@@ -477,16 +467,15 @@ class CycloElt:
 
     `coords` holds its canonical coordinates on 1, lambda, ...,
     lambda^(S-1), S = min(n, ell-1) (the coords_* helpers), so equality and
-    hashing compare them.  For n <= ell-1 they are the lambda-adic digits.
-    For n > ell-1 the digits are read by digits_from_poly on first use,
-    unless the element knows them: one built from digits does, as do zero
-    and one, and truncate, pad_zero and add_top pass known digits on.
-    Digits are an edge format: the constructor takes them for digit input,
-    while constants, results and digit matrices are built from
-    coordinates.
+    hashing compare them.  They are the element's one representation.  For
+    n <= ell-1 they are the lambda-adic digits; for n > ell-1 `digits`
+    expands them (digits_from_poly) each time it is read, and no arithmetic
+    reads it.  Digits are an edge format: the constructor takes them for
+    digit input, while constants, results and digit matrices are built
+    from coordinates.
     """
 
-    __slots__ = ("ctx", "coords", "_digits")
+    __slots__ = ("ctx", "coords")
 
     def __init__(self, ctx: RingCtx, digits):
         digits = tuple(digits)
@@ -496,24 +485,20 @@ class CycloElt:
             raise ValueError("digits must lie in {0, ..., ell-1}")
         self.ctx = ctx
         self.coords = coords_from_lambda_poly(digits, ctx)
-        self._digits = digits if ctx.folds else None
 
     @staticmethod
-    def from_reduced(coords: tuple, ctx: RingCtx, digits=None) -> "CycloElt":
-        """Wrap canonical coordinates, and the digits when they are known."""
+    def from_reduced(coords: tuple, ctx: RingCtx) -> "CycloElt":
+        """Wrap canonical coordinates."""
         e = object.__new__(CycloElt)
         e.ctx = ctx
         e.coords = coords
-        e._digits = digits if ctx.folds else None
         return e
 
     @property
     def digits(self) -> tuple:
         if not self.ctx.folds:
             return self.coords
-        if self._digits is None:
-            self._digits = digits_from_poly(self.coords, self.ctx.ell, self.ctx.precision)
-        return self._digits
+        return digits_from_poly(self.coords, self.ctx.ell, self.ctx.precision)
 
     # -- constructors ------------------------------------------------------
 
@@ -528,11 +513,11 @@ class CycloElt:
 
     @staticmethod
     def zero(ctx: RingCtx) -> "CycloElt":
-        return CycloElt.from_reduced(ctx.zero, ctx, (0,) * ctx.precision)
+        return CycloElt.from_reduced(ctx.zero, ctx)
 
     @staticmethod
     def one(ctx: RingCtx) -> "CycloElt":
-        return CycloElt.from_reduced(ctx.one, ctx, (1,) + (0,) * (ctx.precision - 1))
+        return CycloElt.from_reduced(ctx.one, ctx)
 
     @staticmethod
     def zeta(ctx: RingCtx, power: int = 1) -> "CycloElt":
@@ -635,34 +620,13 @@ class CycloElt:
             raise DomainError(f"sigma_j needs j invertible mod ell, got j = {j}")
         return CycloElt.from_reduced(coords_galois(self.coords, j, self.ctx), self.ctx)
 
-    def add_top(self, s: int) -> "CycloElt":
-        """self + s * lambda^(n-1) at precision n.  Only the top digit moves,
-        by s mod ell, so digits the element knows are carried."""
-        ctx = self.ctx
-        s %= ctx.ell
-        if not s:
-            return self
-        digits = self._digits
-        if digits is not None:
-            digits = digits[:-1] + ((digits[-1] + s) % ctx.ell,)
-        return CycloElt.from_reduced(coords_add_top(self.coords, s, ctx), ctx, digits)
-
     # -- precision management ---------------------------------------------
 
     def truncate(self, n: int) -> "CycloElt":
         if n > self.ctx.precision:
             raise DomainError("cannot truncate upward")
         ctx = self.ctx.at_precision(n)
-        digits = self._digits and self._digits[:n]
-        return CycloElt.from_reduced(coords_reduce(self.coords, ctx), ctx, digits)
-
-    def pad_zero(self, n: int) -> "CycloElt":
-        """Choose the representative with zero high digits at precision n."""
-        if n < self.ctx.precision:
-            raise DomainError("pad_zero only extends precision")
-        ctx = self.ctx.at_precision(n)
-        coords = coords_pad_zero(self.coords, self.digits, ctx)
-        return CycloElt.from_reduced(coords, ctx, self.digits + (0,) * (n - self.ctx.precision))
+        return CycloElt.from_reduced(coords_reduce(self.coords, ctx), ctx)
 
     def __repr__(self):
         return f"CycloElt(ell={self.ctx.ell}, digits={list(self.digits)})"
@@ -680,6 +644,7 @@ def div_by_int(a: CycloElt, k: int) -> CycloElt:
     so a is divisible exactly when its coordinates are divisible by ell^s;
     they are divided as integers, and the result lives at precision
     n - (ell-1)s.  Then +-k' is inverted mod the modulus of that precision.
+    DomainError also when (ell-1)s >= n, which would leave no digit.
     """
     if k == 0:
         raise ZeroDivisionError
@@ -693,7 +658,7 @@ def div_by_int(a: CycloElt, k: int) -> CycloElt:
     if s:
         q = ell**s
         loss = (ell - 1) * s
-        if loss > ctx.precision or any(c % q for c in coords):
+        if loss >= ctx.precision or any(c % q for c in coords):
             raise DomainError(f"element not divisible by ell^{s}")
         ctx = ctx.at_precision(ctx.precision - loss)
         coords = [c // q for c in coords]

@@ -76,6 +76,12 @@ def lift_digits(digits, ell):
     return acc
 
 
+def digit(m, k):
+    """The k-th digit matrix of a MatLocal over F_ell, read entrywise from
+    the digits of its entries."""
+    return [[e.digits[k] for e in row] for row in m.entries]
+
+
 # ---------------------------------------------------------------------------
 # The power basis: integer tuples of length ell-1, reduced mod
 # m = ell^ceil(n/(ell-1)), which kills O/lambda^n.  Several integer tuples
@@ -183,12 +189,13 @@ def zeta_inverse(c, ell, m):
 def zeta_div_by_int(c, k, ell, n):
     """(coefficients, precision) of c / k for k = ell^s k': the coefficients
     divided by ell^s (None unless they are divisible, or when (ell-1)s
-    exceeds n), then times k'^(-1) mod the modulus at n - (ell-1)s."""
+    reaches n and no digit would be left), then times k'^(-1) mod the
+    modulus at n - (ell-1)s."""
     s = 0
     while k % ell == 0:
         k //= ell
         s += 1
-    if (ell - 1) * s > n or any(x % ell**s for x in c):
+    if (ell - 1) * s >= n or any(x % ell**s for x in c):
         return None
     n -= (ell - 1) * s
     m = ell ** -(-n // (ell - 1))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import lamadic.cli as cli
 from lamadic import linalg
 from lamadic.classnum import H_MINUS_MAX_ELL
 from lamadic.cli import MAX_BUDGET, MAX_C_LR_ELL, MAX_COMMUTATOR_N, MAX_R, run
@@ -157,6 +158,23 @@ def test_c_lr_and_verify_commutator_limits_exit_2(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and not out
     assert err == f"error: DomainError: {message}\n"
+
+
+def test_c_lr_refuses_an_unprintable_c_before_computing_it(capsys, monkeypatch):
+    """c >= (r-1)^((ell-1)/2), so at these inputs the digit bound alone
+    refuses c, and c_lr never runs.  At r = 2 the bound says nothing and c
+    is computed, and an ell that c_lr rejects still reaches c_lr."""
+    calls = []
+    monkeypatch.setattr(cli, "c_lr", lambda *a, f=cli.c_lr: calls.append(a) or f(*a))
+    for ell, r in ((999983, 501), (999983, 5), (20011, 10)):
+        code, out, err = invoke(capsys, "c-lr", "--ell", str(ell), "--r", str(r))
+        assert code == 2 and not out and err == f"error: DomainError: {_UNPRINTABLE_C}\n"
+    assert calls == []
+    for argv, message in ((("--ell", "999983", "--r", "2"), _UNPRINTABLE_C),
+                          (("--ell", "999999", "--r", "501"), "ell = 999999 must be an odd prime")):
+        code, out, err = invoke(capsys, "c-lr", *argv)
+        assert code == 2 and err == f"error: DomainError: {message}\n"
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("sub", ["demjanenko", "kappa", "lattice-index"])

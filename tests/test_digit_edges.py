@@ -1,12 +1,13 @@
 """Digits are an edge format: lamadic builds ring elements from
 lambda-adic coordinates, digit matrices included (from_digit_matrices), and
 only the selftest's digit round trip calls the digit constructor
-CycloElt(ctx, digits).  For n <= ell-1 the coordinates are the digits;
-past that, a lift chain carries the digits it knows instead of expanding
-them again, and reads orders and the digits it needs from the coordinates,
-so it expands none.  Neither do filtration levels, unit decompositions,
-hashing or the commutator checks, and the commutator checks invert no
-matrix: they compare products."""
+CycloElt(ctx, digits).  Coordinates are the one representation: for
+n <= ell-1 they are the digits, and past that no element or matrix keeps
+its digits, which only CycloElt.digits expands (digits_from_poly), on
+demand.  A lift chain reads orders and the digits it needs from the
+coordinates, so it expands none.  Neither do filtration levels, unit
+decompositions, hashing or the commutator checks, and the commutator
+checks invert no matrix: they compare products."""
 
 import ast
 import random
@@ -14,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-import lamadic.matrices as matrices
 import lamadic.ring as ring
 from lamadic.commutators import matrix_commutator_check, su_commutator_span_check
 from lamadic.lattices import decompose_unit, u_prime_basis
@@ -27,10 +27,9 @@ from lamadic.matrices import (
     random_su_element,
 )
 from lamadic.ring import CycloElt, RingCtx, exp
-from ring_oracles import lift_digits, mul_mod_phi, zeta_reduced
+from ring_oracles import digit, lift_digits, mul_mod_phi, zeta_reduced
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lamadic"
-expand = ring.digits_from_poly
 
 
 def _spy(monkeypatch, owner, name):
@@ -49,19 +48,17 @@ def _spy(monkeypatch, owner, name):
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """The calls of digits_from_poly made during the test, through ring and
-    through the name matrices imports (MatLocal's digit expansion)."""
-    calls = _spy(monkeypatch, ring, "digits_from_poly")
-    monkeypatch.setattr(matrices, "digits_from_poly", ring.digits_from_poly)
-    return calls
+    """The calls of digits_from_poly made during the test."""
+    return _spy(monkeypatch, ring, "digits_from_poly")
 
 EDGE_CONSTRUCTORS = {
     "cli.py:_cmd_selftest",  # the digit round trip of the selftest
 }
 
 
-def _digit_constructor_calls(path):
-    """'file:enclosing definition' of each CycloElt(...) call in the file."""
+def _calls(path, callee):
+    """'file:enclosing definition' of each call of `callee` in the file, by
+    name or as an attribute."""
     found = []
 
     def visit(node, scope):
@@ -72,7 +69,7 @@ def _digit_constructor_calls(path):
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == "CycloElt":
+                if name == callee:
                     found.append(f"{path.name}:{'.'.join(scope)}")
             visit(child, scope)
 
@@ -81,9 +78,16 @@ def _digit_constructor_calls(path):
 
 
 def test_digit_constructor_is_called_only_by_the_edge_constructors():
-    found = [site for path in sorted(SRC.rglob("*.py")) for site in _digit_constructor_calls(path)]
+    found = [site for path in sorted(SRC.rglob("*.py")) for site in _calls(path, "CycloElt")]
     assert found
     assert set(found) == EDGE_CONSTRUCTORS, sorted(set(found) ^ EDGE_CONSTRUCTORS)
+
+
+def test_digit_expansion_is_called_only_inside_ring():
+    """digits_from_poly has one caller, CycloElt.digits: no other module
+    expands digits, or keeps them."""
+    found = {site for path in sorted(SRC.rglob("*.py")) for site in _calls(path, "digits_from_poly")}
+    assert found == {"ring.py:CycloElt.digits"}, sorted(found)
 
 
 def test_a_lift_chain_builds_no_element_from_digits(monkeypatch):
@@ -102,27 +106,21 @@ def test_a_lift_chain_builds_no_element_from_digits(monkeypatch):
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11])
-def test_lift_chains_carry_the_digits_a_fresh_expansion_gives(expansions, ell):
-    for d in (2, 3, 4, 5, 6, 10):
-        for sign in (1, -1):
-            form = HermitianForm.standard(RingCtx(ell, 1), d, sign)
-            a = random_su_element(form, 4, random.Random(f"{ell}/{d}/{sign}"))
-            lifted = lift_su(a, form)
-            expansions.clear()
-            for m in (a, lifted):
-                n = m.ctx.precision
-                for row in m.entries:
-                    for e in row:
-                        assert e.digits == expand(e.coords, ell, n), (ell, d, sign)
-            assert expansions == []  # every digit read above was carried
-
-
-@pytest.mark.parametrize("ell", [3, 5, 7, 11])
 def test_a_lift_chain_expands_no_digits(expansions, ell):
+    """Lifts to precision 5, and at ell in {3, 5} to precision 2 ell + 1,
+    where the chain passes n = ell-1 and the digits are not the
+    coordinates."""
     for d in (2, 6, 10):
         form = HermitianForm.standard(RingCtx(ell, 1), d, -1 if d == 6 else 1)
         a = random_su_element(form, 4, random.Random(f"{ell}/{d}"))
         assert classify_membership(lift_su(a, form), form).kind == "SU"
+    if ell in (3, 5):
+        for d, sign in ((2, 1), (3, -1)):
+            form = HermitianForm.standard(RingCtx(ell, 1), d, sign)
+            a = random_su_element(form, 2 * ell, random.Random(f"{ell}/{d}/{2 * ell + 1}"))
+            lifted = lift_su(a, form)
+            assert lifted.ctx.precision == 2 * ell + 1
+            assert classify_membership(lifted, form).kind == "SU"
     assert expansions == []
 
 
@@ -163,7 +161,7 @@ def test_equal_elements_with_different_coefficients_hash_equal(ell):
             if zeta_reduced(c, ell, m) == zeta_reduced(c2, ell, m):  # lambda^n r can be 0 mod ell^k
                 continue
             assert x == y and hash(x) == hash(y)
-            assert x != y.add_top(1)
+            assert x != y + CycloElt.lam(ctx, n - 1)
             compared += 1
     assert compared
 
@@ -237,6 +235,6 @@ def test_lift_chains_up_to_ell_minus_one_expand_no_digits(expansions, ell):
         assert lifted.ctx.precision == ell - 1
         assert classify_membership(lifted, form).kind == "SU"
         for m in (a, lifted):
-            digits = [m.digit(k) for k in range(m.ctx.precision)]
+            digits = [digit(m, k) for k in range(m.ctx.precision)]
             assert MatLocal.from_digit_matrices(m.ctx, d, digits) == m
     assert expansions == []

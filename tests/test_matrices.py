@@ -27,6 +27,7 @@ from lamadic.matrices import (
 )
 from ring_oracles import (
     det_cofactor,
+    digit,
     filtration_order_sum,
     in_lambda_n,
     random_slice_by_basis_sum,
@@ -53,7 +54,7 @@ def test_digit_matrices_roundtrip():
     rng = random.Random(1)
     ctx = RingCtx(5, 3)
     a = rand_mat(ctx, 2, rng)
-    rebuilt = MatLocal.from_digit_matrices(ctx, 2, [a.digit(k) for k in range(ctx.precision)])
+    rebuilt = MatLocal.from_digit_matrices(ctx, 2, [digit(a, k) for k in range(ctx.precision)])
     assert rebuilt == a
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamadic.matrices import MatLocal, det_local
-from lamadic.ring import CycloElt, DomainError, RingCtx, div_by_int, exp, log1p
+from lamadic.ring import CycloElt, DomainError, RingCtx, coords_lift, div_by_int, exp, log1p
 from ring_oracles import (
     zeta_coeffs,
     zeta_conjugate,
@@ -202,10 +202,10 @@ def test_coordinates_agree_with_the_power_basis(data):
         assert a.inverse().digits == digits(zeta_inverse(za, ell, m))
     k = data.draw(st.integers(1, n))
     assert a.truncate(k).digits == a.digits[:k] == digits(zeta_coeffs(a.truncate(k)), k)
-    k = data.draw(st.integers(n, n + ell))
-    padded = a.pad_zero(k)
-    assert padded.digits == a.digits + (0,) * (k - n) == digits(zeta_coeffs(padded), k)
-    s = data.draw(st.integers(0, n // (ell - 1)))
+    high = ctx.at_precision(data.draw(st.integers(n, n + ell)))
+    lift = CycloElt.from_reduced(coords_lift(a.coords, high), high)
+    assert lift.truncate(n) == a and digits(zeta_coeffs(lift), high.precision)[:n] == a.digits
+    s = data.draw(st.integers(0, (n - 1) // (ell - 1)))
     k = ell**s * data.draw(cofactors(ell))
     q, precision = zeta_div_by_int(zeta_coeffs(a * k), k, ell, n)
     assert div_by_int(a * k, k).digits == digits(q, precision)

@@ -162,6 +162,9 @@ def test_div_by_int():
     b = a * 3
     q = div_by_int(b, 3)
     assert q == a.truncate(q.ctx.precision)
+    # 9 b = 27 a = 0 mod lambda^6, but a quotient by 27 would keep none of its digits
+    with pytest.raises(DomainError):
+        div_by_int(b * 9, 27)
 
 
 def test_shift_and_ord():

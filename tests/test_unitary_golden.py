@@ -3,18 +3,25 @@ tests/data/unitary_golden.json, which was recorded before the SU lifts were
 built from coefficients and the unit-reduction orders got closed forms, and
 with tests/data/unitary_large_golden.json, the lift chains at the
 benchmark's large cells, recorded before the packed elimination kernel and
-the carried digits."""
+the carried digits.  The lift chains at (ell, n) = (3, 5) were recorded
+again when lift_su took the coordinate lift in place of the zero-padded
+one; every recorded lift is checked on the power basis, with no lamadic
+arithmetic."""
 
 import contextlib
 import io
 import json
 import random
+from functools import lru_cache
 from pathlib import Path
+
+import pytest
 
 from lamadic.cli import run
 from lamadic.lattices import decompose_unit, u_reduction_order
 from lamadic.matrices import HermitianForm, classify_membership, lift_su, random_su_element
 from lamadic.ring import CycloElt, RingCtx, exp
+from ring_oracles import in_lambda_n, lift_digits, mul_mod_phi, zeta_poly_galois
 
 GOLDEN = Path(__file__).parent / "data" / "unitary_golden.json"
 LARGE_GOLDEN = Path(__file__).parent / "data" / "unitary_large_golden.json"
@@ -118,3 +125,55 @@ def large_records() -> str:
 
 def test_large_lift_chains_match_the_recording():
     assert large_records() == LARGE_GOLDEN.read_text()
+
+
+def _det_power_basis(p, ell):
+    """Cofactor expansion of a matrix of power-basis entries along its rows,
+    memoized over the columns left, with products mod Phi_ell."""
+    d = len(p)
+
+    @lru_cache(maxsize=None)
+    def minor(cols):
+        if not cols:
+            return (1,) + (0,) * (ell - 2)
+        row, total = d - len(cols), [0] * (ell - 1)
+        for k, j in enumerate(cols):
+            term = mul_mod_phi(p[row][j], minor(cols[:k] + cols[k + 1:]), ell)
+            total = [t + (-1) ** k * c for t, c in zip(total, term)]
+        return tuple(total)
+
+    return minor(tuple(range(d)))
+
+
+def check_lift_record(rec):
+    """A lift_chains record against its defining properties, on the power
+    basis: the lift truncates to a, A^dagger Gamma A - Gamma and det A - 1
+    lie in lambda^n, and the recorded verdict is SU with det and multiplier
+    1.  Gamma is diag(1, ..., 1), or diag(1, ..., 1, alpha) for sign -1 with
+    alpha the least non-square mod ell (Euler's criterion)."""
+    ell, d, n = rec["ell"], rec["d"], rec["n"]
+    assert all(rec["lift"][i][j][:n - 1] == rec["a"][i][j] for i in range(d) for j in range(d))
+    alpha = next(a for a in range(2, ell) if pow(a, (ell - 1) // 2, ell) == ell - 1)
+    gamma = [1] * (d - 1) + [1 if rec["sign"] == 1 else alpha]
+    p = [[lift_digits(digits, ell) for digits in row] for row in rec["lift"]]
+    conj = [[zeta_poly_galois(x, ell - 1, ell) for x in row] for row in p]
+    for i in range(d):
+        for j in range(d):
+            h = [0] * (ell - 1)
+            for k in range(d):
+                h = [x + gamma[k] * y for x, y in zip(h, mul_mod_phi(conj[k][i], p[k][j], ell))]
+            h[0] -= gamma[i] * (i == j)
+            assert in_lambda_n(h, ell, n), (ell, d, n, i, j)
+    det = list(_det_power_basis(p, ell))
+    det[0] -= 1
+    assert in_lambda_n(det, ell, n)
+    one = [1] + [0] * (n - 1)
+    assert rec["kind"] == "SU" and rec["det"] == one and rec["multiplier"] == one
+
+
+@pytest.mark.parametrize("path", [GOLDEN, LARGE_GOLDEN], ids=["small", "large"])
+def test_the_recorded_lifts_pass_a_power_basis_oracle(path):
+    records = json.loads(path.read_text())["lift_chains"]
+    assert len(records) == (36 if path == GOLDEN else 6)
+    for rec in records:
+        check_lift_record(rec)
