@@ -175,8 +175,8 @@ def demjanenko_det(ell: int, r: int, reps=None) -> DemjanenkoReport:
 
     det is the Bareiss determinant of the integer matrix [2 n'] divided by
     2^g, and t is ord_ell of that integer."""
-    reps, twice = _twice_half_system(ell, r, reps)
     h = h_minus(ell)  # first: it refuses an ell past H_MINUS_MAX_ELL
+    reps, twice = _twice_half_system(ell, r, reps)
     g = len(reps)
     twice_det = linalg.det(twice)
     det = Fraction(twice_det, 2**g)

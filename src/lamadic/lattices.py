@@ -8,7 +8,7 @@ determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from math import comb
 
 from . import linalg
 from .ring import (
@@ -41,24 +41,18 @@ def _zeta_galois(a: tuple, j: int, ell: int) -> tuple:
     return reduce_zeta_poly(out, ell)
 
 
-@lru_cache(maxsize=None)
-def _lambda_power_table(ell: int, n: int) -> tuple:
-    """lambda^0, ..., lambda^(n-1); lambda^(i+1) = lambda^i - zeta * lambda^i,
-    and multiplying by zeta rotates the coefficients."""
-    powers = [(1,) + (0,) * (ell - 2)]
-    for _ in range(1, n):
-        p = powers[-1]
-        powers.append(tuple(a - b for a, b in zip(p, reduce_zeta_poly((0,) + p, ell))))
-    return tuple(powers)
-
-
 def anti_fixed_basis_coords(ell: int):
-    """Exact zeta-coordinates of lambda^i - conj(lambda)^i, i = 2..(ell+1)/2."""
-    powers = _lambda_power_table(ell, (ell + 3) // 2)
-    return [
-        tuple(x - y for x, y in zip(a, _zeta_galois(a, ell - 1, ell)))
-        for a in powers[2:]
-    ]
+    """Exact zeta-coordinates of lambda^i - conj(lambda)^i, i = 2..(ell+1)/2:
+    (1 - zeta)^i - (1 - zeta^(-1))^i = sum_j (-1)^j C(i, j) (zeta^j - zeta^(-j))."""
+    out = []
+    for i in range(2, (ell + 1) // 2 + 1):
+        raw = [0] * ell
+        for j in range(1, i + 1):
+            c = (-1) ** j * comb(i, j)
+            raw[j] += c
+            raw[-j] -= c
+        out.append(reduce_zeta_poly(raw, ell))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +193,6 @@ def abelian_order(p: AbelianPresentation, generator_columns) -> int:
     return total // joint
 
 
-def additive_ring_presentation(ell: int, m: int) -> AbelianPresentation:
-    """The additive group of O/lambda^m on the zeta-power basis, with
-    relation columns lambda^m * zeta^t."""
-    cols = [_lambda_power_table(ell, m + 1)[m]]
-    for _ in range(ell - 2):
-        cols.append(reduce_zeta_poly((0,) + cols[-1], ell))
-    return AbelianPresentation(ell - 1, tuple(zip(*cols)))
-
-
 # ---------------------------------------------------------------------------
 # The cokernel exponent of the doubled infinity type on the anti-fixed part.
 
@@ -294,34 +279,40 @@ def rational_reduction_order(ell: int, r: int, m: int) -> int:
 
 def u_prime_reduction_exponent(ell: int, m: int) -> int:
     """log_ell of the order of the subgroup of O/lambda^m (additive)
-    generated by the log generators lambda^i - conj(lambda)^i.
+    generated by the log generators v_i = lambda^i - conj(lambda)^i,
+    i = 2..g+1 with g = (ell-1)/2: max(0, floor((m-2)/2)), for every ell.
 
-    ell^k with k = ceil(m/(ell-1)) lies in lambda^m O, so it kills O/lambda^m
-    and both spans are folded modulo it (linalg.index_modulo), with no
-    determinant.  The fold of the relations alone must give the group
-    order ell^m = N(lambda)^m."""
-    pres = additive_ring_presentation(ell, m)
-    g = pres.generators
-    rel_cols = [list(col) for col in zip(*pres.relations)]
-    kill = ell ** -(-m // (ell - 1))
-    total = linalg.index_modulo(g, rel_cols, kill)
-    if total != ell**m:
-        raise CheckFailed(f"O/lambda^{m} has order {total}, expected {ell}^{m}")
-    joint = linalg.index_modulo(
-        g, rel_cols + [list(c) for c in anti_fixed_basis_coords(ell)], kill)
-    if total % joint:
-        raise CheckFailed(f"subgroup index {joint} does not divide the group order {total}")
-    order = total // joint
-    e = ord_p(order, ell)
-    if ell**e != order:
-        raise CheckFailed(f"subgroup order {order} is not a power of {ell}")
-    return e
+    Proof.  (1) conj(lambda) = 1 - zeta^(-1) = -zeta^(-1) lambda, so each
+    v_i is anti-fixed.  A nonzero anti-fixed x = u lambda^k, u a unit, has
+    odd k: conj(u) = u and zeta = 1 mod lambda give conj(x) = (-1)^k x mod
+    lambda^(k+1), and conj(x) = -x.
+    (2) Conjugation swaps zeta^k and zeta^(ell-k) in the Z-basis zeta, ...,
+    zeta^(ell-1) of O, so the anti-fixed part O^- has Z-basis w_k = zeta^k
+    - zeta^(-k), k = 1..g, and its elements in ell O are ell O^-.  Hence
+    O^-/ell O^-, of dimension g, embeds in O/ell O = O/lambda^(ell-1), where
+    by (1) its leading digits sit at the g odd levels below ell-1: O^- has
+    exactly one F_ell of digits at each of them, and, as its elements in
+    lambda^(k+ell-1) O are ell times those in lambda^k O, at every odd level.
+    (3) v_i = lambda^i (1 - (-zeta^(-1))^i) lies in lambda^3 O (i >= 3, or
+    i = 2 and 1 - zeta^(-2) in lambda O), so the v_i lie in A, the elements
+    of O^- in lambda^3 O, which has index ell in O^- (the digit at level 1).
+    (4) v_i = sum_(j<=i) (-1)^j C(i, j) w_j with w_(g+1) = -w_g.  Up to
+    column signs this g x g matrix is [C(i, j)], i = 2..g+1, j = 1..g, of
+    determinant g+1, with the entry (g+1, g) raised by 1, whose cofactor is
+    the same determinant one size smaller, g.  So the determinant is
+    +-(2g+1) = +-ell and the v_i span A, which has one F_ell of digits at
+    each odd level from 3 on: its image in O/lambda^m has order ell to the
+    number of odd k with 3 <= k < m."""
+    RingCtx(ell, m)  # the ring's checks on ell and m
+    return max(0, (m - 2) // 2)
 
 
 def u_reduction_order(ell: int, r: int, m: int):
-    """Oracle for the order of the reduction of the unit group mod lambda^m:
-    torsion x rational x anti-fixed factor orders (pairwise trivial
-    intersections).  Returns (total, parts dict)."""
+    """Order of the reduction of the unit group mod lambda^m: torsion x
+    rational x anti-fixed factor orders (pairwise trivial intersections).
+    The anti-fixed factor is the image of the log lattice of the anti-fixed
+    elements in lambda^3 O (u_prime_reduction_exponent).  Returns (total,
+    parts dict)."""
     t_ord = torsion_reduction_order(ell, m)
     r_ord = rational_reduction_order(ell, r, m)
     e = u_prime_reduction_exponent(ell, m)

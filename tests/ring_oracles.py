@@ -6,7 +6,9 @@ multiplication or Kronecker substitution mod Phi_ell, conjugation and
 sigma_j permute exponents, digits are peeled through the lambda basis and
 inverses, quotients, log and exp are computed on coefficients, membership in
 lambda^n is decided through the norm, determinants by cofactor expansion,
-filtration orders by summing the slice dimensions level by level,
+filtration orders by summing the slice dimensions level by level, the
+order of the anti-fixed log generators in O/lambda^m by a Smith form over
+Z/ell^k of the power-basis relations,
 trinomial discriminants by their closed form, slice membership and the
 half-system T'' action from their defining formulas, random SU members
 by multiplying each lift by its twist and their slices by summing dense
@@ -21,7 +23,7 @@ from functools import lru_cache
 from math import comb
 
 from lamadic.curves import _poldivmod, _polmul
-from lamadic.lattices import is_anti_fixed, u_lr_member
+from lamadic.lattices import AbelianPresentation, is_anti_fixed, u_lr_member
 from lamadic.matrices import MatLocal, _su_basis_entries, lift_su, mat_zero
 from lamadic.ring import CycloElt, DomainError, RingCtx, div_by_int, exp, log1p
 
@@ -349,6 +351,31 @@ def local_index_exponent(columns, dim, ell, depth):
                 for row in rows:
                     row[j] = (row[j] - f * row[k]) % mod
     return total
+
+
+def additive_ring_presentation(ell, m):
+    """The additive group of O/lambda^m on the zeta-power basis, with
+    relation columns lambda^m * zeta^t, t < ell-1."""
+    zeta = [0, 1] + [0] * (ell - 3)
+    cols = [list(_zeta_lambda_powers(ell, m + 1)[m])]
+    for _ in range(ell - 2):
+        cols.append(mul_mod_phi(cols[-1], zeta, ell))
+    return AbelianPresentation(ell - 1, tuple(zip(*cols)))
+
+
+def anti_fixed_generators(ell):
+    """lambda^i - conj(lambda)^i, i = 2..(ell+1)/2, on the power basis."""
+    powers = _zeta_lambda_powers(ell, (ell + 3) // 2)[2:]
+    return [[a - b for a, b in zip(p, zeta_poly_galois(p, ell - 1, ell))] for p in powers]
+
+
+def anti_fixed_exponent_by_smith_form(ell, m):
+    """log_ell of the order of the subgroup of O/lambda^m generated by
+    anti_fixed_generators: m minus the index exponent of the relations and
+    generators together, from their Smith form."""
+    rel = [list(c) for c in zip(*additive_ring_presentation(ell, m).relations)]
+    depth = -(-m // (ell - 1)) + 1
+    return m - local_index_exponent(rel + anti_fixed_generators(ell), ell - 1, ell, depth)
 
 
 def trinomial_discriminant(n, a, b):

@@ -89,6 +89,24 @@ def test_h_minus_beyond_the_bernoulli_range():
     assert h_minus(H_MINUS_MAX_ELL) > 1
 
 
+def test_demjanenko_refuses_ell_before_building_the_matrix(monkeypatch):
+    import lamadic.classnum as classnum
+
+    built = classnum._twice_half_system
+
+    def spy(ell, r, reps):
+        assert ell <= H_MINUS_MAX_ELL, f"half-system matrix built at ell = {ell}"
+        return built(ell, r, reps)
+
+    monkeypatch.setattr(classnum, "_twice_half_system", spy)
+    over = next(p for p in range(H_MINUS_MAX_ELL + 1, 2 * H_MINUS_MAX_ELL) if is_prime(p))
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        demjanenko_det(over, 2)
+    for command in ("kappa", "lattice-index", "demjanenko"):
+        assert run([command, "--ell", str(over), "--r", "2"]) == 2
+    assert run(["division-degree", "--ell", str(over), "--poly", "x^5 - x - 1"]) == 2
+
+
 def test_fraction_det():
     assert fraction_det([[Fraction(1, 2)]]) == Fraction(1, 2)
     assert fraction_det([[1, 2], [3, 4]]) == -2

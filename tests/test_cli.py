@@ -9,6 +9,7 @@ import lamadic.cli as cli
 from lamadic import linalg
 from lamadic.classnum import H_MINUS_MAX_ELL
 from lamadic.cli import MAX_BUDGET, MAX_C_LR_ELL, MAX_COMMUTATOR_N, MAX_R, run
+from lamadic.curves import MAX_DEGREE, parse_poly
 
 
 def invoke(capsys, *argv):
@@ -363,6 +364,19 @@ def test_check_curve_rejects_ell_like_division_degree(capsys, ell):
 def test_poly_syntax_error_exits_1(capsys):
     code, _, _ = invoke(capsys, "check-curve", "--ell", "11", "--poly", "x^-1")
     assert code == 1
+
+
+def test_exponent_past_the_degree_limit_exits_2(capsys):
+    """The exponent is refused while parsing, before any coefficient tuple
+    is built, even where the term cancels."""
+    over = MAX_DEGREE + 1
+    for sub in ("check-curve", "division-degree"):
+        for poly in (f"x^{over} + x + 1", f"x^{over} - x^{over} + x^5 - x - 1"):
+            code, out, _ = invoke(capsys, sub, "--ell", "11", "--poly", poly, "--json")
+            assert code == 2
+            assert json.loads(out)["error"] == (
+                f"DomainError: exponent {over} exceeds the degree limit {MAX_DEGREE}")
+    assert parse_poly(f"x^{MAX_DEGREE} + 1").degree == MAX_DEGREE
 
 
 def test_division_degree_paths(capsys):

@@ -2,12 +2,10 @@ import random
 
 import pytest
 
-from lamadic import lattices
-from lamadic.ring import CheckFailed, CycloElt, DomainError, NotAUnit, RingCtx, exp as ring_exp
+from lamadic.ring import CycloElt, DomainError, NotAUnit, RingCtx, exp as ring_exp, is_prime
 from lamadic.lattices import (
     AbelianPresentation,
     abelian_order,
-    additive_ring_presentation,
     anti_fixed_basis_coords,
     decompose_unit,
     infinity_type_apply,
@@ -25,7 +23,12 @@ from lamadic.lattices import (
     u_reduction_order,
 )
 from lamadic.classnum import kappa_and_t, n_of, ord_p
+from lamadic.linalg import det
+from lamadic.matrices import filtration_order_exponent
 from ring_oracles import (
+    additive_ring_presentation,
+    anti_fixed_exponent_by_smith_form,
+    anti_fixed_generators,
     decompose_unit_by_search,
     rational_order_by_ell_powers,
     t_doubleprime_apply,
@@ -177,24 +180,70 @@ def test_reduction_exponent_monotone_in_precision():
         prev = parts["anti_fixed_exponent"]
 
 
+def test_anti_fixed_basis_from_the_binomial_formula():
+    for ell in filter(is_prime, range(3, 100)):
+        assert [list(c) for c in anti_fixed_basis_coords(ell)] == anti_fixed_generators(ell)
+
+
 def test_reduction_exponent_matches_the_group_order_fold():
-    """The fold modulo ell^ceil(m/(ell-1)) gives the exponent that
-    abelian_order's fold modulo the group order gives."""
-    for ell in (3, 5, 7, 11, 13):
-        gens = [list(c) for c in anti_fixed_basis_coords(ell)]
+    """The closed form against a Smith form of the power-basis presentation
+    of O/lambda^m and the generators built there."""
+    for ell in (3, 5, 7, 11, 13, 17, 19, 23):
         for m in range(1, 3 * ell):
-            order = abelian_order(additive_ring_presentation(ell, m), gens)
-            assert u_prime_reduction_exponent(ell, m) == ord_p(order, ell), (ell, m)
+            assert (u_prime_reduction_exponent(ell, m)
+                    == anti_fixed_exponent_by_smith_form(ell, m)), (ell, m)
 
 
-def test_reduction_exponent_checks_the_group_order(monkeypatch):
-    # relations for lambda^(m+1) in place of lambda^m: ell^2 still kills the
-    # quotient at (5, 6), whose order is then 5^7, not 5^6
-    right = additive_ring_presentation
-    monkeypatch.setattr(lattices, "additive_ring_presentation",
-                        lambda ell, m: right(ell, m + 1))
-    with pytest.raises(CheckFailed, match="has order"):
-        u_prime_reduction_exponent(5, 6)
+def test_reduction_exponent_matches_the_closure_of_the_generators():
+    """The subgroup of O/lambda^m that the log generators generate, closed
+    under addition one generator at a time."""
+    for ell in (3, 5, 7):
+        for m in range(1, 11):
+            ctx = RingCtx(ell, m)
+            gens = [CycloElt.lam(ctx, i) - CycloElt.lam(ctx, i).conjugate()
+                    for i in range(2, (ell + 1) // 2 + 1)]
+            seen, todo = {CycloElt.zero(ctx)}, [CycloElt.zero(ctx)]
+            while todo:
+                x = todo.pop()
+                for y in (x + g for g in gens):
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            assert len(seen) == ell ** u_prime_reduction_exponent(ell, m), (ell, m)
+
+
+def test_log_generators_have_index_ell_in_the_anti_fixed_part():
+    """lambda^i - conj(lambda)^i, i = 2..g+1, on the basis zeta^k - zeta^(-k),
+    k = 1..g: its coefficients of x^1..x^g in Z[x]/(x^ell - 1), where the
+    anti-symmetric part maps isomorphically onto the anti-fixed part of O."""
+    for ell in filter(is_prime, range(3, 200)):
+        g = (ell - 1) // 2
+        rows = []
+        lam = [1] + [0] * (ell - 1)
+        for i in range(1, g + 2):  # lam = (1 - x)^i
+            lam = [a - b for a, b in zip(lam, lam[-1:] + lam[:-1])]
+            if i >= 2:  # minus its image under x -> x^(-1)
+                rows.append([lam[k] - lam[-k] for k in range(1, g + 1)])
+        assert abs(det(rows)) == ell, ell
+
+
+def test_level_degree_exponents_of_the_mumford_tate_table():
+    """filtration_order_exponent(ell, r-1, n, 1) plus the ell-exponent of
+    u_reduction_order(ell, r, n) at n = k(ell-1), k = 1..5."""
+    table = {
+        (11, 8): [224, 470, 716, 962, 1208],
+        (5, 4): [15, 34, 53, 72, 91],
+        (7, 6): [65, 141, 217, 293, 369],
+        (3, 8): [28, 78, 128, 178, 228],
+        (5, 6): [40, 90, 141, 192, 243],
+    }
+    for (ell, r), want in table.items():
+        got = []
+        for k in range(1, 6):
+            n = k * (ell - 1)
+            got.append(filtration_order_exponent(ell, r - 1, n, 1)
+                       + ord_p(u_reduction_order(ell, r, n)[0], ell))
+        assert got == want, (ell, r)
 
 
 def test_reduction_orders_match_powering():

@@ -14,14 +14,13 @@ from lamadic import linalg
 from lamadic.lattices import (
     AbelianPresentation,
     abelian_order,
-    additive_ring_presentation,
     anti_fixed_basis_coords,
     t_doubleprime_matrix,
     u_reduction_order,
 )
 from lamadic.linalg import det, index_modulo, lattice_index, solve
 from lamadic.ring import DomainError, is_prime
-from ring_oracles import local_index_exponent, solve_over_fractions
+from ring_oracles import additive_ring_presentation, local_index_exponent, solve_over_fractions
 
 
 def _rand_matrix(rng, rows, cols, lo=-9, hi=9):

@@ -603,6 +603,7 @@ def test_perm_embed_is_homomorphism():
 _PLANTED = """
 import dataclasses
 import lamadic.classnum as c
+import lamadic.curves as cv
 import lamadic.lattices as lat
 import lamadic.matrices as m
 from lamadic import CycloElt
@@ -615,10 +616,9 @@ lat.demjanenko_det = lambda ell, r: dataclasses.replace(true_demjanenko(ell, r),
 print(run(["lattice-index", "--ell", "7", "--r", "3"]))
 c.h_minus = lambda ell: 2
 print(run(["demjanenko", "--ell", "7", "--r", "3"]))
-true_presentation = lat.additive_ring_presentation
-lat.additive_ring_presentation = lambda ell, k: true_presentation(ell, k + 1)
+cv.resultant = lambda f, g: 1
 try:
-    lat.u_prime_reduction_exponent(5, 6)
+    cv.discriminant(cv.IntPoly((1, 1, 0, 0, 2)))
 except m.CheckFailed as e:
     print(type(e).__name__)
 """
@@ -626,7 +626,7 @@ except m.CheckFailed as e:
 
 def test_planted_check_failure_raises_check_failed(monkeypatch):
     import lamadic.classnum as classnum
-    import lamadic.lattices as lattices
+    import lamadic.curves as curves
     import lamadic.matrices as matrices
 
     monkeypatch.setattr(matrices, "det_local", lambda a: CycloElt.from_int(2, a.ctx))
@@ -637,12 +637,10 @@ def test_planted_check_failure_raises_check_failed(monkeypatch):
     monkeypatch.setattr(classnum, "h_minus", lambda ell: 2)
     with pytest.raises(CheckFailed):
         classnum.demjanenko_det(7, 3)
-    # the group order N(lambda)^m of O/lambda^m, from relations for lambda^(m+1)
-    true_presentation = lattices.additive_ring_presentation
-    monkeypatch.setattr(lattices, "additive_ring_presentation",
-                        lambda ell, m: true_presentation(ell, m + 1))
-    with pytest.raises(CheckFailed, match="has order"):
-        lattices.u_prime_reduction_exponent(5, 6)
+    # lc(f) must divide Res(f, f'), here planted as 1 for 2x^4 + x + 1
+    monkeypatch.setattr(curves, "resultant", lambda f, g: 1)
+    with pytest.raises(CheckFailed, match="leading coefficient"):
+        curves.discriminant(curves.IntPoly((1, 1, 0, 0, 2)))
     # the check survives python -O, and the CLI maps it to exit code 2
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

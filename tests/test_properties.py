@@ -3,12 +3,15 @@ produced by arithmetic must behave as the same element of O/lambda^n, and
 conjugation, division by integers, log and exp must obey their defining
 identities.
 
-Examples are derandomized, so every run tests the same inputs.
+Examples are derandomized, and the pool of constants that Hypothesis mines
+from the local modules in sys.modules is held empty, so every run tests the
+same inputs whichever tests ran or modules were imported before.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.internal.conjecture import providers
 
 from lamadic.matrices import MatLocal, det_local
 from lamadic.ring import CycloElt, DomainError, RingCtx, coords_lift, div_by_int, exp, log1p
@@ -27,6 +30,19 @@ from ring_oracles import (
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
 checked = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def no_local_constants():
+    """Hypothesis draws some integers from constants in the source of every
+    local module imported so far (lamadic.cli, say, once test_cli ran), which
+    makes the draws depend on the tests before.  The patch fails loudly if a
+    Hypothesis release renames what it replaces."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(providers, "_get_local_constants", providers.Constants)
+        providers.CONSTANTS_CACHE.cache.clear()
+        yield
+    providers.CONSTANTS_CACHE.cache.clear()
 
 
 @st.composite
