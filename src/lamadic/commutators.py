@@ -291,16 +291,6 @@ def matrix_commutator_check(a: MatLocal, b: MatLocal) -> bool:
 # Span of top-level commutators of lifted slice generators.
 
 
-def _gamma_inv_eij(form: HermitianForm, i: int, j: int, parity: int):
-    """Gamma^(-1) (E_ij + (-1)^parity E_ji) over F_ell, 0-based indices."""
-    ell = form.ctx.ell
-    ginv = form.gamma_inv_mod()
-    m = mat_zero(form.dim)
-    m[i][j] = (m[i][j] + ginv[i]) % ell
-    m[j][i] = (m[j][i] + (-1) ** parity * ginv[j]) % ell
-    return m
-
-
 def _lift_slice_generator(form: HermitianForm, level: int, gen, precision: int) -> MatLocal:
     """Lift I + lambda^level * gen from precision level+1 up to the target."""
     ctx = form.ctx.at_precision(level + 1)
@@ -315,9 +305,12 @@ def su_commutator_span_check(ell: int, d: int, n: int, sign: int = 1) -> bool:
     slice: collect digit n-1 of [[A, B]] over the prescribed generator pairs
     and compare the F_ell-rank with the slice dimension.  At levels N and
     n-1-N, [[A, B]] - I = (AB - BA)(BA)^(-1) = AB - BA mod lambda^n, whose
-    digit n-1 top_digits reads, with no inverse.  Each distinct
-    generator Gamma^(-1) E_ij^(level+1) is lifted once and shared by its
-    pairs (at even parity E_ij and E_ji give the same one)."""
+    digit n-1 top_digits reads, with no inverse; it is the bracket of the
+    level-N and level-(n-1-N) digits of A and B.  So one generator per
+    (level, unordered pair) serves: the slice-basis element Gamma^(-1)
+    (E_ij + (-1)^(level+1) E_ji), i < j, is lifted once, and the pair
+    (j, i), whose generator is +- the same, shares it, which changes the
+    top digit by a sign only."""
     if n < 3 or d < 3:
         raise ValueError("need n >= 3 and d >= 3")
     ctx1 = RingCtx(ell, 1)
@@ -325,23 +318,21 @@ def su_commutator_span_check(ell: int, d: int, n: int, sign: int = 1) -> bool:
     big_n = (n - 1) // 2
     big_m = n - 1 - big_n
     lifts = {}
-
-    def lifted(level, i, j):
-        gen = _gamma_inv_eij(form, i - 1, j - 1, level + 1)
-        key = (level, tuple(map(tuple, gen)))
-        if key not in lifts:
-            lifts[key] = _lift_slice_generator(form, level, gen, n)
-        return lifts[key]
-
+    for level in {big_n, big_m}:
+        for entries in form.slice_basis(level + 1)[:d * (d - 1) // 2]:
+            gen = mat_zero(d)
+            for i, j, x in entries:
+                gen[i][j] = x
+            lifts[level, frozenset(entries[0][:2])] = _lift_slice_generator(form, level, gen, n)
     vectors = []
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
+    for i in range(d):
+        for j in range(d):
             if j == i:
                 continue
-            for l in range(1, d + 1):
+            for l in range(d):
                 if l == j:
                     continue
-                a, b = lifted(big_n, i, j), lifted(big_m, j, l)
+                a, b = lifts[big_n, frozenset((i, j))], lifts[big_m, frozenset((j, l))]
                 top = top_digits((a * b - b * a).rows, ell, n)
                 if top is None:
                     raise CheckFailed(f"AB - BA of lifted generators is not in lambda^{n - 1}")

@@ -17,7 +17,7 @@ from .linalg import det
 from .ring import CheckFailed, DomainError, is_prime, pack
 from .matrices import filtration_order_exponent, legendre
 from .classnum import kappa_and_t, ord_p
-from .lattices import u_reduction_order
+from .lattices import u_reduction_parts
 
 
 class PolySyntaxError(ValueError):
@@ -769,7 +769,8 @@ def division_degree_report(
 
     E is the order exponent of the level-one congruence subgroup at
     precision ell - 1; the unit factor is the order of the reduction of
-    the unit group mod lambda^(ell-1) (lattices.u_reduction_order).  A
+    the unit group mod lambda^(ell-1), read from its factors
+    (lattices.u_reduction_parts) and never multiplied out.  A
     reference value, when known for the input, is embedded together with
     a structured discrepancy record.
     """
@@ -794,7 +795,7 @@ def division_degree_report(
                 f"unit-index bound not tight: kappa_bound={kappa}, t={t}"
             )
     e_exp = filtration_order_exponent(ell, r - 1, ell - 1, 1)
-    _, u_parts = u_reduction_order(ell, r, ell - 1)
+    u_parts = u_reduction_parts(ell, r, ell - 1)
     small = u_parts["torsion"] * u_parts["rational"]
     small_exp = ord_p(small, ell)
     rest = small // ell**small_exp

@@ -307,18 +307,22 @@ def u_prime_reduction_exponent(ell: int, m: int) -> int:
     return max(0, (m - 2) // 2)
 
 
+def u_reduction_parts(ell: int, r: int, m: int) -> dict:
+    """The factors of u_reduction_order: the torsion and rational orders
+    and the anti-fixed exponent, without their product, whose anti-fixed
+    power ell^((m-2)/2) the division-degree report never needs."""
+    return {
+        "torsion": torsion_reduction_order(ell, m),
+        "rational": rational_reduction_order(ell, r, m),
+        "anti_fixed_exponent": u_prime_reduction_exponent(ell, m),
+    }
+
+
 def u_reduction_order(ell: int, r: int, m: int):
     """Order of the reduction of the unit group mod lambda^m: torsion x
     rational x anti-fixed factor orders (pairwise trivial intersections).
     The anti-fixed factor is the image of the log lattice of the anti-fixed
     elements in lambda^3 O (u_prime_reduction_exponent).  Returns (total,
-    parts dict)."""
-    t_ord = torsion_reduction_order(ell, m)
-    r_ord = rational_reduction_order(ell, r, m)
-    e = u_prime_reduction_exponent(ell, m)
-    parts = {
-        "torsion": t_ord,
-        "rational": r_ord,
-        "anti_fixed_exponent": e,
-    }
-    return t_ord * r_ord * ell**e, parts
+    parts dict), the parts those of u_reduction_parts."""
+    parts = u_reduction_parts(ell, r, m)
+    return parts["torsion"] * parts["rational"] * ell ** parts["anti_fixed_exponent"], parts

@@ -295,45 +295,83 @@ def det_local(a: MatLocal) -> CycloElt:
 
 @dataclass(frozen=True)
 class HermitianForm:
-    """Diagonal Gram data Gamma = diag(alpha_1, ..., alpha_d), rational units.
+    """The diagonal Gram matrix Gamma = diag(gamma_1, ..., gamma_d), its
+    entries integers that are units mod ell.
 
     Only ctx.ell is read: the entries are integers, so one form serves
-    matrices at every precision.
+    matrices at every precision.  The form is the only code that knows
+    Gamma's shape: the defect A^dagger Gamma A - mu Gamma, the correction
+    (1/2) Gamma^(-1) X of a lift, and the slice basis.
     """
 
     ctx: RingCtx
     gamma: tuple  # integers, units mod ell
-    sign: int  # Legendre square class of prod(gamma)
 
     def __post_init__(self):
         for g in self.gamma:
             if g % self.ctx.ell == 0:
                 raise ValueError("Gram entries must be units")
-        if self.sign != legendre(prod(self.gamma), self.ctx.ell):
-            raise ValueError("sign must match the square class of prod(gamma)")
 
     @property
     def dim(self) -> int:
         return len(self.gamma)
 
+    @property
+    def sign(self) -> int:
+        """The Legendre square class of det Gamma."""
+        return legendre(prod(self.gamma), self.ctx.ell)
+
     @staticmethod
     def standard(ctx: RingCtx, d: int, sign: int = 1) -> "HermitianForm":
         """e^+ = I_d, or e^- = diag(1, ..., 1, alpha) with alpha a non-square."""
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1, got {sign}")
+        if d < 1:
+            raise ValueError(f"d = {d} must be at least 1")
         if sign == 1:
-            return HermitianForm(ctx, (1,) * d, 1)
+            return HermitianForm(ctx, (1,) * d)
         alpha = next(a for a in range(2, ctx.ell) if legendre(a, ctx.ell) == -1)
-        return HermitianForm(ctx, (1,) * (d - 1) + (alpha,), -1)
+        return HermitianForm(ctx, (1,) * (d - 1) + (alpha,))
 
-    def gram_times(self, a: MatLocal) -> MatLocal:
-        """Gamma A, by scaling row i of A by gamma_i."""
+    def defect(self, a: MatLocal, mu: CycloElt | None = None):
+        """(mu, rows of coordinates of A^dagger Gamma A - mu Gamma).  Unless
+        given, mu is read off the (1,1) entry as h_11 / gamma_1, so that
+        entry of the defect is zero.  Gamma A scales row i of A by gamma_i."""
         ctx = a.ctx
-        return MatLocal(ctx, tuple(
+        h = a.dagger() * MatLocal(ctx, tuple(
             row if g == 1 else tuple(coords_scale(c, g, ctx) for c in row)
             for g, row in zip(self.gamma, a.rows)
         ))
+        if mu is None:
+            mu = div_by_int(CycloElt.from_reduced(h.rows[0][0], ctx), self.gamma[0])
+        rows = [list(row) for row in h.rows]
+        for i, g in enumerate(self.gamma):
+            rows[i][i] = coords_sub(rows[i][i], coords_scale(mu.coords, g, ctx), ctx)
+        return mu, rows
 
-    def gamma_inv_mod(self):
-        return [pow(g, -1, self.ctx.ell) for g in self.gamma]
+    def half_inverse(self, x):
+        """(1/2) Gamma^(-1) X over F_ell, for a matrix X of integers."""
+        ell = self.ctx.ell
+        return [[c * v % ell for v in row]
+                for c, row in zip((pow(2 * g, -1, ell) for g in self.gamma), x)]
+
+    def slice_basis(self, parity_n: int, group: str = "SU"):
+        """A basis of {A : Gamma A = (-1)^n A^T Gamma (, tr A = 0)} over F_ell,
+        each element as its nonzero entries (i, j, x): at most two per
+        element.  The first C(d, 2) elements are Gamma^(-1) (E_ij +
+        (-1)^n E_ji), i < j, in order."""
+        ell = self.ctx.ell
+        d = self.dim
+        ginv = [pow(g, -1, ell) for g in self.gamma]
+        sign = (-1) ** parity_n
+        basis = [((i, j, ginv[i]), (j, i, sign * ginv[j] % ell))
+                 for i in range(d) for j in range(i + 1, d)]
+        if parity_n % 2 == 0:
+            if group == "SU":
+                basis += [((i, i, 1), (d - 1, d - 1, -1 % ell)) for i in range(d - 1)]
+            else:
+                basis += [((i, i, ginv[i]),) for i in range(d)]
+        return basis
 
 
 @dataclass(frozen=True)
@@ -362,13 +400,11 @@ def classify_membership(a: MatLocal, form: HermitianForm) -> MembershipVerdict:
     members, the identity conj(det) * det = mu^d is checked as well.
     """
     _check_form(a, form)
-    ctx = a.ctx
-    h = a.dagger() * form.gram_times(a)
-    mu = div_by_int(CycloElt.from_reduced(h.rows[0][0], ctx), form.gamma[0])
-    for i, row in enumerate(h.rows):
+    zero = a.ctx.zero
+    mu, defect = form.defect(a)
+    for i, row in enumerate(defect):
         for j, c in enumerate(row):
-            expected = coords_scale(mu.coords, form.gamma[i], ctx) if i == j else ctx.zero
-            if c != expected:
+            if c != zero:
                 return MembershipVerdict("none", None, None, (i, j))
     if not mu.is_unit:
         return MembershipVerdict("none", None, None, (0, 0))
@@ -428,31 +464,13 @@ def su_dimension(d: int, parity_n: int, group: str = "SU") -> int:
     return comb(d + 1, 2) - (1 if group == "SU" else 0)
 
 
-def _su_basis_entries(form: HermitianForm, parity_n: int, group: str = "SU"):
-    """A basis of {A : Gamma A = (-1)^n A^T Gamma (, tr A = 0)} over F_ell,
-    each element as its nonzero entries (i, j, x): at most two per
-    element."""
-    ell = form.ctx.ell
-    d = form.dim
-    ginv = form.gamma_inv_mod()
-    sign = (-1) ** parity_n
-    basis = [((i, j, ginv[i]), (j, i, sign * ginv[j] % ell))
-             for i in range(d) for j in range(i + 1, d)]
-    if parity_n % 2 == 0:
-        if group == "SU":
-            basis += [((i, i, 1), (d - 1, d - 1, -1 % ell)) for i in range(d - 1)]
-        else:
-            basis += [((i, i, ginv[i]),) for i in range(d)]
-    return basis
-
-
 def random_slice(form: HermitianForm, parity_n: int, rng):
     """sum c_k B_k over the SU slice basis B_k, with c_k = rng.randrange(ell)
     drawn in basis order, assembled entrywise from the at most two nonzero
     entries of each B_k."""
     ell = form.ctx.ell
     s = mat_zero(form.dim)
-    for entries in _su_basis_entries(form, parity_n):
+    for entries in form.slice_basis(parity_n):
         c = rng.randrange(ell)
         for i, j, x in entries:
             s[i][j] += c * x
@@ -491,13 +509,13 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
     A = I mod lambda is read from the residues.  The lift A' of A is its
     canonical coordinates read at precision n (coords_lift, as in
     MatLocal.inverse); any lift serves, since the correction is solved from
-    the defect of A' itself, A'^dagger Gamma A' = Gamma + lambda^(n-1) X.  The
-    membership test is that the defect lies in lambda^(n-1) and that
-    det(A') = 1 mod lambda^(n-1).  top_digits reads X (or finds the defect
-    outside lambda^(n-1)) and lambda_digit the top digit of det(A') - 1
-    from the coordinates.
-    Solves X = Gamma Y + (-1)^(n-1) Y^T Gamma with Y = (1/2) Gamma^(-1) X,
-    fixes the trace with a multiple of E_11, and returns
+    the defect of A' itself, A'^dagger Gamma A' - Gamma = lambda^(n-1) X
+    (form.defect at mu = 1).  The membership test is that the defect lies
+    in lambda^(n-1) and that det(A') = 1 mod lambda^(n-1).  top_digits reads
+    X (or finds the defect outside lambda^(n-1)) and lambda_digit the top
+    digit of det(A') - 1 from the coordinates.
+    Solves X = Gamma Y + (-1)^(n-1) Y^T Gamma with Y = (1/2) Gamma^(-1) X
+    (form.half_inverse), fixes the trace with a multiple of E_11, and returns
     A' - lambda^(n-1) Y, which truncates to A.  No digit is expanded.
     """
     ell = a.ctx.ell
@@ -508,11 +526,7 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
         raise MembershipError("lift_su needs A = I mod lambda")
     ctx = a.ctx.at_precision(n)
     a_prime = MatLocal(ctx, tuple(tuple(coords_lift(c, ctx) for c in row) for row in a.rows))
-    h = a_prime.dagger() * form.gram_times(a_prime)
-    # the defect A'^dagger Gamma A' - Gamma
-    delta = [list(row) for row in h.rows]
-    for i, g in enumerate(form.gamma):
-        delta[i][i] = coords_add_int(delta[i][i], -g, ctx)
+    _, delta = form.defect(a_prime, CycloElt.one(ctx))
     x = top_digits(delta, ell, n)
     if x is None:
         raise MembershipError("lift_su needs a member of U with multiplier 1")
@@ -525,9 +539,7 @@ def lift_su(a: MatLocal, form: HermitianForm) -> MatLocal:
         raise MembershipError("lift_su needs an SU member, got U")
     # det - 1 lies in lambda^(n-1)
     det_top = lambda_digit(coords_add_int(det.coords, -1, ctx), ell, n - 1)
-    inv2 = pow(2, -1, ell)
-    ginv = form.gamma_inv_mod()
-    y = [[inv2 * ginv[i] * x[i][j] % ell for j in range(a.dim)] for i in range(a.dim)]
+    y = form.half_inverse(x)
     if n % 2 == 0:
         tr_y = sum(y[i][i] for i in range(a.dim)) % ell
         y[0][0] = (y[0][0] + (det_top - tr_y)) % ell

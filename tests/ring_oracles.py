@@ -24,7 +24,7 @@ from math import comb
 
 from lamadic.curves import _poldivmod, _polmul
 from lamadic.lattices import AbelianPresentation, is_anti_fixed, u_lr_member
-from lamadic.matrices import MatLocal, _su_basis_entries, lift_su, mat_zero
+from lamadic.matrices import MatLocal, lift_su, mat_zero
 from lamadic.ring import CycloElt, DomainError, RingCtx, div_by_int, exp, log1p
 
 
@@ -416,9 +416,10 @@ def t_doubleprime_apply(r, x):
 
 
 def su_basis(form, parity_n, group="SU"):
-    """The slice basis of _su_basis_entries as dense matrices over F_ell."""
+    """The slice basis of HermitianForm.slice_basis as dense matrices over
+    F_ell."""
     basis = []
-    for entries in _su_basis_entries(form, parity_n, group):
+    for entries in form.slice_basis(parity_n, group):
         m = mat_zero(form.dim)
         for i, j, x in entries:
             m[i][j] = x

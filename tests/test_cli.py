@@ -399,6 +399,20 @@ def test_division_degree_paths(capsys):
     assert data["galois"] == {"status": "reducible", "witnesses": {"factor": [1, 1, 1]}}
 
 
+def test_division_degree_at_a_huge_ell_never_builds_the_unit_order(capsys):
+    """The unit factor's anti-fixed power ell^((ell-3)/2), some 35 million
+    digits at this ell, is reported by its exponent and never multiplied
+    out."""
+    ell = 10_000_019
+    start = time.monotonic()
+    code, out, _ = invoke(capsys, "division-degree", "--ell", str(ell), "--poly", "x^5 - x - 1",
+                          "--override-hypotheses", "--json")
+    assert code == 0
+    parts = json.loads(out)["components"]["unit_reduction_order"]["total_parts"]
+    assert parts == {"torsion": 2 * ell, "rational": 1, "anti_fixed_exponent": (ell - 3) // 2}
+    assert time.monotonic() - start < 5.0
+
+
 def test_selftest_deterministic(capsys):
     code1, out1, _ = invoke(capsys, "selftest", "--seed", "42", "--json")
     code2, out2, _ = invoke(capsys, "selftest", "--seed", "42", "--json")

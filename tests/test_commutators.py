@@ -15,7 +15,6 @@ from lamadic.matrices import (
     su_dimension,
 )
 from lamadic.commutators import (
-    _gamma_inv_eij,
     _lift_slice_generator,
     AlphabetMismatch,
     FreeSeries,
@@ -27,7 +26,7 @@ from lamadic.commutators import (
     su_commutator_span_check,
     verify_commutator_identity,
 )
-from ring_oracles import digit
+from ring_oracles import digit, su_basis
 
 
 def test_series_basic_products():
@@ -223,20 +222,24 @@ def test_top_commutators_span_slice():
         assert su_commutator_span_check(3, 3, n)
 
 
-def _span_check_lifting_every_pair(ell, d, n):
+def _span_check_lifting_every_pair(ell, d, n, sign=1):
     """su_commutator_span_check with both generators lifted afresh for
-    every (i, j, l), as it was before lifts were shared, and the rank taken
-    over GF(ell) by sympy."""
-    form = HermitianForm.standard(RingCtx(ell, 1), d)
+    every (i, j, l), the generator of (i, j) the slice-basis element of
+    su_basis with a nonzero (i, j) entry, and the rank taken over GF(ell)
+    by sympy."""
+    form = HermitianForm.standard(RingCtx(ell, 1), d, sign)
     big_n = (n - 1) // 2
     big_m = n - 1 - big_n
+
+    def lifted(level, i, j):
+        gen = next(b for b in su_basis(form, level + 1) if b[i][j])
+        return _lift_slice_generator(form, level, gen, n)
+
     vectors = []
     for i, j, l in product(range(d), repeat=3):
         if j == i or l == j:
             continue
-        a = _lift_slice_generator(form, big_n, _gamma_inv_eij(form, i, j, big_n + 1), n)
-        b = _lift_slice_generator(form, big_m, _gamma_inv_eij(form, j, l, big_m + 1), n)
-        top = digit(group_commutator(a, b), n - 1)
+        top = digit(group_commutator(lifted(big_n, i, j), lifted(big_m, j, l)), n - 1)
         vectors.append([x for row in top for x in row])
     rank = DomainMatrix.from_Matrix(Matrix(vectors)).convert_to(GF(ell)).rank()
     return rank == su_dimension(d, n)
@@ -244,6 +247,8 @@ def _span_check_lifting_every_pair(ell, d, n):
 
 @pytest.mark.parametrize("d, n", list(product((3, 4), (3, 4, 5))))
 def test_span_check_lifts_each_generator_once(monkeypatch, d, n):
+    """One lift per (level, unordered pair): the off-diagonal slice-basis
+    elements at the two levels, each lifted once."""
     lifted = []
 
     def spy(form, level, gen, precision):
@@ -251,10 +256,14 @@ def test_span_check_lifts_each_generator_once(monkeypatch, d, n):
         return _lift_slice_generator(form, level, gen, precision)
 
     monkeypatch.setattr(commutators, "_lift_slice_generator", spy)
-    got = su_commutator_span_check(5, d, n)
-    form = HermitianForm.standard(RingCtx(5, 1), d)
-    distinct = {(level, tuple(map(tuple, _gamma_inv_eij(form, i, j, level + 1))))
-                for level in ((n - 1) // 2, n - 1 - (n - 1) // 2)
-                for i, j in product(range(d), repeat=2) if i != j}
-    assert len(lifted) == len(set(lifted)) == len(distinct)
-    assert got == _span_check_lifting_every_pair(5, d, n)
+    for sign in (1, -1):
+        lifted.clear()
+        got = su_commutator_span_check(5, d, n, sign)
+        form = HermitianForm.standard(RingCtx(5, 1), d, sign)
+        levels = {(n - 1) // 2, n - 1 - (n - 1) // 2}
+        pairs = {(level, tuple(map(tuple, b))) for level in levels
+                 for b in su_basis(form, level + 1)
+                 if any(b[i][j] for i, j in product(range(d), repeat=2) if i != j)}
+        assert len(lifted) == len(levels) * d * (d - 1) // 2
+        assert set(lifted) == pairs and len(pairs) == len(lifted)
+        assert got == _span_check_lifting_every_pair(5, d, n, sign)

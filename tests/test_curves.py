@@ -2,11 +2,14 @@ import json
 import random
 import time
 from itertools import zip_longest
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
 from lamadic import curves
+from lamadic.classnum import ord_p
+from lamadic.lattices import rational_reduction_order
+from lamadic.matrices import filtration_order_exponent
 from lamadic.ring import DomainError
 from lamadic.curves import (
     _distinct_degree,
@@ -508,3 +511,16 @@ def test_division_degree_consistent_components():
         exp_extra += 1
     assert rep.degree_coeff == (24 // 2) * rest
     assert rep.degree_ell_exponent == rep.components["su_exponent"] + exp_extra
+
+
+@pytest.mark.parametrize("ell, poly", [(5, "x^8 + x - 1"), (7, "x^5 - x - 1"),
+                                       (11, "x^4 + x - 1"), (13, "x^6 + x - 1")])
+def test_report_counts_the_symmetric_group_times_the_unitary_level_one_group(ell, poly):
+    """On gated curves the report's number is r! * ell^X, X the exponent of
+    U(V/lambda^(ell-1))_1 plus the rational one: the sign of sigma supplies
+    the 2 of -zeta's torsion, so the coefficient is r! and not r!/2."""
+    rep = division_degree_report(ell, parse_poly(poly))
+    r = rep.poly.degree
+    assert rep.degree_coeff == factorial(r)
+    assert rep.degree_ell_exponent == (filtration_order_exponent(ell, r - 1, ell - 1, 1, "U")
+                                       + ord_p(rational_reduction_order(ell, r, ell - 1), ell))

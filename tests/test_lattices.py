@@ -246,6 +246,29 @@ def test_level_degree_exponents_of_the_mumford_tate_table():
         assert got == want, (ell, r)
 
 
+def test_report_exponent_is_the_unitary_exponent_plus_the_rational_one():
+    """The report's ell-exponent at level n, filtration_order_exponent(ell,
+    r-1, n, 1) plus ord_ell of u_reduction_order, equals the exponent of
+    U(V/lambda^n)_1 plus ord_ell of rational_reduction_order: the ell-part
+    of -zeta (1) and the anti-fixed exponent floor((n-2)/2) add up to
+    floor(n/2), the number of even levels, where the U and SU slices
+    differ by one.  Over prime ell < 60, 3 <= r <= 13 with ell not
+    dividing r, and 2 <= n < 6 ell."""
+    cells = 0
+    for ell in filter(is_prime, range(3, 60)):
+        for r in range(3, 14):
+            if r % ell == 0:
+                continue
+            for n in range(2, 6 * ell):
+                su = (filtration_order_exponent(ell, r - 1, n, 1)
+                      + ord_p(u_reduction_order(ell, r, n)[0], ell))
+                u = (filtration_order_exponent(ell, r - 1, n, 1, "U")
+                     + ord_p(rational_reduction_order(ell, r, n), ell))
+                assert su == u, (ell, r, n)
+                cells += 1
+    assert cells == 28256
+
+
 def test_reduction_orders_match_powering():
     for ell in (3, 5, 7, 11, 13):
         for m in range(1, 2 * ell + 1):

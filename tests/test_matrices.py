@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from itertools import permutations, product
 from pathlib import Path
 
@@ -476,8 +477,8 @@ def test_filtration_level_of_products_matches_the_norm_oracle(ell):
 def test_forms_over_another_ell_are_rejected():
     """A member at ell = 5 against a form over ell = 7: Gamma^(-1) mod 7
     would build a wrong correction, so both entry points refuse it."""
-    form5 = HermitianForm(RingCtx(5, 1), (1, 1, 3), legendre(3, 5))
-    form7 = HermitianForm(RingCtx(7, 1), (1, 1, 3), legendre(3, 7))
+    form5 = HermitianForm(RingCtx(5, 1), (1, 1, 3))
+    form7 = HermitianForm(RingCtx(7, 1), (1, 1, 3))
     for seed in range(6):
         a = random_su_element(form5, 3, random.Random(seed))
         assert classify_membership(lift_su(a, form5), form5).kind == "SU"
@@ -485,6 +486,23 @@ def test_forms_over_another_ell_are_rejected():
             lift_su(a, form7)
         with pytest.raises(ValueError, match="ell"):
             classify_membership(a, form7)
+
+
+def test_standard_rejects_a_sign_outside_plus_minus_one_and_d_below_one():
+    ctx = RingCtx(5, 1)
+    for d, sign in ((3, 7), (3, 0), (3, -2), (0, -1), (0, 1), (-1, 1)):
+        with pytest.raises(ValueError, match="sign|d ="):
+            HermitianForm.standard(ctx, d, sign)
+
+
+def test_form_has_two_fields_and_derives_its_sign():
+    assert [f.name for f in fields(HermitianForm)] == ["ctx", "gamma"]
+    for ell in (3, 5, 7, 11):
+        for d in (1, 2, 5):
+            for sign in (1, -1):
+                assert HermitianForm.standard(RingCtx(ell, 1), d, sign).sign == sign
+        for g in range(1, ell):
+            assert HermitianForm(RingCtx(ell, 1), (1, g)).sign == legendre(g, ell)
 
 
 def test_matrix_arithmetic_rejects_differing_dimensions():

@@ -8,6 +8,10 @@ methods, and a name imported under another name stands for the original.
 The roots are every definition in cli.py, the module-level
 statements (they run on import), and the keys of KEPT.  The graph
 over-approximates calls, so an unreached name has no caller at all.
+
+The Gram matrix has one owner: no code outside HermitianForm reads an
+attribute named gamma, so the form's methods are the only code that knows
+Gamma's shape.
 """
 
 import ast
@@ -94,3 +98,16 @@ def test_every_kept_name_exists_and_is_not_reached_from_the_cli():
     from_cli = _reach(defs, cli | module_level)
     assert not KEPT.keys() - defs.keys(), sorted(KEPT.keys() - defs.keys())
     assert not KEPT.keys() & from_cli, sorted(KEPT.keys() & from_cli)
+
+
+def test_only_hermitian_form_reads_gamma():
+    readers = []
+    for name, tree in _trees().items():
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "HermitianForm":
+                inside |= {id(n) for n in ast.walk(node)}
+        readers += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "gamma"
+                    and id(node) not in inside]
+    assert not readers, readers
