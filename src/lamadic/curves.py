@@ -84,10 +84,11 @@ class IntPoly:
 
 # The largest exponent parse_poly accepts.  The discriminant's resultant and
 # the Galois certificate grow fast with the degree: check-curve at ell = 7
-# takes 0.4 s on x^24 + x + 1, 1.1 s at x^40, 2.0 s at x^48 (3.3 s on
-# x^48 + 97 x^47 - 1000 x^20 + 5 x + 999) and 5.0 s at x^64, and
-# `check-curve --ell 7 --poly "x^64 + x^3 + 5 x + 1"` takes 10 s (wall time,
-# 2-core Intel Xeon, Python 3.11.7).
+# takes 0.4 s on x^24 + x + 1, 1.1 s at x^40, 1.2 s at x^48 (4.5 s on
+# x^48 + 97 x^47 - 1000 x^20 + 5 x + 999, almost all of it Pollard rho on
+# the discriminant) and 1.9 s at x^64, and
+# `check-curve --ell 7 --poly "x^64 + x^3 + 5 x + 1"` takes 3.1 s (wall time,
+# median of 3 processes, 2-core Intel Xeon, Python 3.11.7).
 MAX_DEGREE = 48
 
 
@@ -444,9 +445,8 @@ def _polpow(base, e, f, p, table=None):
     return _polmod([(x >> s) & mask for s in slots] or [0], 0)
 
 
-def _distinct_degree(f: IntPoly, p: int):
-    """[(d, product of the degree-d irreducible factors of f mod p)] for
-    each degree d that occurs, or None when f mod p drops degree or is not
+def _monic_mod(f: IntPoly, p: int):
+    """f mod p made monic, or None when f mod p drops degree or is not
     squarefree."""
     fc = _polmod(f.coeffs, p)
     if len(fc) - 1 != f.degree:
@@ -456,9 +456,17 @@ def _distinct_degree(f: IntPoly, p: int):
     if f.degree > 1 and f.disc % p == 0:
         return None
     inv = pow(fc[-1], -1, p)
-    rest = [c * inv % p for c in fc]
+    return [c * inv % p for c in fc]
+
+
+def _degree_walk(rest, p):
+    """The distinct-degree factorization of the monic squarefree rest mod
+    the prime p, one degree at a time (Cohen, GTM 138, 3.4.3): yields
+    (d, product of the degree-d irreducible factors) for d = 1, 2, ..., the
+    product [1] when there is none, until what is left has no two factors;
+    then (its degree, it) unless it is 1.  A caller that stops early takes
+    no further Frobenius step."""
     xq = [0, 1]
-    blocks = []
     d = 0
     table = None
     # every factor left has degree > d, so a rest of degree < 2(d + 1) is irreducible
@@ -473,19 +481,48 @@ def _distinct_degree(f: IntPoly, p: int):
         diff[1] -= 1
         g = _polgcd(rest, diff, p)
         if len(g) > 1:
-            blocks.append((d, g))
             rest = _poldivmod(rest, g, p)[0]
             table = None
+        yield d, g
     if len(rest) > 1:
-        blocks.append((len(rest) - 1, rest))
-    return blocks
+        yield len(rest) - 1, rest
 
 
-def cycle_type_mod_p(f: IntPoly, p: int):
-    """Degrees of the irreducible factors of f mod p (with multiplicity
-    by degree count), or None when f mod p is not squarefree."""
-    blocks = _distinct_degree(f, p)
-    return None if blocks is None else _cycle_type(f, blocks)
+def _distinct_degree(f: IntPoly, p: int):
+    """[(d, product of the degree-d irreducible factors of f mod p)] for
+    each degree d that occurs, or None when f mod p drops degree or is not
+    squarefree."""
+    rest = _monic_mod(f, p)
+    if rest is None:
+        return None
+    return [(d, g) for d, g in _degree_walk(rest, p) if len(g) > 1]
+
+
+def cycle_type_mod_p(f: IntPoly, p: int, wanted=None):
+    """The degrees of the irreducible factors of f mod p in increasing
+    order, or None when f mod p drops degree or is not squarefree.
+
+    Given wanted, a set of galois_certificate's witness kinds, it also
+    returns None as soon as the factors of degree at most d rule out every
+    one of them (_witness_kinds), and takes no Frobenius step past d: an
+    irreducible witness after any factor of degree below r, a
+    transposition once the quadratic factors are not exactly one, and a
+    prime cycle once the degree r minus the number of roots is not a
+    prime q with r/2 < q < r, or a factor of degree >= 2 precedes the
+    last one."""
+    rest = _monic_mod(f, p)
+    if rest is None:
+        return None
+    found, left = [], f.degree
+    for d, g in _degree_walk(rest, p):
+        k = (len(g) - 1) // d
+        found += [d] * k
+        left -= k * d
+        if left and wanted is not None and not wanted & _witness_kinds(f.degree, found, left, d):
+            return None
+    if left:
+        raise CheckFailed(f"factor degrees {found} do not add up to {f.degree}")
+    return found
 
 
 def _cycle_type(f: IntPoly, blocks):
@@ -494,6 +531,31 @@ def _cycle_type(f: IntPoly, blocks):
     if sum(out) != f.degree:
         raise CheckFailed(f"factor degrees {out} do not add up to {f.degree}")
     return out
+
+
+def _witness_kinds(r: int, found, left: int = 0, d: int = 0):
+    """The kinds of galois_certificate's witness that the cycle type of a
+    degree-r f mod p can supply, when its cycles of length at most d >= 1
+    are found and the others, all longer than d, add up to left; left = 0
+    reads a complete cycle type.
+
+    - irreducible: one r-cycle.
+    - transposition: the even cycles are exactly one 2-cycle, so a power
+      of Frobenius is a transposition.  Once d >= 2 every 2-cycle is found.
+    - prime_cycle: one cycle longer than 1, of prime length q with
+      r/2 < q < r.  The cycles still to find are all longer than 1, so they
+      must be that one cycle, of length left.
+    """
+    cycles = found + [left] if left else found
+    longs = [c for c in cycles if c > 1]
+    kinds = set()
+    if cycles == [r]:
+        kinds.add("irreducible")
+    if [c for c in found if c % 2 == 0] == [2] or (left and d < 2):
+        kinds.add("transposition")
+    if len(longs) == 1 and r / 2 < longs[0] < r and is_prime(longs[0]):
+        kinds.add("prime_cycle")
+    return kinds
 
 
 def _equal_degree(g, d, p, rng):
@@ -556,8 +618,10 @@ def rational_factor(f: IntPoly):
 
 def _first_blocks(f: IntPoly):
     """[(p, distinct-degree blocks of f mod p)] at the first five odd primes
-    where f stays squarefree.  For a monic f these are the first five odd
-    primes that do not divide the discriminant."""
+    where f stays squarefree, or up to the first of them where f mod p is
+    irreducible: _zassenhaus returns None on any such prime, whatever the
+    others hold.  For a monic f these are the odd primes that do not divide
+    the discriminant."""
     choices = []
     p = 2
     while len(choices) < 5:
@@ -565,6 +629,8 @@ def _first_blocks(f: IntPoly):
         blocks = _distinct_degree(f, p)
         if blocks is not None:
             choices.append((p, blocks))
+            if blocks[0][0] == f.degree:
+                break
     return choices
 
 
@@ -628,9 +694,20 @@ def galois_certificate(f: IntPoly, budget: int = 500) -> GaloisVerdict:
     group, so the three witnesses together are conclusive.  A reducible
     f (monic, as rational_factor requires) has a proper factor as witness.
 
-    The first five primes sampled are the ones whose distinct-degree blocks
-    rational_factor's search examines, so their cycle types are read from
-    those blocks; only the primes after them are factored again.
+    The odd primes not dividing the discriminant are sampled in increasing
+    order, budget of them at most.  The first ones are those whose
+    distinct-degree blocks rational_factor's search examines, so their
+    cycle types are read from those blocks.  Each later prime is factored
+    only as far as a witness still missing needs it:
+    - By Stickelberger (Swan, Pacific J. Math. 12, 1962) the sign of
+      Frobenius, (-1)^(r - number of factors mod p), is (disc/p).  An
+      r-cycle has sign (-1)^(r-1), a transposition witness is odd, and a
+      q-cycle fixing the rest is even (odd for q = 2, at r = 3).  A prime
+      whose sign rules out every missing witness is not factored at all.
+    - Otherwise cycle_type_mod_p stops its distinct-degree walk as soon as
+      the factors found rule out every missing witness.
+    A prime skipped either way still counts against the budget, so the
+    witnesses are those of a walk that factors every sampled prime.
     """
     r = f.degree
     disc = f.disc
@@ -643,31 +720,36 @@ def galois_certificate(f: IntPoly, budget: int = 500) -> GaloisVerdict:
     if factor is not None:
         return GaloisVerdict("reducible", {"factor": list(factor.coeffs)})
 
-    def cycle_types():
-        """(p, cycle type of f mod p) for the odd primes p not dividing disc."""
-        for p, blocks in first:
-            yield p, _cycle_type(f, blocks)
+    def sampled():
+        """(p, the blocks _first_blocks found mod p, or None) for the odd
+        primes p not dividing disc."""
+        yield from first
         p = first[-1][0]
         while True:
             p = _next_prime(p)
             if disc % p:
-                yield p, cycle_type_mod_p(f, p)
+                yield p, None
 
-    witnesses = {"irreducible": None, "transposition": None, "prime_cycle": None}
-    sampled = cycle_types()
+    # the signs (disc/p) that each witness kind's cycle types have; a prime
+    # q with r/2 < q < r is odd once r >= 4, 2 at r = 3, and absent at r = 2
+    signs = {"irreducible": {(-1) ** (r - 1)}, "transposition": {-1},
+             "prime_cycle": {1} if r > 3 else {-1} if r == 3 else set()}
+    witnesses = dict.fromkeys(signs)
+    primes = sampled()
     for _ in range(budget):
-        if all(v is not None for v in witnesses.values()):
+        missing = {kind for kind, w in witnesses.items() if w is None}
+        if not missing:
             break
-        p, ct = next(sampled)
-        if witnesses["irreducible"] is None and ct == [r]:
-            witnesses["irreducible"] = {"p": p, "cycle_type": ct}
-        evens = [c for c in ct if c % 2 == 0]
-        if witnesses["transposition"] is None and evens == [2]:
-            witnesses["transposition"] = {"p": p, "cycle_type": ct}
-        if witnesses["prime_cycle"] is None:
-            longs = [c for c in ct if c > 1]
-            if len(longs) == 1 and is_prime(longs[0]) and r / 2 < longs[0] < r:
-                witnesses["prime_cycle"] = {"p": p, "cycle_type": ct}
+        p, blocks = next(primes)
+        if blocks is not None:
+            ct = _cycle_type(f, blocks)
+        elif any(legendre(disc, p) in signs[kind] for kind in missing):
+            ct = cycle_type_mod_p(f, p, missing)
+        else:
+            continue
+        if ct is not None:
+            for kind in missing & _witness_kinds(r, ct):
+                witnesses[kind] = {"p": p, "cycle_type": ct}
     if all(v is not None for v in witnesses.values()):
         return GaloisVerdict("symmetric", witnesses)
     return GaloisVerdict("inconclusive", witnesses)

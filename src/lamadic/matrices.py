@@ -308,7 +308,11 @@ class HermitianForm:
     gamma: tuple  # integers, units mod ell
 
     def __post_init__(self):
+        if not self.gamma:
+            raise ValueError("the Gram matrix needs at least one entry")
         for g in self.gamma:
+            if not isinstance(g, int):
+                raise ValueError(f"Gram entries must be integers, got {g!r}")
             if g % self.ctx.ell == 0:
                 raise ValueError("Gram entries must be units")
 

@@ -15,14 +15,16 @@ by multiplying each lift by its twist and their slices by summing dense
 basis matrices, and the orders of -zeta and of
 1 + ell^(1+e) and the torsion exponent of a unit by powering and search,
 powers mod (f, p) by square and multiply with a long division after each
-product, and linear systems by Gauss-Jordan elimination over Fractions.
+product, linear systems by Gauss-Jordan elimination over Fractions, and the
+Galois certificate's witnesses from the full cycle type of every sampled
+prime, with no parity filter and no early stop.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from lamadic.curves import _poldivmod, _polmul
+from lamadic.curves import _distinct_degree, _poldivmod, _polmul, rational_factor
 from lamadic.lattices import AbelianPresentation, is_anti_fixed, u_lr_member
 from lamadic.matrices import MatLocal, lift_su, mat_zero
 from lamadic.ring import CycloElt, DomainError, RingCtx, div_by_int, exp, log1p
@@ -546,3 +548,46 @@ def solve_over_fractions(rows, rhs_columns):
     if any(any(row[ncols:]) for row in aug[ncols:]):
         raise DomainError("inconsistent system")
     return [list(col) for col in zip(*(row[ncols:] for row in aug[:ncols]))]
+
+
+def witness_kinds_by_definition(ct, r):
+    """The witness kinds of galois_certificate that the complete cycle type
+    ct (sorted) of a degree-r f mod p supplies: irreducible for [r],
+    transposition when the even parts are exactly one 2, prime_cycle for
+    exactly one part above 1, a prime q (sympy) with r/2 < q < r."""
+    from sympy import isprime
+
+    longs = [c for c in ct if c > 1]
+    kinds = set()
+    if ct == [r]:
+        kinds.add("irreducible")
+    if [c for c in ct if c % 2 == 0] == [2]:
+        kinds.add("transposition")
+    if len(longs) == 1 and isprime(longs[0]) and r / 2 < longs[0] < r:
+        kinds.add("prime_cycle")
+    return kinds
+
+
+def galois_certificate_unpruned(f, budget=500):
+    """(status, witnesses) of galois_certificate by the walk that factors
+    every sampled prime in full: the odd primes not dividing disc f, in
+    increasing order, budget of them at most, each cycle type read from all
+    of _distinct_degree's blocks.  A reducible f gets rational_factor's
+    factor."""
+    from sympy import nextprime
+
+    factor = rational_factor(f)
+    if factor is not None:
+        return "reducible", {"factor": list(factor.coeffs)}
+    witnesses = {"irreducible": None, "transposition": None, "prime_cycle": None}
+    p, sampled = 2, 0
+    while sampled < budget and None in witnesses.values():
+        p = nextprime(p)
+        if f.disc % p == 0:
+            continue
+        sampled += 1
+        ct = sorted(d for d, g in _distinct_degree(f, p) for _ in range((len(g) - 1) // d))
+        for kind in witness_kinds_by_definition(ct, f.degree):
+            if witnesses[kind] is None:
+                witnesses[kind] = {"p": p, "cycle_type": ct}
+    return ("symmetric" if None not in witnesses.values() else "inconclusive"), witnesses

@@ -31,7 +31,12 @@ from lamadic.curves import (
     parse_poly,
     rational_factor,
 )
-from ring_oracles import polpow_by_division, trinomial_discriminant
+from ring_oracles import (
+    galois_certificate_unpruned,
+    polpow_by_division,
+    trinomial_discriminant,
+    witness_kinds_by_definition,
+)
 
 
 def test_parse_examples():
@@ -328,6 +333,156 @@ def test_galois_soundness_on_reducibles():
         galois_certificate(parse_poly("x^4 + 2*x^2 + 1"))  # (x^2+1)^2
     with pytest.raises(DomainError):
         galois_certificate(parse_poly("2*x^4 + x + 1"))  # not monic
+
+
+def test_first_blocks_stop_at_the_first_irreducible_reduction():
+    # x^8 + x - 1 is irreducible mod 7, the third odd prime; x^12 + x + 3 is
+    # irreducible mod none of the first five, so Zassenhaus may need each
+    primes = {text: [p for p, _ in curves._first_blocks(parse_poly(text))]
+              for text in ("x^8 + x - 1", "x^12 + x + 3")}
+    assert primes == {"x^8 + x - 1": [3, 5, 7], "x^12 + x + 3": [3, 5, 7, 11, 13]}
+
+
+def _partitions(r, low=1):
+    """The partitions of r into parts >= low, each in increasing order."""
+    if r == 0:
+        yield []
+    for part in range(low, r + 1):
+        for rest in _partitions(r - part, part):
+            yield [part] + rest
+
+
+def test_witness_rules_keep_every_kind_the_cycle_type_supplies():
+    """Over every cycle type of degree 2 <= r <= 14: the complete type
+    supplies exactly the kinds of the definition.  At each degree d the walk
+    passes, with the cycles of length at most d found and the others of
+    total length left, the kinds kept open are those of the stated rules,
+    and these keep every kind the complete type supplies: irreducible until
+    any cycle is found, transposition until d = 2 and then only with
+    exactly one 2-cycle, prime_cycle while only fixed points are found and
+    left is a prime q with r/2 < q < r."""
+    from sympy import isprime
+
+    for r in range(2, 15):
+        for ct in _partitions(r):
+            kinds = witness_kinds_by_definition(ct, r)
+            assert curves._witness_kinds(r, ct) == kinds, ct
+            for d in range(1, ct[-1]):
+                found = [c for c in ct if c <= d]
+                left = r - sum(found)
+                stated = set() if found else {"irreducible"}
+                if d < 2 or [c for c in found if c % 2 == 0] == [2]:
+                    stated.add("transposition")
+                if max(found, default=1) == 1 and isprime(left) and r / 2 < left < r:
+                    stated.add("prime_cycle")
+                assert curves._witness_kinds(r, found, left, d) == stated, (ct, d)
+                assert kinds <= stated, (ct, d)
+
+
+def _certificate_inputs(rng, count):
+    """Random monic squarefree f of degree 2 to 14: a third with random
+    coefficients, a third products of two random monic factors, a third
+    x^r + c (cyclic or dihedral-like groups, far from S_r)."""
+    polys = []
+    while len(polys) < count:
+        r = rng.randint(2, 14)
+        kind = len(polys) % 3
+        if kind == 0:
+            coeffs = [rng.randint(-20, 20) for _ in range(r)] + [1]
+        elif kind == 1:
+            a = rng.randint(1, r - 1)
+            coeffs = _poly_mul([rng.randint(-6, 6) for _ in range(a)] + [1],
+                               [rng.randint(-6, 6) for _ in range(r - a)] + [1])
+        else:
+            coeffs = [rng.choice([c for c in range(-12, 13) if c])] + [0] * (r - 1) + [1]
+        f = IntPoly(tuple(coeffs))
+        if f.disc:
+            polys.append(f)
+    return polys
+
+
+def test_galois_certificate_matches_the_unpruned_witness_walk():
+    """The parity filter and the early stops skip no witness: status and
+    witnesses equal those of the walk that factors every sampled prime in
+    full, at budgets that end the walk early and late."""
+    statuses = set()
+    for f in _certificate_inputs(random.Random(27), 18):
+        for budget in (3, 8, 500):
+            v = galois_certificate(f, budget)
+            assert (v.status, v.witnesses) == galois_certificate_unpruned(f, budget), (
+                f.coeffs, budget)
+            statuses.add(v.status)
+    assert statuses == {"symmetric", "inconclusive", "reducible"}
+
+
+def test_discriminant_sign_is_the_parity_of_the_factor_count():
+    """Stickelberger: (disc f / p) = (-1)^(r - number of factors of f mod p)
+    for odd p not dividing disc f, the factor count read from sympy."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random(28)
+    checked = 0
+    for _ in range(30):
+        r = rng.randint(2, 12)
+        coeffs = [rng.randint(-25, 25) for _ in range(r)] + [1]
+        f = IntPoly(tuple(coeffs))
+        if not f.disc:
+            continue
+        for p in sympy.primerange(3, 80):
+            if f.disc % p:
+                _, factors = sympy.Poly(coeffs[::-1], x, modulus=p).factor_list()
+                assert curves.legendre(f.disc, p) == (-1) ** (r - len(factors)), (coeffs, p)
+                checked += 1
+    assert checked > 400
+
+
+def _frobenius_spy(monkeypatch):
+    """The moduli p of the Frobenius steps (powers x^p mod (rest, p)) that
+    _polpow takes while the spy is installed, in order."""
+    steps = []
+
+    def spy(base, e, f, p, table=None):
+        if e == p:
+            steps.append(p)
+        return _polpow(base, e, f, p, table)
+
+    monkeypatch.setattr(curves, "_polpow", spy)
+    return steps
+
+
+def test_a_prime_ruled_out_by_parity_takes_no_frobenius_step(monkeypatch):
+    # x^12 + x + 3: its r-cycles are odd and its prime cycles even, so a
+    # prime with (disc/p) = 1 can supply only a prime cycle, and once that
+    # is found, such primes are not factored at all
+    f = parse_poly("x^12 + x + 3")
+    first = [p for p, _ in curves._first_blocks(f)]
+    steps = _frobenius_spy(monkeypatch)
+    v = galois_certificate(f)
+    assert v.status == "symmetric"
+    signs = {"irreducible": -1, "transposition": -1, "prime_cycle": 1}
+    p, ruled_out = first[-1], []
+    while p < max(w["p"] for w in v.witnesses.values()):
+        p = _next_prime(p)
+        if f.disc % p == 0:
+            continue
+        missing = [kind for kind, w in v.witnesses.items() if w["p"] >= p]
+        if all(curves.legendre(f.disc, p) != signs[kind] for kind in missing):
+            ruled_out.append(p)
+    assert len(ruled_out) >= 10
+    assert not set(ruled_out) & set(steps)
+    assert set(first) <= set(steps)
+
+
+def test_certificate_takes_fewer_frobenius_steps_than_the_unpruned_walk(monkeypatch):
+    f = parse_poly("x^12 + x + 3")
+    steps = _frobenius_spy(monkeypatch)
+    pruned = galois_certificate(f)
+    taken = len(steps)
+    steps.clear()
+    status, witnesses = galois_certificate_unpruned(f)
+    assert (pruned.status, pruned.witnesses) == (status, witnesses)
+    assert 0 < taken < len(steps) / 2, (taken, len(steps))
 
 
 def _poly_mul(a, b):

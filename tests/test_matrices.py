@@ -505,6 +505,19 @@ def test_form_has_two_fields_and_derives_its_sign():
             assert HermitianForm(RingCtx(ell, 1), (1, g)).sign == legendre(g, ell)
 
 
+def test_form_rejects_an_empty_gram_tuple_and_non_integer_entries():
+    # an empty tuple would have sign 1 and make classify_membership index
+    # past its rows; 1.5 would give a sign from a float's residue
+    ctx = RingCtx(5, 1)
+    with pytest.raises(ValueError, match="at least one entry"):
+        HermitianForm(ctx, ())
+    for gamma in ((1.5, 2), (1, 2.0), (1, "2")):
+        with pytest.raises(ValueError, match="integers"):
+            HermitianForm(ctx, gamma)
+    with pytest.raises(ValueError, match="units"):
+        HermitianForm(ctx, (1, 5))
+
+
 def test_matrix_arithmetic_rejects_differing_dimensions():
     ctx = RingCtx(5, 2)
     i2, i3 = MatLocal.identity(ctx, 2), MatLocal.identity(ctx, 3)
