@@ -16,8 +16,7 @@ from math import factorial, gcd, isqrt, prod
 from .linalg import det
 from .ring import CheckFailed, DomainError, is_prime, pack
 from .matrices import filtration_order_exponent, legendre
-from .classnum import kappa_and_t, ord_p
-from .lattices import u_reduction_parts
+from .classnum import kappa_and_t
 
 
 class PolySyntaxError(ValueError):
@@ -60,7 +59,7 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         if self.degree == 0:
             return IntPoly((0,))
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i)[0:] or (0,))
+        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i) or (0,))
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -766,16 +765,23 @@ REFERENCE_DEGREES = {
 
 
 @dataclass(frozen=True)
-class CurveReport:
-    ell: int
-    poly: IntPoly
-    epsilon: int
+class CurveHypotheses:
+    """The main theorem's hypotheses on f as checked, with their evidence."""
+
     disc: int
     disc_factors: dict
     disc_leftover: int
     simple_prime: int | None
     simple_prime_proven: bool
     galois: GaloisVerdict
+
+
+@dataclass(frozen=True)
+class CurveReport:
+    ell: int
+    poly: IntPoly
+    epsilon: int
+    hypotheses: CurveHypotheses
     degree_coeff: int
     degree_ell_exponent: int
     components: dict
@@ -783,17 +789,18 @@ class CurveReport:
     discrepancy: dict | None
 
     def to_json_dict(self) -> dict:
+        hyp = self.hypotheses
         return {
             "ell": self.ell,
             "poly": str(self.poly),
             "coefficients": list(self.poly.coeffs),
             "epsilon": self.epsilon,
-            "disc": self.disc,
-            "disc_factors": sorted([p, e] for p, e in self.disc_factors.items()),
-            "disc_leftover": self.disc_leftover,
-            "simple_prime": self.simple_prime,
-            "simple_prime_proven": self.simple_prime_proven,
-            "galois": {"status": self.galois.status, "witnesses": self.galois.witnesses},
+            "disc": hyp.disc,
+            "disc_factors": sorted([p, e] for p, e in hyp.disc_factors.items()),
+            "disc_leftover": hyp.disc_leftover,
+            "simple_prime": hyp.simple_prime,
+            "simple_prime_proven": hyp.simple_prime_proven,
+            "galois": {"status": hyp.galois.status, "witnesses": hyp.galois.witnesses},
             "degree": {
                 "coeff": self.degree_coeff,
                 "ell_exponent": self.degree_ell_exponent,
@@ -805,26 +812,17 @@ class CurveReport:
 
 
 def check_curve_input(ell: int, f: IntPoly):
-    """ell must be an odd prime that does not divide the degree, and f must
-    be monic: the checks both curve commands make first."""
+    """ell must be an odd prime, f must not be constant, ell must not divide
+    its degree, and f must be monic: the checks both curve commands make
+    first."""
     if not is_prime(ell) or ell < 3:
         raise DomainError("ell must be an odd prime")
+    if f.degree == 0:
+        raise DomainError("polynomial must not be constant")
     if f.degree % ell == 0:
         raise DomainError("ell must not divide the degree")
     if not f.is_monic:
         raise DomainError("polynomial must be monic")
-
-
-@dataclass(frozen=True)
-class CurveHypotheses:
-    """The main theorem's hypotheses on f as checked, with their evidence."""
-
-    disc: int
-    disc_factors: dict
-    disc_leftover: int
-    simple_prime: int | None
-    simple_prime_proven: bool
-    galois: GaloisVerdict
 
 
 def curve_hypotheses(ell: int, f: IntPoly, budget: int = RHO_BUDGET) -> CurveHypotheses:
@@ -846,14 +844,18 @@ def division_degree_report(
     budget: int = RHO_BUDGET,
     override_hypotheses: bool = False,
 ) -> CurveReport:
-    """Assemble the degree of the ell-torsion field as
-    (r!/2) * ell^E * (unit-group reduction order), in factored form.
+    """The degree of the ell-torsion field as r! * ell^X, in factored form,
+    with X = filtration_order_exponent(ell, r-1, ell-1, 1, "U"): at
+    kappa = t = 0 it is the order of the group generated by perm_embed(S_r)
+    and U(V/lambda^n)_1, n = ell-1.  It equals (r!/2) * ell^E times the
+    order of the unit group mod lambda^n, E the SU exponent, because
+    - the sign of sigma supplies -zeta's 2;
+    - -zeta's ell-part and the anti-fixed exponent floor((n-2)/2) add up to
+      floor(n/2), the even levels, where the U and SU slices differ by one;
+    - the rational similitudes 1 + ell^(1+e) Z_ell are trivial mod
+      lambda^(ell-1) = ell, so their exponent is 0 for every (ell, r).
 
-    E is the order exponent of the level-one congruence subgroup at
-    precision ell - 1; the unit factor is the order of the reduction of
-    the unit group mod lambda^(ell-1), read from its factors
-    (lattices.u_reduction_parts) and never multiplied out.  A
-    reference value, when known for the input, is embedded together with
+    A reference value, when known for the input, is embedded together with
     a structured discrepancy record.
     """
     r = f.degree
@@ -876,19 +878,9 @@ def division_degree_report(
             raise HypothesisError(
                 f"unit-index bound not tight: kappa_bound={kappa}, t={t}"
             )
-    e_exp = filtration_order_exponent(ell, r - 1, ell - 1, 1)
-    u_parts = u_reduction_parts(ell, r, ell - 1)
-    small = u_parts["torsion"] * u_parts["rational"]
-    small_exp = ord_p(small, ell)
-    rest = small // ell**small_exp
-    ell_exp = e_exp + small_exp + u_parts["anti_fixed_exponent"]
-    coeff = factorial(r) // 2 * rest
-    components = {
-        "galois_intersection_order": factorial(r) // 2,
-        "su_exponent": e_exp,
-        "unit_reduction_order": {"total_parts": u_parts, "value_coeff": rest,
-                                 "value_ell_exponent": ell_exp - e_exp},
-    }
+    coeff = factorial(r)
+    ell_exp = filtration_order_exponent(ell, r - 1, ell - 1, 1, "U")
+    components = {"galois_intersection_order": coeff // 2, "u_exponent": ell_exp}
     key = (ell, tuple(f.coeffs))
     reference = REFERENCE_DEGREES.get(key)
     discrepancy = None
@@ -905,12 +897,7 @@ def division_degree_report(
         ell=ell,
         poly=f,
         epsilon=legendre(r, ell),
-        disc=hyp.disc,
-        disc_factors=hyp.disc_factors,
-        disc_leftover=hyp.disc_leftover,
-        simple_prime=hyp.simple_prime,
-        simple_prime_proven=hyp.simple_prime_proven,
-        galois=hyp.galois,
+        hypotheses=hyp,
         degree_coeff=coeff,
         degree_ell_exponent=ell_exp,
         components=components,

@@ -84,11 +84,10 @@ def u_lr_member(d: CycloElt, r: int) -> bool:
 
 @dataclass(frozen=True)
 class UnitLattice:
-    """Log coordinates of the anti-fixed unit part plus the torsion order."""
+    """Log coordinates of the anti-fixed unit part."""
 
     ctx: RingCtx
     log_generators: tuple
-    torsion_order: int
 
     def __post_init__(self):
         for x in self.log_generators:
@@ -97,15 +96,13 @@ class UnitLattice:
 
 
 def u_prime_basis(ell: int, precision: int) -> UnitLattice:
-    """Log generators lambda^i - conj(lambda)^i for i = 2..(ell+1)/2."""
+    """Log generators lambda^i - conj(lambda)^i for i = 2..(ell+1)/2, built
+    from their zeta-coordinates (anti_fixed_basis_coords)."""
     if precision < 4:
         raise DomainError("need precision >= 4")
     ctx = RingCtx(ell, precision)
-    gens = []
-    for i in range(2, (ell + 1) // 2 + 1):
-        lam_i = CycloElt.lam(ctx, i)
-        gens.append(lam_i - lam_i.conjugate())
-    return UnitLattice(ctx, tuple(gens), 2 * ell)
+    gens = (CycloElt.from_poly(c, ctx) for c in anti_fixed_basis_coords(ell))
+    return UnitLattice(ctx, tuple(gens))
 
 
 def infinity_type_apply(r: int, x: CycloElt, variant: str = "T") -> CycloElt:
@@ -307,22 +304,16 @@ def u_prime_reduction_exponent(ell: int, m: int) -> int:
     return max(0, (m - 2) // 2)
 
 
-def u_reduction_parts(ell: int, r: int, m: int) -> dict:
-    """The factors of u_reduction_order: the torsion and rational orders
-    and the anti-fixed exponent, without their product, whose anti-fixed
-    power ell^((m-2)/2) the division-degree report never needs."""
-    return {
-        "torsion": torsion_reduction_order(ell, m),
-        "rational": rational_reduction_order(ell, r, m),
-        "anti_fixed_exponent": u_prime_reduction_exponent(ell, m),
-    }
-
-
 def u_reduction_order(ell: int, r: int, m: int):
     """Order of the reduction of the unit group mod lambda^m: torsion x
     rational x anti-fixed factor orders (pairwise trivial intersections).
     The anti-fixed factor is the image of the log lattice of the anti-fixed
-    elements in lambda^3 O (u_prime_reduction_exponent).  Returns (total,
-    parts dict), the parts those of u_reduction_parts."""
-    parts = u_reduction_parts(ell, r, m)
+    elements in lambda^3 O, of order ell^(u_prime_reduction_exponent).
+    Returns (total, parts), the parts the torsion and rational orders and
+    the anti-fixed exponent."""
+    parts = {
+        "torsion": torsion_reduction_order(ell, m),
+        "rational": rational_reduction_order(ell, r, m),
+        "anti_fixed_exponent": u_prime_reduction_exponent(ell, m),
+    }
     return parts["torsion"] * parts["rational"] * ell ** parts["anti_fixed_exponent"], parts

@@ -161,7 +161,8 @@ def test_criterion_07_curve_pipeline():
         division_degree_report(11, f)
     rep = division_degree_report(11, f, override_hypotheses=True)
     assert rep.components["galois_intersection_order"] == 20160  # 8!/2
-    assert rep.components["su_exponent"] == 219
+    assert filtration_order_exponent(11, 7, 10, 1) == 219  # the paper's SU exponent
+    assert rep.components["u_exponent"] == 224  # 219 + the five even levels
     assert rep.degree_coeff == 40320  # 8!
     assert rep.reference == {"coeff": 40320, "ell_exponent": 260}
     assert rep.discrepancy["coeff_matches"] is True

@@ -264,6 +264,9 @@ _FAULTS = [
     (("--ell", "3", "--poly", "2*x^5 - x - 1"),
      _fault(2, "DomainError: polynomial must be monic"),
      _fault(2, "DomainError: polynomial must be monic")),
+    (("--ell", "3", "--poly", "5"),
+     _fault(2, "DomainError: polynomial must not be constant"),
+     _fault(2, "DomainError: polynomial must not be constant")),
     (("--ell", "5", "--poly", "x^3 - x - 1"),
      (0, {"disc": -23, "ell": 5, "epsilon": -1, "galois": "symmetric",
           "poly": "x^3 - x - 1", "simple_prime": 23, "simple_prime_proven": True}),
@@ -392,7 +395,7 @@ def test_division_degree_paths(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["degree"]["coeff"] == 40320
-    assert data["components"]["su_exponent"] == 219
+    assert data["components"]["u_exponent"] == 224
     assert data["reference"] == {"coeff": 40320, "ell_exponent": 260}
     assert data["discrepancy"]["coeff_matches"] is True
     # the witness of reducibility is the factor x^2 + x + 1
@@ -400,16 +403,16 @@ def test_division_degree_paths(capsys):
 
 
 def test_division_degree_at_a_huge_ell_never_builds_the_unit_order(capsys):
-    """The unit factor's anti-fixed power ell^((ell-3)/2), some 35 million
-    digits at this ell, is reported by its exponent and never multiplied
-    out."""
+    """The power ell^X of the report, X = 80,000,138 at this ell, is
+    reported by its exponent and never multiplied out."""
     ell = 10_000_019
     start = time.monotonic()
     code, out, _ = invoke(capsys, "division-degree", "--ell", str(ell), "--poly", "x^5 - x - 1",
                           "--override-hypotheses", "--json")
     assert code == 0
-    parts = json.loads(out)["components"]["unit_reduction_order"]["total_parts"]
-    assert parts == {"torsion": 2 * ell, "rational": 1, "anti_fixed_exponent": (ell - 3) // 2}
+    data = json.loads(out)
+    assert data["components"] == {"galois_intersection_order": 60, "u_exponent": 80_000_138}
+    assert data["degree"] == {"coeff": 120, "ell_exponent": 80_000_138}
     assert time.monotonic() - start < 5.0
 
 

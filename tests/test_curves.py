@@ -3,14 +3,19 @@ import random
 import time
 from itertools import zip_longest
 from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 
 from lamadic import curves
 from lamadic.classnum import ord_p
-from lamadic.lattices import rational_reduction_order
+from lamadic.lattices import (
+    rational_reduction_order,
+    torsion_reduction_order,
+    u_prime_reduction_exponent,
+)
 from lamadic.matrices import filtration_order_exponent
-from lamadic.ring import DomainError
+from lamadic.ring import DomainError, is_prime
 from lamadic.curves import (
     _distinct_degree,
     _next_prime,
@@ -629,10 +634,9 @@ def test_division_degree_report_reference_input():
         division_degree_report(11, f)
     rep = division_degree_report(11, f, override_hypotheses=True)
     assert rep.epsilon == -1
-    assert rep.simple_prime == 14731
-    assert rep.galois.status == "reducible"
-    assert rep.components["su_exponent"] == 219
-    assert rep.components["galois_intersection_order"] == 20160
+    assert rep.hypotheses.simple_prime == 14731
+    assert rep.hypotheses.galois.status == "reducible"
+    assert rep.components == {"galois_intersection_order": 20160, "u_exponent": 224}
     assert rep.degree_coeff == 40320
     assert rep.reference == {"coeff": 40320, "ell_exponent": 260}
     assert rep.discrepancy is not None
@@ -652,20 +656,20 @@ def test_division_degree_requires_valid_arguments():
 
 def test_division_degree_consistent_components():
     # a certified input runs end to end without the override
-    from lamadic.matrices import filtration_order_exponent
     from lamadic.lattices import u_reduction_order
 
     f = parse_poly("x^4 + x + 1")
     rep = division_degree_report(3, f)
-    assert rep.galois.status == "symmetric"
-    assert rep.components["su_exponent"] == filtration_order_exponent(3, 3, 2, 1)
+    assert rep.hypotheses.galois.status == "symmetric"
+    assert rep.components["u_exponent"] == filtration_order_exponent(3, 3, 2, 1, "U")
     total, _ = u_reduction_order(3, 4, 2)
     rest, exp_extra = total, 0
     while rest % 3 == 0:
         rest //= 3
         exp_extra += 1
     assert rep.degree_coeff == (24 // 2) * rest
-    assert rep.degree_ell_exponent == rep.components["su_exponent"] + exp_extra
+    assert rep.degree_ell_exponent == filtration_order_exponent(3, 3, 2, 1) + exp_extra
+    assert rep.degree_ell_exponent == rep.components["u_exponent"]
 
 
 @pytest.mark.parametrize("ell, poly", [(5, "x^8 + x - 1"), (7, "x^5 - x - 1"),
@@ -679,3 +683,34 @@ def test_report_counts_the_symmetric_group_times_the_unitary_level_one_group(ell
     assert rep.degree_coeff == factorial(r)
     assert rep.degree_ell_exponent == (filtration_order_exponent(ell, r - 1, ell - 1, 1, "U")
                                        + ord_p(rational_reduction_order(ell, r, ell - 1), ell))
+
+
+def test_rational_similitudes_are_trivial_at_the_report_level():
+    """1 + ell^(1+e) Z_ell is trivial mod lambda^(ell-1) = ell, so the report
+    has no rational factor; on the grid of test_lattices'
+    test_report_exponent_is_the_unitary_exponent_plus_the_rational_one."""
+    for ell in filter(is_prime, range(3, 60)):
+        for r in range(3, 14):
+            if r % ell:
+                assert rational_reduction_order(ell, r, ell - 1) == 1, (ell, r)
+
+
+def test_recorded_degrees_match_the_three_factor_route():
+    """Every degree in curve_golden.json equals the report assembled from
+    the unit group's parts at level n = ell - 1: coefficient
+    (r!/2) * (torsion * rational) / ell^k and ell-exponent SU exponent + k
+    + anti-fixed exponent, where k = ord_ell(torsion * rational)."""
+    golden = json.loads((Path(__file__).parent / "data" / "curve_golden.json").read_text())
+    reports = [json.loads(rec["stdout"]) for rec in golden
+               if rec["argv"][0] == "division-degree" and rec["code"] == 0]
+    assert len(reports) == 8
+    for rep in reports:
+        ell, r = rep["ell"], len(rep["coefficients"]) - 1
+        n = ell - 1
+        small = torsion_reduction_order(ell, n) * rational_reduction_order(ell, r, n)
+        k = ord_p(small, ell)
+        assert rep["degree"] == {
+            "coeff": factorial(r) // 2 * small // ell**k,
+            "ell_exponent": (filtration_order_exponent(ell, r - 1, n, 1) + k
+                             + u_prime_reduction_exponent(ell, n)),
+        }, rep["poly"]
