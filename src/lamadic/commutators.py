@@ -6,14 +6,12 @@ the span check for commutators of lifted slice generators.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .linalg import index_modulo
 from .ring import (
     CheckFailed,
-    DomainError,
     RingCtx,
     coords_add_int,
     coords_from_lambda_poly,
@@ -32,112 +30,47 @@ from .matrices import (
 )
 
 
-class AlphabetMismatch(ValueError):
-    pass
+def t_degree(word) -> int:
+    """The sum of the levels of a word's symbols; a symbol is a letter and
+    its level, so A3 stands for t^3 A_3."""
+    return sum(int(symbol[1:]) for symbol in word)
 
 
 class FreeSeries:
-    """Truncated series sum c * t^deg * word with word over a fixed alphabet.
+    """Truncated series sum c * word: terms maps words, tuples of symbols
+    that concatenate without commuting, to nonzero integers c.  Words of
+    t-degree >= truncation are dropped."""
 
-    Coefficients are exact rationals; terms of t-degree >= truncation are
-    discarded.  Words concatenate without commuting.
-    """
+    __slots__ = ("truncation", "terms")
 
-    __slots__ = ("alphabet", "truncation", "terms")
-
-    def __init__(self, alphabet, truncation: int, terms=None):
-        self.alphabet = tuple(alphabet)
+    def __init__(self, truncation: int, terms: dict):
         self.truncation = truncation
-        clean = {}
-        for (deg, word), coef in (terms or {}).items():
-            coef = Fraction(coef)
-            if coef and deg < truncation:
-                for sym in word:
-                    if sym not in self.alphabet:
-                        raise AlphabetMismatch(f"unknown symbol {sym!r}")
-                clean[(deg, tuple(word))] = coef
-        self.terms = clean
+        self.terms = {w: c for w, c in terms.items() if c and t_degree(w) < truncation}
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def one(cls, alphabet, truncation: int) -> "FreeSeries":
-        return cls(alphabet, truncation, {(0, ()): Fraction(1)})
-
-    @classmethod
-    def symbol(cls, alphabet, truncation: int, name: str, tdeg: int = 0) -> "FreeSeries":
-        return cls(alphabet, truncation, {(tdeg, (name,)): Fraction(1)})
-
-    # -- ring structure ----------------------------------------------------
-
-    def _check(self, other: "FreeSeries"):
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatch("series over different alphabets")
-        if self.truncation != other.truncation:
-            raise AlphabetMismatch("series with different truncations")
+    def _plus(self, other: "FreeSeries", sign: int) -> "FreeSeries":
+        terms = dict(self.terms)
+        for word, coef in other.terms.items():
+            terms[word] = terms.get(word, 0) + sign * coef
+        return FreeSeries(min(self.truncation, other.truncation), terms)
 
     def __add__(self, other: "FreeSeries") -> "FreeSeries":
-        self._check(other)
-        terms = dict(self.terms)
-        for key, coef in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coef
-        return FreeSeries(self.alphabet, self.truncation, terms)
-
-    def __neg__(self) -> "FreeSeries":
-        return FreeSeries(
-            self.alphabet, self.truncation, {k: -c for k, c in self.terms.items()}
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "FreeSeries") -> "FreeSeries":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other: "FreeSeries") -> "FreeSeries":
-        self._check(other)
+        n = min(self.truncation, other.truncation)
+        right = sorted((t_degree(w), w, c) for w, c in other.terms.items())
         terms = {}
-        for (d1, w1), c1 in self.terms.items():
-            for (d2, w2), c2 in other.terms.items():
-                d = d1 + d2
-                if d < self.truncation:
-                    key = (d, w1 + w2)
-                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return FreeSeries(self.alphabet, self.truncation, terms)
-
-    def scale(self, c) -> "FreeSeries":
-        c = Fraction(c)
-        return FreeSeries(
-            self.alphabet, self.truncation, {k: c * v for k, v in self.terms.items()}
-        )
-
-    def shift_t(self, k: int) -> "FreeSeries":
-        """Multiply by t^k."""
-        return FreeSeries(
-            self.alphabet,
-            self.truncation,
-            {(deg + k, word): c for (deg, word), c in self.terms.items()},
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FreeSeries)
-            and self.alphabet == other.alphabet
-            and self.truncation == other.truncation
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "FreeSeries(0)"
-        bits = []
-        for (deg, word), coef in self.sorted_terms():
-            w = "*".join(word) if word else "1"
-            bits.append(f"{coef}*t^{deg}*{w}")
-        return "FreeSeries(" + " + ".join(bits) + ")"
+        for w1, c1 in self.terms.items():
+            room = n - t_degree(w1)
+            for d2, w2, c2 in right:
+                if d2 >= room:
+                    break
+                word = w1 + w2
+                terms[word] = terms.get(word, 0) + c1 * c2
+        return FreeSeries(n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -148,60 +81,44 @@ def _bracket(p: FreeSeries, q: FreeSeries) -> FreeSeries:
     return p * q - q * p
 
 
-def commutator_alphabet(n: int):
+def _symbols(n: int):
+    """1 and the symbols A_i, B_i of levels i = floor((n-1)/2) .. n-1, as
+    series truncated at t^n."""
     big_n = (n - 1) // 2
-    return tuple(f"A{i}" for i in range(big_n, n)) + tuple(
-        f"B{i}" for i in range(big_n, n)
-    )
+    a, b = ({i: FreeSeries(n, {(f"{s}{i}",): 1}) for i in range(big_n, n)} for s in "AB")
+    return FreeSeries(n, {(): 1}), a, b
 
 
 @lru_cache(maxsize=None)
 def commutator_case_expression(n: int) -> FreeSeries:
     """The case-split closed form for ABA^(-1)B^(-1) with A, B = I + higher
-    terms starting at t-degree floor((n-1)/2), over commutator_alphabet(n)."""
+    terms starting at t-degree floor((n-1)/2)."""
     big_n = (n - 1) // 2
-    alphabet = commutator_alphabet(n)
-    sym = lambda name, deg=0: FreeSeries.symbol(alphabet, n, name, deg)
-    one = FreeSeries.one(alphabet, n)
-    a = {i: sym(f"A{i}") for i in range(big_n, n)}
-    b = {i: sym(f"B{i}") for i in range(big_n, n)}
+    one, a, b = _symbols(n)
     if n % 2 == 1:
-        return one + _bracket(a[big_n], b[big_n]).shift_t(n - 1)
+        return one + _bracket(a[big_n], b[big_n])
     if n >= 6:
-        return (
-            one
-            + _bracket(a[big_n], b[big_n]).shift_t(n - 2)
-            + (_bracket(a[big_n], b[big_n + 1]) + _bracket(a[big_n + 1], b[big_n])).shift_t(n - 1)
-        )
+        return (one + _bracket(a[big_n], b[big_n])
+                + _bracket(a[big_n], b[big_n + 1]) + _bracket(a[big_n + 1], b[big_n]))
     # n = 4: the quadratic correction does not vanish at this depth
     extra = _bracket(b[1], a[1]) * (a[1] + b[1])
-    return (
-        one
-        + _bracket(a[1], b[1]).shift_t(2)
-        + (_bracket(a[1], b[2]) + _bracket(a[2], b[1]) + extra).shift_t(3)
-    )
+    return one + _bracket(a[1], b[1]) + _bracket(a[1], b[2]) + _bracket(a[2], b[1]) + extra
 
 
 def commutator_residual(n: int) -> FreeSeries:
     """A*B - (case formula)*B*A, truncated at t^n; zero iff the identity holds."""
     if n < 3:
         raise ValueError("need n >= 3")
-    big_n = (n - 1) // 2
-    alphabet = commutator_alphabet(n)
-    one = FreeSeries.one(alphabet, n)
-    aa = one
-    bb = one
-    for i in range(big_n, n):
-        aa = aa + FreeSeries.symbol(alphabet, n, f"A{i}", i)
-        bb = bb + FreeSeries.symbol(alphabet, n, f"B{i}", i)
-    comm = commutator_case_expression(n)
-    return aa * bb - comm * bb * aa
+    one, a, b = _symbols(n)
+    aa, bb = sum(a.values(), one), sum(b.values(), one)
+    return aa * bb - commutator_case_expression(n) * bb * aa
 
 
 def verify_commutator_identity(n: int):
-    """Returns (holds, residual_terms) for the case-split commutator formula."""
+    """Returns (holds, residual_terms) for the case-split commutator formula,
+    the terms as ((t-degree, word), coefficient) in increasing order."""
     residual = commutator_residual(n)
-    return residual.is_zero(), residual.sorted_terms()
+    return not residual.terms, sorted(((t_degree(w), w), c) for w, c in residual.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +128,18 @@ def verify_commutator_identity(n: int):
 def series_evaluate(p: FreeSeries, assignment, ctx: RingCtx, dim: int) -> MatLocal:
     """Substitute integer matrices (mod ell) for the symbols, t -> lambda.
 
-    Rational coefficients must have denominator prime to ell.
-    """
-    # Taking a rational with denominator prime to ell to the integers mod
-    # ctx.modulus is a ring map, so each coefficient becomes one integer and
-    # the words are summed as plain integers per t-degree; each entry is
-    # then one polynomial in lambda, turned into coordinates once.
+    The words are summed as plain integers per t-degree, each coefficient
+    taken mod ell^k; each entry is then one polynomial in lambda, turned
+    into coordinates once."""
     m = ctx.modulus
     by_deg = {}
-    for (deg, word), coef in p.terms.items():
-        if coef.denominator % ctx.ell == 0:
-            raise DomainError("coefficient denominator not invertible")
-        c = coef.numerator * pow(coef.denominator, -1, m) % m
+    for word, coef in p.terms.items():
         w = assignment[word[0]] if word else [[int(i == j) for j in range(dim)] for i in range(dim)]
         for sym in word[1:]:
             cols = tuple(zip(*assignment[sym]))
             w = [[sum(map(mul, row, col)) for col in cols] for row in w]
-        acc = by_deg.setdefault(deg, mat_zero(dim))
+        acc = by_deg.setdefault(t_degree(word), mat_zero(dim))
+        c = coef % m
         for acc_row, w_row in zip(acc, w):
             for j, x in enumerate(w_row):
                 acc_row[j] += c * x

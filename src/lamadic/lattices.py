@@ -240,12 +240,16 @@ def lattice_index_check(ell: int, r: int):
     """Cokernel exponent t' of the doubled infinity type on the log lattice,
     checked against ord_ell of the doubled half-system determinant.
 
-    The matrix has denominators prime to ell, so on Z_ell^g its cokernel
-    has order ell^t' with t' = ord_ell of its determinant."""
+    The matrix is integral: each sigma_j preserves the anti-fixed elements
+    of lambda^3 O, and the v_i form a Z-basis of them (the proof in
+    u_prime_reduction_exponent), so the doubled map, an integer combination
+    of the sigma_j, has integer coordinates in the v_i.  A fraction is
+    CheckFailed.  On Z_ell^g the cokernel then has order ell^t' with t' =
+    ord_ell of its determinant."""
     rep = demjanenko_det(ell, r)  # first: h^- refuses an ell past its limit
     m = t_doubleprime_matrix(ell, r)
-    if any(x.denominator % ell == 0 for row in m for x in row):
-        raise DomainError("denominators must be prime to ell")
+    if any(x.denominator != 1 for row in m for x in row):
+        raise CheckFailed("the doubled map is not integral in the log basis")
     t_prime = ord_p(fraction_det(m), ell)
     if t_prime != rep.t:
         raise CheckFailed(f"cokernel exponent {t_prime} != determinant order {rep.t}")

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 import lamadic.cli as cli
+import lamadic.commutators as commutators
 from lamadic import linalg
 from lamadic.classnum import H_MINUS_MAX_ELL
 from lamadic.cli import MAX_BUDGET, MAX_C_LR_ELL, MAX_COMMUTATOR_N, MAX_R, run
+from lamadic.commutators import FreeSeries
 from lamadic.curves import MAX_DEGREE, parse_poly
 
 
@@ -110,6 +112,26 @@ def test_verify_commutator(capsys):
     for n in (3, 4, 6):
         code, out, _ = invoke(capsys, "verify-commutator", "--n", str(n), "--json")
         assert code == 0 and json.loads(out)["holds"] is True
+
+
+def test_verify_commutator_reports_the_residual_of_a_wrong_formula(capsys, monkeypatch):
+    """The case formula with [A_2, B_2] counted twice leaves a residual: the
+    command exits 2, and each entry is [t-degree, symbols, integer], the
+    t-degree the sum of the symbols' levels."""
+    right = commutators.commutator_case_expression
+
+    def wrong(n):
+        a, b = (FreeSeries(n, {(f"{s}2",): 1}) for s in "AB")
+        return right(n) + a * b - b * a
+
+    monkeypatch.setattr(commutators, "commutator_case_expression", wrong)
+    code, out, _ = invoke(capsys, "verify-commutator", "--n", "5", "--json")
+    data = json.loads(out)
+    assert code == 2 and data["n"] == 5 and data["holds"] is False
+    assert [4, ["A2", "B2"], "-1"] in data["residual"]
+    for deg, word, coef in data["residual"]:
+        assert deg == sum(int(s[1:]) for s in word) < 5
+        assert coef == str(int(coef)) != "0"
 
 
 def test_lift_check(capsys):
@@ -337,6 +359,12 @@ def test_check_curve_success(capsys):
     )
     data = json.loads(out)
     assert code == 0 and data["galois"] == "symmetric"
+
+
+def test_check_curve_certifies_degree_2(capsys):
+    code, out, _ = invoke(capsys, "check-curve", "--ell", "3", "--poly", "x^2 + x - 1", "--json")
+    assert code == 0 and json.loads(out)["galois"] == "symmetric"
+    assert json.loads(out)["simple_prime"] == 5
 
 
 @pytest.mark.parametrize("poly", ["x^12 + x + 3", "x^10 + 7*x + 13"])

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -16,55 +15,52 @@ from lamadic.matrices import (
 )
 from lamadic.commutators import (
     _lift_slice_generator,
-    AlphabetMismatch,
     FreeSeries,
-    commutator_alphabet,
     commutator_case_expression,
     group_commutator,
     matrix_commutator_check,
     series_evaluate,
     su_commutator_span_check,
+    t_degree,
     verify_commutator_identity,
 )
 from ring_oracles import digit, su_basis
 
 
+def _series(n, *words):
+    """The series 1 + sum of the given one-symbol words, truncated at t^n."""
+    return FreeSeries(n, {(): 1, **{(w,): 1 for w in words}})
+
+
+def test_t_degree_is_the_sum_of_the_levels():
+    assert t_degree(()) == 0
+    assert t_degree(("A1",)) == 1
+    assert t_degree(("A3", "B12", "A3")) == 18
+
+
 def test_series_basic_products():
-    ab = ("A", "B")
-    one = FreeSeries.one(ab, 3)
-    ta = FreeSeries.symbol(ab, 3, "A", 1)
-    tb = FreeSeries.symbol(ab, 3, "B", 1)
-    p = (one + ta) * (one + tb)
-    assert p.terms == {
-        (0, ()): 1,
-        (1, ("A",)): 1,
-        (1, ("B",)): 1,
-        (2, ("A", "B")): 1,
-    }
-    assert (one + ta) * (one + tb) != (one + tb) * (one + ta)
+    p = _series(3, "A1") * _series(3, "B1")
+    assert p.terms == {(): 1, ("A1",): 1, ("B1",): 1, ("A1", "B1"): 1}
+    assert p.terms != (_series(3, "B1") * _series(3, "A1")).terms
 
 
 def test_series_truncation():
-    ab = ("A", "B")
-    one = FreeSeries.one(ab, 2)
-    ta = FreeSeries.symbol(ab, 2, "A", 1)
-    tb = FreeSeries.symbol(ab, 2, "B", 1)
-    p = (one + ta) * (one + tb)
-    assert p.terms == {(0, ()): 1, (1, ("A",)): 1, (1, ("B",)): 1}
+    p = _series(2, "A1") * _series(2, "B1")
+    assert p.terms == {(): 1, ("A1",): 1, ("B1",): 1}
+    assert FreeSeries(4, {("A2", "B2"): 3, ("A3",): 1, ("B4",): 2}).terms == {("A3",): 1}
 
 
-def test_series_alphabet_mismatch():
-    p = FreeSeries.one(("A",), 3)
-    q = FreeSeries.one(("B",), 3)
-    with pytest.raises(AlphabetMismatch):
-        p * q
+def test_series_integer_coefficients_cancel():
+    p = FreeSeries(4, {("A1",): 3, ("A1", "B2"): -2})
+    assert (p + p).terms == {("A1",): 6, ("A1", "B2"): -4}
+    assert not (p - p).terms
+    assert (p * p).terms == {("A1", "A1"): 9}
 
 
-def test_series_rational_coefficients():
-    p = FreeSeries(("A",), 4, {(1, ("A",)): Fraction(1, 2)})
-    q = p + p
-    assert q.terms == {(1, ("A",)): Fraction(1)}
-    assert (p - p).is_zero()
+def test_series_mixed_truncations_keep_the_lower_one():
+    p, q = _series(3, "A1"), _series(5, "B2")
+    assert (p + q).terms == {(): 2, ("A1",): 1, ("B2",): 1}
+    assert (p * q).truncation == 3 and ("A1", "B2") not in (p * q).terms
 
 
 def test_commutator_identity_symbolic():
@@ -78,18 +74,29 @@ def test_commutator_identity_symbolic():
 def test_case_expression_without_quadratic_term_fails_at_4():
     # dropping the quadratic correction at depth 4 must leave a residual
     n = 4
-    alphabet = commutator_alphabet(n)
-    one = FreeSeries.one(alphabet, n)
-    sym = lambda s: FreeSeries.symbol(alphabet, n, s)
+    one = FreeSeries(n, {(): 1})
+    sym = {s: FreeSeries(n, {(s,): 1}) for s in ("A1", "A2", "A3", "B1", "B2", "B3")}
     br = lambda p, q: p * q - q * p
-    wrong = (
-        one
-        + br(sym("A1"), sym("B1")).shift_t(2)
-        + (br(sym("A1"), sym("B2")) + br(sym("A2"), sym("B1"))).shift_t(3)
-    )
-    aa = one + sym("A1").shift_t(1) + sym("A2").shift_t(2) + sym("A3").shift_t(3)
-    bb = one + sym("B1").shift_t(1) + sym("B2").shift_t(2) + sym("B3").shift_t(3)
-    assert not (aa * bb - wrong * bb * aa).is_zero()
+    wrong = (one + br(sym["A1"], sym["B1"])
+             + br(sym["A1"], sym["B2"]) + br(sym["A2"], sym["B1"]))
+    aa = one + sym["A1"] + sym["A2"] + sym["A3"]
+    bb = one + sym["B1"] + sym["B2"] + sym["B3"]
+    assert (aa * bb - wrong * bb * aa).terms
+
+
+def test_residual_terms_carry_the_t_degree_of_their_words(monkeypatch):
+    """With a wrong case formula the residual is nonzero, and each term's
+    t-degree is the sum of its word's levels, below n."""
+    right = commutator_case_expression
+
+    def wrong(n):
+        return right(n) + FreeSeries(n, {(f"A{n - 1}",): 1})
+
+    monkeypatch.setattr(commutators, "commutator_case_expression", wrong)
+    holds, residual = verify_commutator_identity(7)
+    assert not holds and ((6, ("A6",)), -1) in residual
+    assert all(deg == t_degree(word) < 7 for (deg, word), _ in residual)
+    assert residual == sorted(residual)
 
 
 def _mul_mod(x, y, ell):
@@ -126,16 +133,15 @@ def test_matrix_commutator_check_needs_n_at_least_3(n):
 
 
 def test_a_wrong_case_formula_fails_the_product_check_and_the_inverse_oracle(monkeypatch):
-    """Adding lambda^(n-1) [A_N, B_N] to the case formula E makes it wrong
+    """Adding lambda^(2N) [A_N, B_N] to the case formula E makes it wrong
     whenever [A_N, B_N] != 0 mod ell: AB = E BA fails, and so does
     ABA^(-1)B^(-1) = E, formed with inverses."""
     right = commutator_case_expression
 
     def wrong(n):
         big_n = (n - 1) // 2
-        alphabet = commutator_alphabet(n)
-        a, b = (FreeSeries.symbol(alphabet, n, f"{s}{big_n}") for s in "AB")
-        return right(n) + (a * b - b * a).shift_t(n - 1)
+        a, b = (FreeSeries(n, {(f"{s}{big_n}",): 1}) for s in "AB")
+        return right(n) + (a * b - b * a)
 
     monkeypatch.setattr(commutators, "commutator_case_expression", wrong)
     rng = random.Random(38)
@@ -175,46 +181,46 @@ def test_central_levels_commute():
 
 
 def test_symbolic_numeric_agreement():
-    # substituting random digit matrices into the symbolic residual
-    # gives the zero matrix
+    """Random digit matrices substituted into A = 1 + sum A_i and B give
+    matrices with AB = E BA, E the case formula substituted likewise, and
+    substitution is multiplicative."""
     rng = random.Random(34)
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         ctx = RingCtx(5, n)
-        alphabet = commutator_alphabet(n)
-        big_n = (n - 1) // 2
-        one = FreeSeries.one(alphabet, n)
-        aa, bb = one, one
-        for i in range(big_n, n):
-            aa = aa + FreeSeries.symbol(alphabet, n, f"A{i}", i)
-            bb = bb + FreeSeries.symbol(alphabet, n, f"B{i}", i)
-        residual = aa * bb - commutator_case_expression(n) * bb * aa
+        one, a, b = commutators._symbols(n)
+        aa, bb = sum(a.values(), one), sum(b.values(), one)
         assignment = {
-            s: [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
-            for s in alphabet
+            f"{s}{i}": [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
+            for s in "AB" for i in range((n - 1) // 2, n)
         }
-        value = series_evaluate(residual, assignment, ctx, 3)
-        assert value == MatLocal.from_rows(
-            [[MatLocal.identity(ctx, 3).entries[0][0] * 0] * 3] * 3
-        )
+        x, y, e = (series_evaluate(p, assignment, ctx, 3)
+                   for p in (aa, bb, commutator_case_expression(n)))
+        assert x * y == e * y * x != y * x
+        assert series_evaluate(aa * bb, assignment, ctx, 3) == x * y
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
-def test_series_evaluate_divides_by_denominators_prime_to_ell(ell):
+def test_series_evaluate_takes_coefficients_mod_ell_power(ell):
+    """A word of t-degree d contributes lambda^d times its coefficient,
+    taken mod ell^k: scaling every coefficient scales the value, and a
+    coefficient moved by ell^k does not change it."""
     rng = random.Random(ell)
-    alphabet = ("A", "B")
     n = 5
     ctx = RingCtx(ell, n)
     assignment = {s: [[rng.randrange(ell) for _ in range(3)] for _ in range(3)]
-                  for s in alphabet}
-    p = FreeSeries(alphabet, n, {
-        (0, ()): 1, (1, ("A",)): 3, (2, ("A", "B")): -2, (3, ("B", "A", "B")): 5,
-    })
-    value = series_evaluate(p, assignment, ctx, 3)
-    for den in (2, 4, -(ell + 2)):
-        scaled = series_evaluate(p.scale(Fraction(1, den)), assignment, ctx, 3)
-        assert scaled != value and scaled.scale(den) == value
-    with pytest.raises(commutators.DomainError):
-        series_evaluate(p.scale(Fraction(1, ell)), assignment, ctx, 3)
+                  for s in ("A1", "B1")}
+    terms = {(): 1, ("A1",): 3, ("A1", "B1"): -2, ("B1", "A1", "B1"): 5}
+    value = series_evaluate(FreeSeries(n, terms), assignment, ctx, 3)
+    for k in (2, -3, ell + 2):
+        scaled = FreeSeries(n, {w: k * c for w, c in terms.items()})
+        assert series_evaluate(scaled, assignment, ctx, 3) == value.scale(k)
+    moved = FreeSeries(n, {**terms, ("A1",): 3 + ctx.modulus})
+    assert series_evaluate(moved, assignment, ctx, 3) == value
+    a, b = (MatLocal.from_digit_matrices(ctx, 3, [assignment[s]]) for s in ("A1", "B1"))
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    lambda_squared = MatLocal.from_digit_matrices(ctx, 3, [mat_zero(3), mat_zero(3), identity])
+    single = FreeSeries(n, {("A1", "B1"): 1})
+    assert series_evaluate(single, assignment, ctx, 3) == lambda_squared * a * b
 
 
 def test_top_commutators_span_slice():

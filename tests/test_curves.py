@@ -326,6 +326,15 @@ def test_galois_certificates():
     assert galois_certificate(parse_poly("x^8 + x - 1")).status == "symmetric"
 
 
+@pytest.mark.parametrize("poly", ["x^2 + x - 1", "x^2 + 1"])
+def test_a_degree_2_certificate_needs_no_prime_cycle(poly):
+    """No prime q has 1 < q < 2, so at r = 2 an irreducible reduction and a
+    transposition, both a 2-cycle, certify S_2."""
+    v = galois_certificate(parse_poly(poly))
+    assert v.status == "symmetric" and set(v.witnesses) == {"irreducible", "transposition"}
+    assert v.witnesses["irreducible"]["cycle_type"] == [2]
+
+
 def test_galois_soundness_on_reducibles():
     # a reducible polynomial must never be certified
     assert galois_certificate(parse_poly("x^8 + x + 1")).status == "reducible"

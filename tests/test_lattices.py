@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from lamadic.ring import CycloElt, DomainError, NotAUnit, RingCtx, exp as ring_exp, is_prime
+import lamadic.lattices as lattices
+from lamadic.ring import CheckFailed, CycloElt, DomainError, NotAUnit, RingCtx, exp as ring_exp, is_prime
 from lamadic.lattices import (
     AbelianPresentation,
     abelian_order,
@@ -132,6 +134,21 @@ def test_t_matrix_denominators_prime_to_ell():
         for row in m:
             for x in row:
                 assert x.denominator % ell != 0
+
+
+def test_lattice_index_check_refuses_a_fraction(monkeypatch):
+    """T'' is integral in the log basis, so an entry 1/2, with denominator
+    prime to ell, fails the check as well."""
+    right = t_doubleprime_matrix
+
+    def halved(ell, r):
+        m = right(ell, r)
+        m[0][0] += Fraction(1, 2)
+        return m
+
+    monkeypatch.setattr(lattices, "t_doubleprime_matrix", halved)
+    with pytest.raises(CheckFailed, match="not integral"):
+        lattice_index_check(11, 8)
 
 
 def test_lattice_index_examples_and_grid():
