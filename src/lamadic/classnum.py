@@ -12,30 +12,27 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .ring import CheckFailed, DomainError, check_odd_prime, is_prime
+from .ring import CheckFailed, DomainError, check_ell_r, check_odd_prime, is_prime
 
 
-def _check_r(ell: int, r: int):
-    check_odd_prime(ell)
-    if r % ell == 0:
-        raise DomainError(f"ell = {ell} must not divide r = {r}")
-    if r < 2:
-        raise DomainError("need r >= 2")
+def half_system(ell: int) -> range:
+    """1, ..., (ell-1)/2: one representative of each class of units mod +-1."""
+    return range(1, (ell - 1) // 2 + 1)
 
 
 def n_of(ell: int, r: int, j: int) -> int:
-    """The weight n(j) = floor(r*(ell - j)/ell) for j in 1..ell-1."""
-    _check_r(ell, r)
-    if not 1 <= j % ell <= ell - 1:
+    """The weight n(j) = floor(r*(ell - j)/ell) for j in 1..ell-1, read
+    from twice_n_prime: n(j) = (2 n'(j) + r - 1)/2."""
+    twice = twice_n_prime(ell, r).get(j % ell)
+    if twice is None:
         raise DomainError("j must be a unit mod ell")
-    j %= ell
-    return (r * (ell - j)) // ell
+    return (twice + r - 1) // 2
 
 
 def twice_n_prime(ell: int, r: int) -> dict:
     """{j: 2 n'(j) = 2 n(j) - (r - 1)} for the units j = 1..ell-1, integers
     for every r; ell and r are checked once for the whole table."""
-    _check_r(ell, r)
+    check_ell_r(ell, r)
     return {j: 2 * ((r * (ell - j)) // ell) - (r - 1) for j in range(1, ell)}
 
 
@@ -43,7 +40,7 @@ def c_lr(ell: int, r: int):
     """(r_ell, c) with r_ell the multiplicative order of r mod ell and
     c = (r^r_ell - 1)^((ell-1)/(2 r_ell)) for odd r_ell,
     c = (r^(r_ell/2) + 1)^((ell-1)/r_ell) for even r_ell."""
-    _check_r(ell, r)
+    check_ell_r(ell, r)
     r_ell = 1
     acc = r % ell
     while acc != 1:
@@ -64,7 +61,9 @@ def c_lr(ell: int, r: int):
 H_MINUS_MAX_ELL = 211
 
 
-def _primitive_root(ell: int) -> int:
+@lru_cache(maxsize=None)
+def primitive_root(ell: int) -> int:
+    """The least generator of (Z/ell)^*: sigma_g then generates Gal(K/Q)."""
     m = ell - 1
     prime_divisors = [q for q in range(2, m + 1) if m % q == 0 and is_prime(q)]
     return next(g for g in range(2, ell)
@@ -85,7 +84,7 @@ def h_minus(ell: int) -> int:
     if ell > H_MINUS_MAX_ELL:
         raise DomainError(f"ell = {ell} exceeds the limit {H_MINUS_MAX_ELL} for h^-")
     h = (ell - 1) // 2
-    g = _primitive_root(ell)
+    g = primitive_root(ell)
     coeffs, acc = [], 1
     for _ in range(h):
         coeffs.append(2 * acc - ell)
@@ -154,30 +153,23 @@ class DemjanenkoReport:
         }
 
 
-def _twice_half_system(ell: int, r: int, reps):
-    """(reps, [2 n'(i * j^(-1) mod ell)]): the half-system matrix doubled to
-    integers."""
+def _twice_half_system(ell: int, r: int):
+    """[2 n'(i * j^(-1) mod ell)] for i, j in the half system: the
+    half-system matrix doubled to integers."""
     weights = twice_n_prime(ell, r)
-    if reps is None:
-        reps = tuple(range(1, (ell - 1) // 2 + 1))
-    reps = tuple(reps)
-    if len(reps) != (ell - 1) // 2 or len(
-        {x % ell for x in reps} | {(-x) % ell for x in reps}
-    ) != ell - 1:
-        raise DomainError("reps must represent the units modulo +-1")
-    inverses = [pow(j, -1, ell) for j in reps]
-    return reps, [[weights[i * jinv % ell] for jinv in inverses] for i in reps]
+    inverses = [pow(j, -1, ell) for j in half_system(ell)]
+    return [[weights[i * jinv % ell] for jinv in inverses] for i in half_system(ell)]
 
 
-def demjanenko_det(ell: int, r: int, reps=None) -> DemjanenkoReport:
+def demjanenko_det(ell: int, r: int) -> DemjanenkoReport:
     """The half-system determinant with the class-number identity checked:
     |det| = h^- * c_{l,r} / (2 ell).  The sign is recorded, not checked.
 
     det is the Bareiss determinant of the integer matrix [2 n'] divided by
     2^g, and t is ord_ell of that integer."""
     h = h_minus(ell)  # first: it refuses an ell past H_MINUS_MAX_ELL
-    reps, twice = _twice_half_system(ell, r, reps)
-    g = len(reps)
+    twice = _twice_half_system(ell, r)
+    g = len(twice)
     twice_det = linalg.det(twice)
     det = Fraction(twice_det, 2**g)
     r_ell, c = c_lr(ell, r)
@@ -189,7 +181,7 @@ def demjanenko_det(ell: int, r: int, reps=None) -> DemjanenkoReport:
     return DemjanenkoReport(
         ell=ell,
         r=r,
-        reps=reps,
+        reps=tuple(half_system(ell)),
         matrix=tuple(tuple(Fraction(x, 2) for x in row) for row in twice),
         det=det,
         r_ell=r_ell,

@@ -13,7 +13,7 @@ import random
 import sys
 from math import comb
 
-from .ring import RingCtx, CycloElt, RingError, DomainError, is_prime
+from .ring import RingCtx, CycloElt, RingError, DomainError, check_ell_r, check_odd_prime
 from .matrices import (
     HermitianForm,
     classify_membership,
@@ -45,18 +45,24 @@ from .curves import (
 )
 
 
-# Upper limits of lift-check's flags, and of selftest's --trials.  A
-# lift-check call with all four at their limits takes about 2.3 s
-# (lift-check --ell 31 --d 9 --n 16 --trials 20, 2-core x86 host).
+# Upper limits of lift-check's flags, and of selftest's --trials.  The limits
+# of d and n are set from one budget: a lift-check call at all four limits
+# (--ell 31 --d 12 --n 16 --trials 20) spends at most 1.5 s in the library.
+# It spends 1.25 s, and one step past either limit passes the budget: 1.64 s
+# at d = 13 and 1.63 s at n = 17 (medians of 3 in-process calls, 2-core
+# Intel Xeon, Python 3.11.7).
 MAX_LIFT_ELL = 31
-MAX_LIFT_D = 9
+MAX_LIFT_D = 12
 MAX_LIFT_N = 16
 MAX_TRIALS = 20
-# Upper limit of --budget, the Pollard-rho steps spent on a composite part of
-# the discriminant.  Brent's rounds double in length, and a round once begun
-# runs to its end after as many uncounted squarings, so any budget up to
-# 2^22 costs at most about 2^23 squarings: 7 s on a 40-digit semiprime.
-# 5,000,000 begins a round of 2^22 steps and takes 17 s.
+# Upper limit of --budget, the Pollard-rho steps spent on each composite part
+# of the discriminant.  Every squaring is a step, and a budget b takes at
+# most b + 127 of them (_pollard_brent).  The budget bounds steps, not
+# seconds: a step is a product modulo the composite, whose cost grows with
+# its size.  At this limit rho gives up on the 40-digit semiprime
+# (10^19 + 51)(3 10^20 + 53) after 1.9 s, and at the default budget of
+# 200,000 `check-curve --ell 3` on x^5 + c x + 1 with a 200-digit c takes
+# 7.7 s (same host).
 MAX_BUDGET = 4_000_000
 # Upper limit of --r for eps, c-lr, demjanenko, kappa and lattice-index.  The
 # eps Gram determinant is taken in closed form and only building the
@@ -158,7 +164,6 @@ def build_parser() -> _Parser:
 
 
 def _cmd_eps(args):
-    _in_range("--r", args.r, 2, MAX_R)
     _, square_class, eps = weil_gram_and_epsilon(args.ell, args.r)
     _emit(args, {"ell": args.ell, "r": args.r, "epsilon": eps,
                  "gram_square_class": square_class}, str(eps))
@@ -166,16 +171,16 @@ def _cmd_eps(args):
 
 
 def _cmd_c_lr(args):
+    check_ell_r(args.ell, args.r)
     _in_range("--ell", args.ell, 3, MAX_C_LR_ELL)
-    _in_range("--r", args.r, 2, MAX_R)
     limit = sys.get_int_max_str_digits()
     unprintable = DomainError(f"c has more than {limit} digits, the limit for printing an "
                               f"integer (sys.get_int_max_str_digits())")
     # c >= (r-1)^((ell-1)/2) for either parity of r_ell, and 2^b has more than
     # 0.30102 b digits: past the limit, refuse before the order and the power
-    # are computed (for an ell and r that c_lr accepts).
+    # are computed.
     bits = (args.ell - 1) // 2 * ((args.r - 1).bit_length() - 1)
-    if limit and bits * 30102 // 100000 >= limit and is_prime(args.ell) and args.r % args.ell:
+    if limit and bits * 30102 // 100000 >= limit:
         raise unprintable
     r_ell, c = c_lr(args.ell, args.r)
     if limit and c >= 10**limit:
@@ -192,7 +197,6 @@ def _cmd_h_minus(args):
 
 
 def _cmd_demjanenko(args):
-    _in_range("--r", args.r, 2, MAX_R)
     rep = demjanenko_det(args.ell, args.r)
     _emit(args, rep.to_json_dict(),
           f"det = {rep.det}, h_minus = {rep.h_minus}, c = {rep.c_lr}, "
@@ -201,7 +205,6 @@ def _cmd_demjanenko(args):
 
 
 def _cmd_kappa(args):
-    _in_range("--r", args.r, 2, MAX_R)
     kappa, t = kappa_and_t(args.ell, args.r)
     _emit(args, {"ell": args.ell, "r": args.r, "kappa_bound": kappa, "t": t},
           f"kappa_bound = {kappa}, t = {t}")
@@ -228,6 +231,7 @@ def _cmd_verify_commutator(args):
 
 
 def _cmd_lift_check(args):
+    check_odd_prime(args.ell)
     _in_range("--ell", args.ell, 3, MAX_LIFT_ELL)
     _in_range("--d", args.d, 1, MAX_LIFT_D)
     n = _in_range("--n", args.n, 2, MAX_LIFT_N)
@@ -248,7 +252,6 @@ def _cmd_lift_check(args):
 
 
 def _cmd_lattice_index(args):
-    _in_range("--r", args.r, 2, MAX_R)
     t_prime = lattice_index_check(args.ell, args.r)
     _emit(args, {"ell": args.ell, "r": args.r, "t": t_prime}, f"t = {t_prime}")
     return 0
@@ -347,6 +350,8 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
     try:
+        if "r" in vars(args):  # --r has one range on every command that takes it
+            _in_range("--r", args.r, 2, MAX_R)
         return args.handler(args)
     except HypothesisError as e:
         _error(args, str(e), 3)

@@ -14,7 +14,7 @@ from itertools import combinations, compress, zip_longest
 from math import factorial, gcd, isqrt, prod
 
 from .linalg import det
-from .ring import CheckFailed, DomainError, is_prime, pack
+from .ring import CheckFailed, DomainError, check_ell_r, check_odd_prime, is_prime, pack
 from .matrices import filtration_order_exponent, legendre
 from .classnum import kappa_and_t
 
@@ -233,7 +233,9 @@ def _next_prime(p: int) -> int:
 
 def _pollard_brent(n: int, rng: random.Random, budget: int):
     """Brent-cycle Pollard rho; returns a nontrivial factor or None.  The
-    budget bounds the steps of all restarts together."""
+    budget bounds the squarings of all restarts together: each round's
+    opening squarings count, and the budget is checked before each gcd
+    batch of 128, so a budget b takes at most b + 127 squarings."""
     if n % 2 == 0:
         return 2
     steps = 0
@@ -244,17 +246,20 @@ def _pollard_brent(n: int, rng: random.Random, budget: int):
         g, r, q = 1, 1, 1
         while g == 1 and steps < budget:
             x = y
-            for _ in range(r):
+            opening = min(r, budget - steps)
+            for _ in range(opening):
                 y = (y * y + c) % n
+            steps += opening
             k = 0
-            while k < r and g == 1:
+            while k < r and g == 1 and steps < budget:
                 ys = y
-                for _ in range(min(m, r - k)):
+                batch = min(m, r - k)
+                for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
-                k += m
-                steps += min(m, r - k + m)
+                k += batch
+                steps += batch
             r *= 2
         if g == n:
             g = 1
@@ -493,37 +498,37 @@ def _distinct_degree(f: IntPoly, p: int):
 
 def cycle_type_mod_p(f: IntPoly, p: int, wanted=None):
     """The degrees of the irreducible factors of f mod p in increasing
-    order, or None when f mod p drops degree or is not squarefree.
-
-    Given wanted, a set of galois_certificate's witness kinds, it also
-    returns None as soon as the factors of degree at most d rule out every
-    one of them (_witness_kinds), and takes no Frobenius step past d: an
-    irreducible witness after any factor of degree below r, a
-    transposition once the quadratic factors are not exactly one, and a
-    prime cycle once the degree r minus the number of roots is not a
-    prime q with r/2 < q < r, or a factor of degree >= 2 precedes the
-    last one."""
+    order, or None when f mod p drops degree or is not squarefree; given
+    wanted, also None once the factors found rule out every wanted
+    witness (_read_cycle_type), with no Frobenius step past them."""
     rest = _monic_mod(f, p)
     if rest is None:
         return None
-    found, left = [], f.degree
-    for d, g in _degree_walk(rest, p):
+    return _read_cycle_type(f.degree, _degree_walk(rest, p), wanted)
+
+
+def _read_cycle_type(r: int, blocks, wanted=None):
+    """The factor degrees, in increasing order, of a degree-r polynomial
+    mod p read from its distinct-degree blocks (d, g) in increasing d, a
+    list or _degree_walk's generator.
+
+    Given wanted, a set of galois_certificate's witness kinds, it returns
+    None as soon as the factors of degree at most d rule out every one of
+    them (_witness_kinds), and reads no block past d: an irreducible
+    witness after any factor of degree below r, a transposition once the
+    quadratic factors are not exactly one, and a prime cycle once the
+    degree r minus the number of roots is not a prime q with r/2 < q < r,
+    or a factor of degree >= 2 precedes the last one."""
+    found, left = [], r
+    for d, g in blocks:
         k = (len(g) - 1) // d
         found += [d] * k
         left -= k * d
-        if left and wanted is not None and not wanted & _witness_kinds(f.degree, found, left, d):
+        if left and wanted is not None and not wanted & _witness_kinds(r, found, left, d):
             return None
     if left:
-        raise CheckFailed(f"factor degrees {found} do not add up to {f.degree}")
+        raise CheckFailed(f"factor degrees {found} do not add up to {r}")
     return found
-
-
-def _cycle_type(f: IntPoly, blocks):
-    """The factor degrees of f mod p read from its distinct-degree blocks."""
-    out = sorted(d for d, g in blocks for _ in range((len(g) - 1) // d))
-    if sum(out) != f.degree:
-        raise CheckFailed(f"factor degrees {out} do not add up to {f.degree}")
-    return out
 
 
 def _witness_kinds(r: int, found, left: int = 0, d: int = 0):
@@ -600,31 +605,42 @@ def rational_factor(f: IntPoly):
     products of at most half the lifted factors are tried by exact
     division; past MAX_RECOMBINATIONS products it raises DomainError.  The
     random splits are seeded by p, so the witness is deterministic."""
-    if not f.is_monic:
-        raise DomainError("polynomial must be monic")
+    _check_monic_squarefree(f)
     if f.degree < 2:
         return None
-    if f.disc == 0:
-        raise DomainError("polynomial is not squarefree")
     return _zassenhaus(f, _first_blocks(f))
 
 
-def _first_blocks(f: IntPoly):
-    """[(p, distinct-degree blocks of f mod p)] at the first five odd primes
-    where f stays squarefree, or up to the first of them where f mod p is
-    irreducible: _zassenhaus returns None on any such prime, whatever the
-    others hold.  For a monic f these are the odd primes that do not divide
-    the discriminant."""
-    choices = []
-    p = 2
-    while len(choices) < 5:
+def _check_monic_squarefree(f: IntPoly):
+    """DomainError unless f is monic and, from degree 2 on, squarefree
+    (disc f != 0): what rational_factor and galois_certificate need."""
+    if not f.is_monic:
+        raise DomainError("polynomial must be monic")
+    if f.degree > 1 and f.disc == 0:
+        raise DomainError("polynomial is not squarefree")
+
+
+def _unramified_primes(f: IntPoly):
+    """The odd primes not dividing the discriminant of the monic f, in
+    increasing order: those where f mod p stays squarefree."""
+    disc, p = f.disc, 2
+    while True:
         p = _next_prime(p)
+        if disc % p:
+            yield p
+
+
+def _first_blocks(f: IntPoly):
+    """[(p, distinct-degree blocks of f mod p)] at the first five of the
+    _unramified_primes of the monic f, or up to the first of them where
+    f mod p is irreducible: _zassenhaus returns None on any such prime,
+    whatever the others hold."""
+    choices = []
+    for p in _unramified_primes(f):
         blocks = _distinct_degree(f, p)
-        if blocks is not None:
-            choices.append((p, blocks))
-            if blocks[0][0] == f.degree:
-                break
-    return choices
+        choices.append((p, blocks))
+        if len(choices) == 5 or blocks[0][0] == f.degree:
+            return choices
 
 
 def _zassenhaus(f: IntPoly, choices):
@@ -689,10 +705,10 @@ def galois_certificate(f: IntPoly, budget: int = 500) -> GaloisVerdict:
     is S_2.  A reducible f (monic, as rational_factor requires) has a
     proper factor as witness.
 
-    The odd primes not dividing the discriminant are sampled in increasing
-    order, budget of them at most.  The first ones are those whose
-    distinct-degree blocks rational_factor's search examines, so their
-    cycle types are read from those blocks.  Each later prime is factored
+    The _unramified_primes are sampled in increasing order, budget of them
+    at most.  The first ones are those whose distinct-degree blocks
+    rational_factor's search examines, so their cycle types are read from
+    those blocks.  Each later prime is factored
     only as far as a witness still missing needs it:
     - By Stickelberger (Swan, Pacific J. Math. 12, 1962) the sign of
       Frobenius, (-1)^(r - number of factors mod p), is (disc/p).  An
@@ -704,41 +720,27 @@ def galois_certificate(f: IntPoly, budget: int = 500) -> GaloisVerdict:
     A prime skipped either way still counts against the budget, so the
     witnesses are those of a walk that factors every sampled prime.
     """
-    r = f.degree
-    disc = f.disc
-    if disc == 0:
-        raise DomainError("polynomial is not squarefree")
-    if not f.is_monic:
-        raise DomainError("polynomial must be monic")
+    _check_monic_squarefree(f)
+    r, disc = f.degree, f.disc
     first = _first_blocks(f)
     factor = _zassenhaus(f, first)
     if factor is not None:
         return GaloisVerdict("reducible", {"factor": list(factor.coeffs)})
-
-    def sampled():
-        """(p, the blocks _first_blocks found mod p, or None) for the odd
-        primes p not dividing disc."""
-        yield from first
-        p = first[-1][0]
-        while True:
-            p = _next_prime(p)
-            if disc % p:
-                yield p, None
-
+    first_blocks = dict(first)
     # the signs (disc/p) that each witness kind's cycle types have; a prime
     # q with r/2 < q < r is odd once r >= 4, 2 at r = 3, and absent at r = 2,
     # where no cycle type supplies a prime_cycle and none is required
     signs = {"irreducible": {(-1) ** (r - 1)}, "transposition": {-1},
              "prime_cycle": {1} if r > 3 else {-1} if r == 3 else set()}
     witnesses = {kind: None for kind, kind_signs in signs.items() if kind_signs}
-    primes = sampled()
+    primes = _unramified_primes(f)
     for _ in range(budget):
         missing = {kind for kind, w in witnesses.items() if w is None}
         if not missing:
             break
-        p, blocks = next(primes)
-        if blocks is not None:
-            ct = _cycle_type(f, blocks)
+        p = next(primes)
+        if p in first_blocks:
+            ct = _read_cycle_type(r, first_blocks[p])
         elif any(legendre(disc, p) in signs[kind] for kind in missing):
             ct = cycle_type_mod_p(f, p, missing)
         else:
@@ -809,15 +811,13 @@ class CurveReport:
 
 
 def check_curve_input(ell: int, f: IntPoly):
-    """ell must be an odd prime, f must not be constant, ell must not divide
-    its degree, and f must be monic: the checks both curve commands make
-    first."""
-    if not is_prime(ell) or ell < 3:
-        raise DomainError("ell must be an odd prime")
+    """ell must be an odd prime, f must not be constant, (ell, deg f) must
+    pass check_ell_r, and f must be monic: the checks both curve commands
+    make first."""
+    check_odd_prime(ell)
     if f.degree == 0:
         raise DomainError("polynomial must not be constant")
-    if f.degree % ell == 0:
-        raise DomainError("ell must not divide the degree")
+    check_ell_r(ell, f.degree)
     if not f.is_monic:
         raise DomainError("polynomial must be monic")
 

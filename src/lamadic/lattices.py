@@ -17,6 +17,7 @@ from .ring import (
     DomainError,
     NotAUnit,
     RingCtx,
+    check_ell_r,
     coords_add_int,
     div_by_int,
     exp,
@@ -25,7 +26,14 @@ from .ring import (
     reduce_zeta_poly,
     residue,
 )
-from .classnum import demjanenko_det, fraction_det, ord_p, twice_n_prime
+from .classnum import (
+    demjanenko_det,
+    fraction_det,
+    half_system,
+    ord_p,
+    primitive_root,
+    twice_n_prime,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +68,9 @@ def anti_fixed_basis_coords(ell: int):
 
 
 def is_galois_stable(x: CycloElt) -> bool:
-    return all(x.galois(j) == x for j in range(2, x.ctx.ell))
+    """x is fixed by every sigma_j: Gal(K/Q) is cyclic, so by sigma_g for a
+    primitive root g."""
+    return x.galois(primitive_root(x.ctx.ell)) == x
 
 
 def is_anti_fixed(x: CycloElt) -> bool:
@@ -71,8 +81,7 @@ def u_lr_member(d: CycloElt, r: int) -> bool:
     """d is a unit whose norm d * conj(d) is rational (Galois-stable at the
     working precision) and congruent to 1 modulo ell*(r - 1)."""
     ctx = d.ctx
-    if r % ctx.ell == 0:
-        raise DomainError("ell must not divide r")
+    check_ell_r(ctx.ell, r)
     if not d.is_unit:
         raise NotAUnit("membership is defined for units")
     v = d * d.conjugate()
@@ -202,7 +211,7 @@ def _t_doubleprime_solve(ell: int, r: int, basis):
     images = []
     for b in basis:
         img = (0,) * (ell - 1)
-        for j in range(1, (ell - 1) // 2 + 1):
+        for j in half_system(ell):
             c = weights[j]
             if c:
                 img = tuple(x + c * y for x, y in zip(img, _zeta_galois(b, j, ell)))
@@ -220,7 +229,7 @@ def t_doubleprime_matrix(ell: int, r: int):
 def infinity_type_matrix_check(ell: int, r: int) -> bool:
     """Independent bookkeeping: the doubled map in the basis
     zeta^i - zeta^(-i) (i in the half-system) has entries 2 n'(i^(-1) k)."""
-    half = range(1, (ell - 1) // 2 + 1)
+    half = half_system(ell)
     basis = []
     for i in half:
         raw = [0] * ell

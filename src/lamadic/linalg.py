@@ -70,11 +70,9 @@ def lattice_index(g: int, columns) -> int:
     D = |det M_g| when it is nonzero, and D = det(M M^T) otherwise; the
     latter is nonzero exactly when the rank is g.  D Z^g lies in the span,
     because M_g adj(M_g) = D I, resp. M M^T adj(M M^T) = D I, so the index
-    is `index_modulo(g, columns, D)`, or D itself for g columns with D != 0.
+    is `index_modulo(g, columns, D)` (which is D for g columns with D != 0).
     """
     big_d = abs(det(list(zip(*columns[:g])))) if len(columns) >= g else 0
-    if big_d and len(columns) == g:
-        return big_d
     big_d = big_d or det([[sum(c[i] * c[j] for c in columns) for j in range(g)] for i in range(g)])
     if big_d == 0:
         raise DomainError("infinite quotient")

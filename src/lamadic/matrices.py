@@ -19,6 +19,7 @@ from .ring import (
     DomainError,
     RingCtx,
     RingError,
+    check_ell_r,
     check_odd_prime,
     coords_add,
     coords_add_int,
@@ -426,27 +427,21 @@ def classify_membership(a: MatLocal, form: HermitianForm) -> MembershipVerdict:
 # The Weil-pairing Gram model and the sign epsilon.
 
 
-def weil_gram_and_epsilon(ell: int, r: int, c: int = 1):
-    """Gram matrix c*(E - r*I_(r-1)) over F_ell, its square class, and epsilon.
+def weil_gram_and_epsilon(ell: int, r: int):
+    """Gram matrix E - r*I_(r-1) over F_ell, its square class, and epsilon.
 
     epsilon is the Legendre symbol (r | ell).  For odd r the determinant's
-    square class provably equals the class of r; for even r it depends on
-    the unknown unit c (the two forms are then similitude-equivalent), so
+    square class provably equals the class of r; for even r the Weil form
+    is this one only up to an unknown unit scalar c, which changes the
+    class by (c | ell) (the two forms are then similitude-equivalent), so
     the class is reported without the cross-assertion.  The determinant is
     taken in closed form: E - r*I has the eigenvalue (r-1) - r = -1 on the
     all-ones vector and -r on its (r-2)-dimensional complement, so
-    det = c^(r-1) * (-1) * (-r)^(r-2).
+    det = (-1) * (-r)^(r-2).
     """
-    check_odd_prime(ell)
-    if r % ell == 0:
-        raise DomainError("ell must not divide r")
-    if r < 2:
-        raise DomainError("need r >= 2")
-    if c % ell == 0:
-        raise ValueError("c must be a unit mod ell")
-    d = r - 1
-    gram = [[c * ((1 if i != j else 1 - r)) % ell for j in range(d)] for i in range(d)]
-    det = -pow(c, d, ell) * pow(-r, r - 2, ell) % ell
+    check_ell_r(ell, r)
+    gram = [[(1 if i != j else 1 - r) % ell for j in range(r - 1)] for i in range(r - 1)]
+    det = -pow(-r, r - 2, ell) % ell
     square_class = legendre(det, ell)
     eps = legendre(r, ell)
     if r % 2 == 1 and square_class != eps:

@@ -141,9 +141,20 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def check_odd_prime(ell: int):
-    """DomainError naming ell unless it is an odd prime."""
+    """DomainError naming ell unless it is an odd prime: the one check of
+    ell, which every entry point taking an ell makes."""
     if ell < 3 or not is_prime(ell):
         raise DomainError(f"ell = {ell} must be an odd prime")
+
+
+def check_ell_r(ell: int, r: int):
+    """DomainError unless ell is an odd prime, ell does not divide r, and
+    r >= 2: the standing hypotheses on (ell, r), with r = deg f."""
+    check_odd_prime(ell)
+    if r % ell == 0:
+        raise DomainError(f"ell = {ell} must not divide r = {r}")
+    if r < 2:
+        raise DomainError("need r >= 2")
 
 
 @dataclass(frozen=True)
@@ -154,15 +165,13 @@ class RingCtx:
     precision: int
 
     def __post_init__(self):
-        if self.ell < 3 or not is_prime(self.ell):
-            raise ValueError(f"ell must be an odd prime, got {self.ell}")
+        check_odd_prime(self.ell)
         if self.precision < 1:
             raise ValueError(f"precision must be >= 1, got {self.precision}")
 
-    @lru_cache(maxsize=None)
     def at_precision(self, n: int) -> "RingCtx":
-        """The same ell at precision n, built (and ell checked) once."""
-        return RingCtx(self.ell, n)
+        """The same ell at precision n, from the module's context cache."""
+        return _context(self.ell, n)
 
     @cached_property
     def slots(self) -> int:

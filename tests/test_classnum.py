@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from lamadic import linalg
 from lamadic.cli import run
 from lamadic.ring import DomainError, is_prime
 from lamadic.classnum import (
@@ -94,9 +95,9 @@ def test_demjanenko_refuses_ell_before_building_the_matrix(monkeypatch):
 
     built = classnum._twice_half_system
 
-    def spy(ell, r, reps):
+    def spy(ell, r):
         assert ell <= H_MINUS_MAX_ELL, f"half-system matrix built at ell = {ell}"
-        return built(ell, r, reps)
+        return built(ell, r)
 
     monkeypatch.setattr(classnum, "_twice_half_system", spy)
     over = next(p for p in range(H_MINUS_MAX_ELL + 1, 2 * H_MINUS_MAX_ELL) if is_prime(p))
@@ -154,19 +155,17 @@ def test_demjanenko_examples():
 
 
 def test_demjanenko_rep_invariance():
+    """|det| does not depend on the half system: the doubled matrix over
+    other representatives of the units mod +-1 has the same |det|."""
     rng = random.Random(6)
     for ell, r in ((5, 3), (7, 2), (11, 8), (13, 5)):
         base = demjanenko_det(ell, r)
         reps = tuple(
             x if rng.random() < 0.5 else ell - x for x in range(1, (ell - 1) // 2 + 1)
         )
-        other = demjanenko_det(ell, r, reps=reps)
-        assert abs(other.det) == abs(base.det)
-
-
-def test_half_system_validation():
-    with pytest.raises(DomainError):
-        demjanenko_det(7, 2, reps=(1, 2, 5))  # 2 and 5 collide mod +-1
+        weights = twice_n_prime(ell, r)
+        twice = [[weights[i * pow(j, -1, ell) % ell] for j in reps] for i in reps]
+        assert abs(Fraction(linalg.det(twice), 2 ** len(reps))) == abs(base.det)
 
 
 def test_kappa_and_t_examples():

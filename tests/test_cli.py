@@ -12,6 +12,7 @@ from lamadic.classnum import H_MINUS_MAX_ELL
 from lamadic.cli import MAX_BUDGET, MAX_C_LR_ELL, MAX_COMMUTATOR_N, MAX_R, run
 from lamadic.commutators import FreeSeries
 from lamadic.curves import MAX_DEGREE, parse_poly
+from lamadic.matrices import MatLocal
 
 
 def invoke(capsys, *argv):
@@ -147,8 +148,8 @@ def test_lift_check(capsys):
     (("--trials", "0"), "--trials must be between 1 and 20, got 0"),
     (("--trials", "-2"), "--trials must be between 1 and 20, got -2"),
     (("--trials", "21"), "--trials must be between 1 and 20, got 21"),
-    (("--d", "0"), "--d must be between 1 and 9, got 0"),
-    (("--d", "10"), "--d must be between 1 and 9, got 10"),
+    (("--d", "0"), "--d must be between 1 and 12, got 0"),
+    (("--d", "13"), "--d must be between 1 and 12, got 13"),
     (("--n", "1"), "--n must be between 2 and 16, got 1"),
     (("--n", "17"), "--n must be between 2 and 16, got 17"),
     (("--ell", "37"), "--ell must be between 3 and 31, got 37"),
@@ -159,6 +160,58 @@ def test_lift_check_limits_exit_2(capsys, flags, message):
     code, out, err = invoke(capsys, "lift-check", *(x for kv in argv.items() for x in kv))
     assert code == 2 and not out
     assert err == f"error: DomainError: {message}\n"
+
+
+def test_lift_check_exits_2_when_a_lift_fails(capsys, monkeypatch):
+    """A wrong lift, here the lift of the identity, is counted as failed."""
+    real = cli.lift_su
+    monkeypatch.setattr(cli, "lift_su",
+                        lambda a, form: real(MatLocal.identity(a.ctx, a.dim), form))
+    code, out, _ = invoke(capsys, "lift-check", "--ell", "5", "--d", "3", "--n", "4",
+                          "--trials", "4", "--json")
+    data = json.loads(out)
+    assert code == 2 and data["trials"] == 4 and data["passed"] < 4
+
+
+def test_selftest_exits_2_when_a_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "h_minus", lambda ell: 2)
+    code, out, _ = invoke(capsys, "selftest")
+    lines = out.splitlines()
+    assert code == 2 and "FAIL h_minus_small" in lines and lines[-1] == "FAILED"
+    assert "PASS demjanenko_small" in lines
+    code, out, _ = invoke(capsys, "selftest", "--json")
+    data = json.loads(out)
+    assert code == 2 and data["ok"] is False
+    assert [name for name, ok in data["results"].items() if not ok] == ["h_minus_small"]
+
+
+# Every command taking --ell refuses an ell that is not an odd prime with the
+# text of ring.check_odd_prime, and every command taking --r an ell dividing
+# r with the text of ring.check_ell_r, as the curve commands do for deg f.
+_ELL_COMMANDS = {
+    "eps": ("--r", "2"), "c-lr": ("--r", "2"), "h-minus": (),
+    "demjanenko": ("--r", "2"), "kappa": ("--r", "2"), "lattice-index": ("--r", "2"),
+    "su-order": ("--d", "3", "--n", "5", "--k", "1"), "lift-check": ("--d", "2", "--n", "3"),
+    "check-curve": ("--poly", "x^5 - x - 1"), "division-degree": ("--poly", "x^5 - x - 1"),
+}
+
+
+@pytest.mark.parametrize("ell", ["1", "4", "9"])
+@pytest.mark.parametrize("sub", sorted(_ELL_COMMANDS))
+def test_every_ell_command_refuses_a_non_prime_ell_with_one_text(capsys, sub, ell):
+    code, out, _ = invoke(capsys, sub, "--ell", ell, *_ELL_COMMANDS[sub], "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == f"DomainError: ell = {ell} must be an odd prime"
+
+
+@pytest.mark.parametrize("argv", [
+    (sub, "--r", "5") for sub in ("eps", "c-lr", "demjanenko", "kappa", "lattice-index")
+] + [(sub, "--poly", "x^5 - x - 1") for sub in ("check-curve", "division-degree")],
+    ids=" ".join)
+def test_every_r_command_refuses_ell_dividing_r_with_one_text(capsys, argv):
+    code, out, _ = invoke(capsys, argv[0], "--ell", "5", *argv[1:], "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == "DomainError: ell = 5 must not divide r = 5"
 
 
 _UNPRINTABLE_C = (f"c has more than {sys.get_int_max_str_digits()} digits, the limit for "
@@ -186,7 +239,8 @@ def test_c_lr_and_verify_commutator_limits_exit_2(capsys, argv, message):
 def test_c_lr_refuses_an_unprintable_c_before_computing_it(capsys, monkeypatch):
     """c >= (r-1)^((ell-1)/2), so at these inputs the digit bound alone
     refuses c, and c_lr never runs.  At r = 2 the bound says nothing and c
-    is computed, and an ell that c_lr rejects still reaches c_lr."""
+    is computed, and an ell that c_lr rejects is refused before c_lr, by the
+    same check_ell_r and with the same text."""
     calls = []
     monkeypatch.setattr(cli, "c_lr", lambda *a, f=cli.c_lr: calls.append(a) or f(*a))
     for ell, r in ((999983, 501), (999983, 5), (20011, 10)):
@@ -197,7 +251,7 @@ def test_c_lr_refuses_an_unprintable_c_before_computing_it(capsys, monkeypatch):
                           (("--ell", "999999", "--r", "501"), "ell = 999999 must be an odd prime")):
         code, out, err = invoke(capsys, "c-lr", *argv)
         assert code == 2 and err == f"error: DomainError: {message}\n"
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("sub", ["demjanenko", "kappa", "lattice-index"])
@@ -269,26 +323,29 @@ def test_curve_commands_compute_the_discriminant_once(capsys, monkeypatch):
 
 
 # One fault per input, with the exit code and --json output of both curve
-# commands: check-curve validates ell, then monicity, then --budget, then
-# separability; division-degree validates --budget first and rejects a
-# degree below 4 after monicity.
+# commands: check-curve validates ell and the degree, then monicity, then
+# --budget, then separability; division-degree validates --budget first and
+# rejects a degree below 4 after monicity.
 def _fault(code, error):
     return code, {"code": code, "error": error}
 
 
 _FAULTS = [
     (("--ell", "9", "--poly", "x^5 - x - 1"),
-     _fault(2, "DomainError: ell must be an odd prime"),
-     _fault(2, "DomainError: ell must be an odd prime")),
+     _fault(2, "DomainError: ell = 9 must be an odd prime"),
+     _fault(2, "DomainError: ell = 9 must be an odd prime")),
     (("--ell", "5", "--poly", "x^5 - x - 1"),
-     _fault(2, "DomainError: ell must not divide the degree"),
-     _fault(2, "DomainError: ell must not divide the degree")),
+     _fault(2, "DomainError: ell = 5 must not divide r = 5"),
+     _fault(2, "DomainError: ell = 5 must not divide r = 5")),
     (("--ell", "3", "--poly", "2*x^5 - x - 1"),
      _fault(2, "DomainError: polynomial must be monic"),
      _fault(2, "DomainError: polynomial must be monic")),
     (("--ell", "3", "--poly", "5"),
      _fault(2, "DomainError: polynomial must not be constant"),
      _fault(2, "DomainError: polynomial must not be constant")),
+    (("--ell", "3", "--poly", "x + 1"),
+     _fault(2, "DomainError: need r >= 2"),
+     _fault(2, "DomainError: need r >= 2")),
     (("--ell", "5", "--poly", "x^3 - x - 1"),
      (0, {"disc": -23, "ell": 5, "epsilon": -1, "galois": "symmetric",
           "poly": "x^3 - x - 1", "simple_prime": 23, "simple_prime_proven": True}),
@@ -300,7 +357,7 @@ _FAULTS = [
      _fault(2, "DomainError: --budget must be between 0 and 4000000, got -1"),
      _fault(2, "DomainError: --budget must be between 0 and 4000000, got -1")),
     (("--ell", "9", "--poly", "x^5 - x - 1", "--budget", "-1"),
-     _fault(2, "DomainError: ell must be an odd prime"),
+     _fault(2, "DomainError: ell = 9 must be an odd prime"),
      _fault(2, "DomainError: --budget must be between 0 and 4000000, got -1")),
 ]
 
@@ -316,7 +373,7 @@ def test_curve_commands_report_single_faults(capsys, argv, check_curve, division
 @pytest.mark.parametrize("argv, error", [
     (("eps", "--ell", "9", "--r", "2"), "DomainError: ell = 9 must be an odd prime"),
     (("eps", "--ell", "1", "--r", "2"), "DomainError: ell = 1 must be an odd prime"),
-    (("eps", "--ell", "11", "--r", "22"), "DomainError: ell must not divide r"),
+    (("eps", "--ell", "11", "--r", "22"), "DomainError: ell = 11 must not divide r = 22"),
     (("su-order", "--ell", "4", "--d", "3", "--n", "5", "--k", "1"),
      "DomainError: ell = 4 must be an odd prime"),
     (("su-order", "--ell", "11", "--d", "0", "--n", "5", "--k", "1"),
@@ -389,7 +446,7 @@ def test_check_curve_rejects_ell_like_division_degree(capsys, ell):
     assert [code for code, _, _ in results] == [2, 2]
     errors = [json.loads(out)["error"] for _, out, _ in results]
     assert errors[0] == errors[1]
-    assert errors[0].startswith("DomainError: ell must")
+    assert errors[0].startswith(f"DomainError: ell = {ell} must")
 
 
 def test_poly_syntax_error_exits_1(capsys):

@@ -218,13 +218,16 @@ class _CountingModulus(int):
 
 def test_rho_budget_bounds_all_restarts_together():
     # two 12-digit primes: rho needs about 10^6 steps, far past the budget,
-    # so every one of the 20 restarts fails
-    n = _CountingModulus(100000000003 * 100000000019)
-    budget = 2000
-    assert _pollard_brent(n, random.Random(0), budget) is None
-    # two reductions per counted step, plus the r squarings that open each
-    # round of r counted steps, which the budget does not count
-    assert _CountingModulus.reductions < 5 * budget
+    # so every one of the 20 restarts fails.  Every squaring counts against
+    # the budget, the r that open a round too, and the budget is checked
+    # before each gcd batch of 128: at most budget + 127 squarings, each with
+    # at most one more reduction (the running product).  2^11 + 1 begins a
+    # round of 2^11 steps.
+    for budget in (2000, 2**11 + 1):
+        _CountingModulus.reductions = 0
+        n = _CountingModulus(100000000003 * 100000000019)
+        assert _pollard_brent(n, random.Random(0), budget) is None
+        assert _CountingModulus.reductions <= 2 * (budget + 127), budget
 
 
 def test_cycle_types():

@@ -92,6 +92,29 @@ def test_t_action_preserves_galois_stable_inputs():
     assert is_galois_stable(y)
 
 
+def test_galois_stability_from_one_generator_matches_every_map():
+    """is_galois_stable, which applies sigma_g for one primitive root g,
+    against the definition, every sigma_j: on random elements, on traces
+    (stable), on periods of the squares (fixed by sigma_(g^2) only) and on
+    real-subfield elements x + conj(x).  sigma_(-1) fixes the latter, and
+    for ell >= 5 sigma_g does not, as zeta + zeta^(-1) shows."""
+    rng = random.Random(30)
+    for ell in (3, 5, 7, 11, 13):
+        ctx = RingCtx(ell, 6)
+        for _ in range(4):
+            x = CycloElt.from_poly([rng.randrange(-9, 10) for _ in range(ell - 1)], ctx)
+            trace, squares = CycloElt.zero(ctx), CycloElt.zero(ctx)
+            for j in range(1, ell):
+                trace = trace + x.galois(j)
+                squares = squares + x.galois(j * j)
+            real = x + x.conjugate()
+            for y in (x, trace, squares, real):
+                assert is_galois_stable(y) == all(y.galois(j) == y for j in range(1, ell))
+            assert is_galois_stable(trace) and real.conjugate() == real
+        period = CycloElt.zeta(ctx) + CycloElt.zeta(ctx, -1)
+        assert is_galois_stable(period) == (ell == 3)
+
+
 def test_abelian_order_basics():
     assert abelian_order(AbelianPresentation(1, ((6,),)), [[1]]) == 6
     assert abelian_order(AbelianPresentation(1, ((8,),)), [[2]]) == 4

@@ -318,17 +318,17 @@ def test_membership_classification():
 
 
 def test_weil_gram_examples():
-    _, sc, eps = weil_gram_and_epsilon(5, 4, 1)
+    _, sc, eps = weil_gram_and_epsilon(5, 4)
     assert sc == 1 and eps == 1
-    _, _, eps = weil_gram_and_epsilon(11, 8, 1)
+    _, _, eps = weil_gram_and_epsilon(11, 8)
     assert eps == -1
     # even r: class of det depends on the scalar, only reported
-    _, sc, _ = weil_gram_and_epsilon(7, 4, 1)
+    _, sc, _ = weil_gram_and_epsilon(7, 4)
     assert sc == legendre(5, 7)
     for ell in (3, 5, 7, 11, 13):
         for r in range(3, 13, 2):
             if r % ell:
-                weil_gram_and_epsilon(ell, r, 1)  # internal assertion for odd r
+                weil_gram_and_epsilon(ell, r)  # internal assertion for odd r
     for r in (1, -5):
         with pytest.raises(DomainError, match="need r >= 2"):
             weil_gram_and_epsilon(11, r)
@@ -341,11 +341,10 @@ def test_weil_gram_square_class_matches_elimination():
         for r in range(2, 40):
             if r % ell == 0:
                 continue
-            for c in (1, 2, ell - 1):
-                gram, sc, _ = weil_gram_and_epsilon(ell, r, c)
-                assert gram == [[c * (1 if i != j else 1 - r) % ell for j in range(r - 1)]
-                                for i in range(r - 1)]
-                assert sc == legendre(linalg.det(gram) % ell, ell), (ell, r, c)
+            gram, sc, _ = weil_gram_and_epsilon(ell, r)
+            assert gram == [[(1 if i != j else 1 - r) % ell for j in range(r - 1)]
+                            for i in range(r - 1)]
+            assert sc == legendre(linalg.det(gram) % ell, ell), (ell, r)
 
 
 def test_su_basis_satisfies_predicate():

@@ -11,7 +11,9 @@ over-approximates calls, so an unreached name has no caller at all.
 
 The Gram matrix has one owner: no code outside HermitianForm reads an
 attribute named gamma, so the form's methods are the only code that knows
-Gamma's shape.
+Gamma's shape.  So do the standing hypothesis on ell and the half system:
+only ring.check_odd_prime tests an ell for primality, and only
+classnum.half_system spells the range 1, ..., (ell-1)/2.
 """
 
 import ast
@@ -111,3 +113,39 @@ def test_only_hermitian_form_reads_gamma():
                     if isinstance(node, ast.Attribute) and node.attr == "gamma"
                     and id(node) not in inside]
     assert not readers, readers
+
+
+def _owners(predicate):
+    """["module.py:function"] for each node of the package that satisfies
+    predicate, named by its innermost enclosing function."""
+    found = []
+    for name, tree in _trees().items():
+        parents = {id(child): node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if predicate(node):
+                owner = parents.get(id(node))
+                while owner is not None and not isinstance(owner, ast.FunctionDef):
+                    owner = parents.get(id(owner))
+                found.append(f"{name}:{owner.name if owner else '<module>'}")
+    return found
+
+
+def _calls(node, function):
+    """node is a call of `function`, by name or as an attribute."""
+    return isinstance(node, ast.Call) and function in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_only_check_odd_prime_tests_ell_for_primality():
+    def on_ell(node):
+        return _calls(node, "is_prime") and "ell" in _mentioned(node, {})
+
+    assert _owners(on_ell) == ["ring.py:check_odd_prime"]
+
+
+def test_only_half_system_spells_the_half_system():
+    def half_range(node):
+        return _calls(node, "range") and "ell - 1) // 2" in ast.unparse(node)
+
+    assert _owners(half_range) == ["classnum.py:half_system"]
