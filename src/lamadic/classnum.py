@@ -153,9 +153,10 @@ class DemjanenkoReport:
         }
 
 
-def _twice_half_system(ell: int, r: int):
+def twice_half_system(ell: int, r: int):
     """[2 n'(i * j^(-1) mod ell)] for i, j in the half system: the
-    half-system matrix doubled to integers."""
+    half-system matrix doubled to integers, built only here; demjanenko_det
+    and lattices.infinity_type_matrix_check read it."""
     weights = twice_n_prime(ell, r)
     inverses = [pow(j, -1, ell) for j in half_system(ell)]
     return [[weights[i * jinv % ell] for jinv in inverses] for i in half_system(ell)]
@@ -168,7 +169,7 @@ def demjanenko_det(ell: int, r: int) -> DemjanenkoReport:
     det is the Bareiss determinant of the integer matrix [2 n'] divided by
     2^g, and t is ord_ell of that integer."""
     h = h_minus(ell)  # first: it refuses an ell past H_MINUS_MAX_ELL
-    twice = _twice_half_system(ell, r)
+    twice = twice_half_system(ell, r)
     g = len(twice)
     twice_det = linalg.det(twice)
     det = Fraction(twice_det, 2**g)

@@ -359,7 +359,7 @@ def run(argv=None) -> int:
     except PolySyntaxError as e:
         _error(args, str(e), 1)
         return 1
-    except (RingError, DomainError, ValueError, ArithmeticError) as e:
+    except (RingError, ValueError, ArithmeticError) as e:
         _error(args, f"{type(e).__name__}: {e}", 2)
         return 2
 

@@ -32,6 +32,7 @@ from .classnum import (
     half_system,
     ord_p,
     primitive_root,
+    twice_half_system,
     twice_n_prime,
 )
 
@@ -228,21 +229,17 @@ def t_doubleprime_matrix(ell: int, r: int):
 
 def infinity_type_matrix_check(ell: int, r: int) -> bool:
     """Independent bookkeeping: the doubled map in the basis
-    zeta^i - zeta^(-i) (i in the half-system) has entries 2 n'(i^(-1) k)."""
-    half = half_system(ell)
+    zeta^i - zeta^(-i) (i in the half system), solved from zeta-coordinates,
+    is classnum's half-system matrix [2 n'(i j^(-1))], so the list of its
+    columns is that matrix transposed."""
     basis = []
-    for i in half:
+    for i in half_system(ell):
         raw = [0] * ell
         raw[i] += 1
         raw[ell - i] -= 1
         basis.append(reduce_zeta_poly(raw, ell))
     cols = _t_doubleprime_solve(ell, r, basis)
-    weights = twice_n_prime(ell, r)
-    return all(
-        col[kdx] == weights[pow(i, -1, ell) * k % ell]
-        for i, col in zip(half, cols)
-        for kdx, k in enumerate(half)
-    )
+    return cols == [list(col) for col in zip(*twice_half_system(ell, r))]
 
 
 def lattice_index_check(ell: int, r: int):
@@ -251,7 +248,7 @@ def lattice_index_check(ell: int, r: int):
 
     The matrix is integral: each sigma_j preserves the anti-fixed elements
     of lambda^3 O, and the v_i form a Z-basis of them (the proof in
-    u_prime_reduction_exponent), so the doubled map, an integer combination
+    u_reduction_order), so the doubled map, an integer combination
     of the sigma_j, has integer coordinates in the v_i.  A fraction is
     CheckFailed.  On Z_ell^g the cokernel then has order ell^t' with t' =
     ord_ell of its determinant."""
@@ -269,28 +266,25 @@ def lattice_index_check(ell: int, r: int):
 # The order of the unit-group reduction at finite level.
 
 
-def torsion_reduction_order(ell: int, m: int) -> int:
-    """Order of -zeta in the units of O/lambda^m: 2 at m = 1, where zeta = 1,
-    and 2 ell from m = 2 on, since 1 + zeta^k = 2 mod lambda is a unit and
-    1 - zeta^k has lambda-order exactly 1 for ell not dividing k."""
-    RingCtx(ell, m)  # the ring's checks on ell and m
-    return 2 if m == 1 else 2 * ell
+def u_reduction_order(ell: int, r: int, m: int):
+    """Order of the reduction of the unit group mod lambda^m: torsion x
+    rational x anti-fixed factor orders (pairwise trivial intersections).
+    Returns (total, parts), the parts the torsion and rational orders and
+    the anti-fixed exponent.  (ell, r) is checked once, by check_ell_r,
+    and m must be at least 1.
 
+    Torsion.  -zeta has order 2 at m = 1, where zeta = 1, and 2 ell from
+    m = 2 on, since 1 + zeta^k = 2 mod lambda is a unit and 1 - zeta^k has
+    lambda-order exactly 1 for ell not dividing k.
 
-def rational_reduction_order(ell: int, r: int, m: int) -> int:
-    """Order of the image of 1 + ell*(r-1)*Z_ell in the units of O/lambda^m.
+    Rational.  The image of 1 + ell*(r-1)*Z_ell: with e = ord_ell(r-1),
+    (1 + ell^(1+e))^(ell^j) - 1 has lambda-order (ell-1)(1+e+j), so the
+    order is ell^max(0, ceil(m/(ell-1)) - 1 - e).
 
-    With e = ord_ell(r-1), (1 + ell^(1+e))^(ell^j) - 1 has lambda-order
-    (ell-1)(1+e+j), so the order is ell^max(0, ceil(m/(ell-1)) - 1 - e)."""
-    e = ord_p(r - 1, ell)
-    RingCtx(ell, m)  # the ring's checks on ell and m
-    return ell ** max(0, -(-m // (ell - 1)) - 1 - e)
-
-
-def u_prime_reduction_exponent(ell: int, m: int) -> int:
-    """log_ell of the order of the subgroup of O/lambda^m (additive)
-    generated by the log generators v_i = lambda^i - conj(lambda)^i,
-    i = 2..g+1 with g = (ell-1)/2: max(0, floor((m-2)/2)), for every ell.
+    Anti-fixed.  The image of the log lattice of the anti-fixed elements
+    in lambda^3 O: the subgroup of O/lambda^m (additive) generated by the
+    log generators v_i = lambda^i - conj(lambda)^i, i = 2..g+1 with
+    g = (ell-1)/2, has order ell^max(0, floor((m-2)/2)), for every ell.
 
     Proof.  (1) conj(lambda) = 1 - zeta^(-1) = -zeta^(-1) lambda, so each
     v_i is anti-fixed.  A nonzero anti-fixed x = u lambda^k, u a unit, has
@@ -313,20 +307,12 @@ def u_prime_reduction_exponent(ell: int, m: int) -> int:
     +-(2g+1) = +-ell and the v_i span A, which has one F_ell of digits at
     each odd level from 3 on: its image in O/lambda^m has order ell to the
     number of odd k with 3 <= k < m."""
-    RingCtx(ell, m)  # the ring's checks on ell and m
-    return max(0, (m - 2) // 2)
-
-
-def u_reduction_order(ell: int, r: int, m: int):
-    """Order of the reduction of the unit group mod lambda^m: torsion x
-    rational x anti-fixed factor orders (pairwise trivial intersections).
-    The anti-fixed factor is the image of the log lattice of the anti-fixed
-    elements in lambda^3 O, of order ell^(u_prime_reduction_exponent).
-    Returns (total, parts), the parts the torsion and rational orders and
-    the anti-fixed exponent."""
+    check_ell_r(ell, r)
+    if m < 1:
+        raise DomainError(f"m = {m} must be at least 1")
     parts = {
-        "torsion": torsion_reduction_order(ell, m),
-        "rational": rational_reduction_order(ell, r, m),
-        "anti_fixed_exponent": u_prime_reduction_exponent(ell, m),
+        "torsion": 2 if m == 1 else 2 * ell,
+        "rational": ell ** max(0, -(-m // (ell - 1)) - 1 - ord_p(r - 1, ell)),
+        "anti_fixed_exponent": max(0, (m - 2) // 2),
     }
     return parts["torsion"] * parts["rational"] * ell ** parts["anti_fixed_exponent"], parts

@@ -332,7 +332,7 @@ class HermitianForm:
         if sign not in (1, -1):
             raise ValueError(f"sign must be 1 or -1, got {sign}")
         if d < 1:
-            raise ValueError(f"d = {d} must be at least 1")
+            raise DomainError(f"d = {d} must be at least 1")
         if sign == 1:
             return HermitianForm(ctx, (1,) * d)
         alpha = next(a for a in range(2, ctx.ell) if legendre(a, ctx.ell) == -1)
@@ -483,7 +483,7 @@ def filtration_order_exponent(ell: int, d: int, n: int, k: int, group: str = "SU
     if d < 1:
         raise DomainError(f"d = {d} must be at least 1")
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
     odd_levels = (n + 1) // 2 - (k + 1) // 2
     even_levels = n // 2 - k // 2
     return odd_levels * su_dimension(d, 1, group) + even_levels * su_dimension(d, 0, group)

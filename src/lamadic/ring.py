@@ -167,7 +167,7 @@ class RingCtx:
     def __post_init__(self):
         check_odd_prime(self.ell)
         if self.precision < 1:
-            raise ValueError(f"precision must be >= 1, got {self.precision}")
+            raise DomainError(f"precision must be >= 1, got {self.precision}")
 
     def at_precision(self, n: int) -> "RingCtx":
         """The same ell at precision n, from the module's context cache."""

@@ -93,13 +93,13 @@ def test_h_minus_beyond_the_bernoulli_range():
 def test_demjanenko_refuses_ell_before_building_the_matrix(monkeypatch):
     import lamadic.classnum as classnum
 
-    built = classnum._twice_half_system
+    built = classnum.twice_half_system
 
     def spy(ell, r):
         assert ell <= H_MINUS_MAX_ELL, f"half-system matrix built at ell = {ell}"
         return built(ell, r)
 
-    monkeypatch.setattr(classnum, "_twice_half_system", spy)
+    monkeypatch.setattr(classnum, "twice_half_system", spy)
     over = next(p for p in range(H_MINUS_MAX_ELL + 1, 2 * H_MINUS_MAX_ELL) if is_prime(p))
     with pytest.raises(DomainError, match="exceeds the limit"):
         demjanenko_det(over, 2)

@@ -268,6 +268,15 @@ def test_class_number_commands_refuse_ell_past_the_h_minus_limit_first(capsys, m
         f"DomainError: ell = 1009 exceeds the limit {H_MINUS_MAX_ELL} for h^-")
 
 
+def test_division_degree_refuses_ell_past_the_h_minus_limit(capsys):
+    """Without --override-hypotheses the report's kappa/t gate runs
+    demjanenko_det, so an ell past H_MINUS_MAX_ELL exits 2 with its text."""
+    code, out, _ = invoke(capsys, "division-degree", "--ell", "223", "--poly", "x^4 + x + 1",
+                          "--json")
+    assert (code, json.loads(out)) == _fault(
+        2, f"DomainError: ell = 223 exceeds the limit {H_MINUS_MAX_ELL} for h^-")
+
+
 def test_selftest_trials_limits_exit_2(capsys):
     for trials in ("0", "21"):
         code, _, err = invoke(capsys, "selftest", "--trials", trials)
@@ -380,6 +389,10 @@ def test_curve_commands_report_single_faults(capsys, argv, check_curve, division
      "DomainError: d = 0 must be at least 1"),
     (("su-order", "--ell", "11", "--d", "-3", "--n", "5", "--k", "1"),
      "DomainError: d = -3 must be at least 1"),
+    (("su-order", "--ell", "5", "--d", "3", "--n", "0", "--k", "1"),
+     "DomainError: need 1 <= k <= n, got k=1, n=0"),
+    (("su-order", "--ell", "5", "--d", "3", "--n", "5", "--k", "0"),
+     "DomainError: need 1 <= k <= n, got k=0, n=5"),
 ])
 def test_eps_and_su_order_reject_bad_ell_and_d(capsys, argv, error):
     code, out, _ = invoke(capsys, *argv, "--json")

@@ -9,11 +9,7 @@ import pytest
 
 from lamadic import curves
 from lamadic.classnum import ord_p
-from lamadic.lattices import (
-    rational_reduction_order,
-    torsion_reduction_order,
-    u_prime_reduction_exponent,
-)
+from lamadic.lattices import u_reduction_order
 from lamadic.matrices import filtration_order_exponent
 from lamadic.ring import DomainError, is_prime
 from lamadic.curves import (
@@ -668,8 +664,6 @@ def test_division_degree_requires_valid_arguments():
 
 def test_division_degree_consistent_components():
     # a certified input runs end to end without the override
-    from lamadic.lattices import u_reduction_order
-
     f = parse_poly("x^4 + x + 1")
     rep = division_degree_report(3, f)
     assert rep.hypotheses.galois.status == "symmetric"
@@ -694,7 +688,8 @@ def test_report_counts_the_symmetric_group_times_the_unitary_level_one_group(ell
     r = rep.poly.degree
     assert rep.degree_coeff == factorial(r)
     assert rep.degree_ell_exponent == (filtration_order_exponent(ell, r - 1, ell - 1, 1, "U")
-                                       + ord_p(rational_reduction_order(ell, r, ell - 1), ell))
+                                       + ord_p(u_reduction_order(ell, r, ell - 1)[1]["rational"],
+                                               ell))
 
 
 def test_rational_similitudes_are_trivial_at_the_report_level():
@@ -704,7 +699,7 @@ def test_rational_similitudes_are_trivial_at_the_report_level():
     for ell in filter(is_prime, range(3, 60)):
         for r in range(3, 14):
             if r % ell:
-                assert rational_reduction_order(ell, r, ell - 1) == 1, (ell, r)
+                assert u_reduction_order(ell, r, ell - 1)[1]["rational"] == 1, (ell, r)
 
 
 def test_recorded_degrees_match_the_three_factor_route():
@@ -719,10 +714,11 @@ def test_recorded_degrees_match_the_three_factor_route():
     for rep in reports:
         ell, r = rep["ell"], len(rep["coefficients"]) - 1
         n = ell - 1
-        small = torsion_reduction_order(ell, n) * rational_reduction_order(ell, r, n)
+        parts = u_reduction_order(ell, r, n)[1]
+        small = parts["torsion"] * parts["rational"]
         k = ord_p(small, ell)
         assert rep["degree"] == {
             "coeff": factorial(r) // 2 * small // ell**k,
             "ell_exponent": (filtration_order_exponent(ell, r - 1, n, 1) + k
-                             + u_prime_reduction_exponent(ell, n)),
+                             + parts["anti_fixed_exponent"]),
         }, rep["poly"]

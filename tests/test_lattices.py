@@ -16,12 +16,9 @@ from lamadic.lattices import (
     is_galois_stable,
     _torsion_exponent,
     lattice_index_check,
-    rational_reduction_order,
     t_doubleprime_matrix,
-    torsion_reduction_order,
     u_lr_member,
     u_prime_basis,
-    u_prime_reduction_exponent,
     u_reduction_order,
 )
 from lamadic.classnum import kappa_and_t, n_of, ord_p
@@ -141,7 +138,7 @@ def test_multiplicative_group_order_small():
         if CycloElt(ctx, digits).is_unit:
             units += 1
     assert units == 18
-    assert torsion_reduction_order(3, 3) == 6
+    assert u_reduction_order(3, 2, 3)[1]["torsion"] == 6
 
 
 def test_infinity_type_matrix_bookkeeping():
@@ -149,6 +146,26 @@ def test_infinity_type_matrix_bookkeeping():
         for r in (2, 3, 4, 5):
             if r % ell:
                 assert infinity_type_matrix_check(ell, r)
+
+
+def test_infinity_type_matrix_check_reads_the_half_system_matrix(monkeypatch):
+    """At (11, 8) the half-system matrix is not symmetric, so the check
+    fails when it reads the transpose, and when one entry moves by ell."""
+    right = lattices.twice_half_system
+    assert infinity_type_matrix_check(11, 8)
+    assert right(11, 8) != [list(col) for col in zip(*right(11, 8))]
+
+    def transposed(ell, r):
+        return [list(col) for col in zip(*right(ell, r))]
+
+    def moved(ell, r):
+        m = right(ell, r)
+        m[1][2] += ell
+        return m
+
+    for wrong in (transposed, moved):
+        monkeypatch.setattr(lattices, "twice_half_system", wrong)
+        assert not infinity_type_matrix_check(11, 8), wrong.__name__
 
 
 def test_t_matrix_denominators_prime_to_ell():
@@ -209,7 +226,19 @@ def test_reduction_order_parts():
     assert parts["rational"] == 1  # ell lies in lambda^10, invisible mod lambda^10
     assert total == 22 * 11 ** parts["anti_fixed_exponent"]
     # torsion reduction stabilizes at 2*ell once zeta is nontrivial
-    assert torsion_reduction_order(5, 3) == 10
+    assert u_reduction_order(5, 2, 3)[1]["torsion"] == 10
+
+
+@pytest.mark.parametrize("ell, r, m, text", [
+    (9, 2, 4, "ell = 9 must be an odd prime"),
+    (5, 5, 4, "ell = 5 must not divide r = 5"),
+    (5, 1, 4, "need r >= 2"),
+    (5, 2, 0, "m = 0 must be at least 1"),
+])
+def test_reduction_order_refuses_bad_ell_r_and_m(ell, r, m, text):
+    with pytest.raises(DomainError) as info:
+        u_reduction_order(ell, r, m)
+    assert str(info.value) == text
 
 
 def test_reduction_exponent_monotone_in_precision():
@@ -230,7 +259,7 @@ def test_reduction_exponent_matches_the_group_order_fold():
     of O/lambda^m and the generators built there."""
     for ell in (3, 5, 7, 11, 13, 17, 19, 23):
         for m in range(1, 3 * ell):
-            assert (u_prime_reduction_exponent(ell, m)
+            assert (u_reduction_order(ell, 2, m)[1]["anti_fixed_exponent"]
                     == anti_fixed_exponent_by_smith_form(ell, m)), (ell, m)
 
 
@@ -249,7 +278,8 @@ def test_reduction_exponent_matches_the_closure_of_the_generators():
                     if y not in seen:
                         seen.add(y)
                         todo.append(y)
-            assert len(seen) == ell ** u_prime_reduction_exponent(ell, m), (ell, m)
+            exponent = u_reduction_order(ell, 2, m)[1]["anti_fixed_exponent"]
+            assert len(seen) == ell ** exponent, (ell, m)
 
 
 def test_log_generators_have_index_ell_in_the_anti_fixed_part():
@@ -289,7 +319,7 @@ def test_level_degree_exponents_of_the_mumford_tate_table():
 def test_report_exponent_is_the_unitary_exponent_plus_the_rational_one():
     """The report's ell-exponent at level n, filtration_order_exponent(ell,
     r-1, n, 1) plus ord_ell of u_reduction_order, equals the exponent of
-    U(V/lambda^n)_1 plus ord_ell of rational_reduction_order: the ell-part
+    U(V/lambda^n)_1 plus ord_ell of the rational part: the ell-part
     of -zeta (1) and the anti-fixed exponent floor((n-2)/2) add up to
     floor(n/2), the number of even levels, where the U and SU slices
     differ by one.  Over prime ell < 60, 3 <= r <= 13 with ell not
@@ -303,7 +333,7 @@ def test_report_exponent_is_the_unitary_exponent_plus_the_rational_one():
                 su = (filtration_order_exponent(ell, r - 1, n, 1)
                       + ord_p(u_reduction_order(ell, r, n)[0], ell))
                 u = (filtration_order_exponent(ell, r - 1, n, 1, "U")
-                     + ord_p(rational_reduction_order(ell, r, n), ell))
+                     + ord_p(u_reduction_order(ell, r, n)[1]["rational"], ell))
                 assert su == u, (ell, r, n)
                 cells += 1
     assert cells == 28256
@@ -312,10 +342,12 @@ def test_report_exponent_is_the_unitary_exponent_plus_the_rational_one():
 def test_reduction_orders_match_powering():
     for ell in (3, 5, 7, 11, 13):
         for m in range(1, 2 * ell + 1):
-            assert torsion_reduction_order(ell, m) == torsion_order_by_powering(ell, m)
+            torsion = torsion_order_by_powering(ell, m)
             for r in range(2, 21):
                 if r % ell:
-                    assert (rational_reduction_order(ell, r, m)
+                    parts = u_reduction_order(ell, r, m)[1]
+                    assert parts["torsion"] == torsion, (ell, m)
+                    assert (parts["rational"]
                             == rational_order_by_ell_powers(ell, r, m)), (ell, r, m)
 
 

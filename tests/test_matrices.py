@@ -364,9 +364,9 @@ def test_su_basis_satisfies_predicate():
 def test_filtration_exponent_bounds():
     assert filtration_order_exponent(3, 2, 3, 1) == 3
     assert filtration_order_exponent(11, 7, 10, 1) == 219
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="need 1 <= k <= n, got k=0, n=3"):
         filtration_order_exponent(3, 2, 3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="need 1 <= k <= n, got k=4, n=3"):
         filtration_order_exponent(3, 2, 3, 4)
 
 
@@ -487,11 +487,21 @@ def test_forms_over_another_ell_are_rejected():
             classify_membership(a, form7)
 
 
-def test_standard_rejects_a_sign_outside_plus_minus_one_and_d_below_one():
+def test_standard_rejects_a_sign_outside_plus_minus_one():
     ctx = RingCtx(5, 1)
-    for d, sign in ((3, 7), (3, 0), (3, -2), (0, -1), (0, 1), (-1, 1)):
-        with pytest.raises(ValueError, match="sign|d ="):
+    for d, sign in ((3, 7), (3, 0), (3, -2)):
+        with pytest.raises(ValueError, match="sign"):
             HermitianForm.standard(ctx, d, sign)
+
+
+def test_standard_rejects_d_below_one_as_filtration_order_exponent_does():
+    ctx = RingCtx(5, 1)
+    for d, sign in ((0, -1), (0, 1), (-1, 1)):
+        text = f"d = {d} must be at least 1"
+        with pytest.raises(DomainError, match=text):
+            HermitianForm.standard(ctx, d, sign)
+        with pytest.raises(DomainError, match=text):
+            filtration_order_exponent(5, d, 3, 1)
 
 
 def test_form_has_two_fields_and_derives_its_sign():

@@ -13,7 +13,9 @@ The Gram matrix has one owner: no code outside HermitianForm reads an
 attribute named gamma, so the form's methods are the only code that knows
 Gamma's shape.  So do the standing hypothesis on ell and the half system:
 only ring.check_odd_prime tests an ell for primality, and only
-classnum.half_system spells the range 1, ..., (ell-1)/2.
+classnum.half_system spells the range 1, ..., (ell-1)/2.  No statement
+builds a RingCtx only to discard it: a check of ell or a precision is made
+by the function that owns it, not by a throwaway context.
 """
 
 import ast
@@ -149,3 +151,10 @@ def test_only_half_system_spells_the_half_system():
         return _calls(node, "range") and "ell - 1) // 2" in ast.unparse(node)
 
     assert _owners(half_range) == ["classnum.py:half_system"]
+
+
+def test_no_statement_discards_a_ring_ctx():
+    def discarded(node):
+        return isinstance(node, ast.Expr) and _calls(node.value, "RingCtx")
+
+    assert _owners(discarded) == []

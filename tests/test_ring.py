@@ -155,6 +155,14 @@ def test_inverse_rises_in_precision_and_matches_the_full_precision_inverse(monke
     assert precisions == [2, 2, 4, 4, 8, 8, 13, 13]
 
 
+def test_ring_ctx_refuses_a_bad_ell_and_a_precision_below_one_alike():
+    with pytest.raises(DomainError, match="ell = 4 must be an odd prime"):
+        RingCtx(4, 1)
+    for n in (0, -1):
+        with pytest.raises(DomainError, match=f"precision must be >= 1, got {n}"):
+            RingCtx(3, n)
+
+
 def test_div_by_int():
     ctx = RingCtx(3, 6)
     a = CycloElt.zeta(ctx, 1) + CycloElt.from_int(4, ctx)
