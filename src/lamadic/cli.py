@@ -2,6 +2,9 @@
 JSON output, a deterministic seed for the randomized ones, and an exit-code
 taxonomy that separates argument errors (1), computation errors (2), and
 hypothesis failures (3).
+
+Each handler imports the layers it calls, so a command loads only those:
+`h-minus` loads classnum and not matrices, curves, lattices or commutators.
 """
 
 from __future__ import annotations
@@ -13,35 +16,13 @@ import random
 import sys
 from math import comb
 
-from .ring import RingCtx, CycloElt, RingError, DomainError, check_ell_r, check_odd_prime
-from .matrices import (
-    HermitianForm,
-    classify_membership,
-    filtration_order_exponent,
-    legendre,
-    lift_su,
-    random_su_element,
-    weil_gram_and_epsilon,
-)
-from .commutators import (
-    su_commutator_span_check,
-    verify_commutator_identity,
-)
-from .classnum import c_lr, demjanenko_det, h_minus, kappa_and_t
-from .lattices import (
-    infinity_type_matrix_check,
-    lattice_index_check,
-    u_prime_basis,
-    u_reduction_order,
-)
-from .curves import (
-    RHO_BUDGET,
+from .ring import (
+    DomainError,
     HypothesisError,
     PolySyntaxError,
-    check_curve_input,
-    curve_hypotheses,
-    division_degree_report,
-    parse_poly,
+    RingError,
+    check_ell_r,
+    check_odd_prime,
 )
 
 
@@ -97,6 +78,8 @@ def _in_range(flag: str, value: int, low: int, high: int | None = None) -> int:
 
 
 def _budget(args) -> int:
+    from .curves import RHO_BUDGET
+
     return _in_range("--budget", RHO_BUDGET if args.budget is None else args.budget, 0, MAX_BUDGET)
 
 
@@ -164,6 +147,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_eps(args):
+    from .matrices import weil_gram_and_epsilon
+
     _, square_class, eps = weil_gram_and_epsilon(args.ell, args.r)
     _emit(args, {"ell": args.ell, "r": args.r, "epsilon": eps,
                  "gram_square_class": square_class}, str(eps))
@@ -171,6 +156,8 @@ def _cmd_eps(args):
 
 
 def _cmd_c_lr(args):
+    from .classnum import c_lr
+
     check_ell_r(args.ell, args.r)
     _in_range("--ell", args.ell, 3, MAX_C_LR_ELL)
     limit = sys.get_int_max_str_digits()
@@ -191,12 +178,16 @@ def _cmd_c_lr(args):
 
 
 def _cmd_h_minus(args):
+    from .classnum import h_minus
+
     h = h_minus(args.ell)
     _emit(args, {"ell": args.ell, "h_minus": h}, str(h))
     return 0
 
 
 def _cmd_demjanenko(args):
+    from .classnum import demjanenko_det
+
     rep = demjanenko_det(args.ell, args.r)
     _emit(args, rep.to_json_dict(),
           f"det = {rep.det}, h_minus = {rep.h_minus}, c = {rep.c_lr}, "
@@ -205,6 +196,8 @@ def _cmd_demjanenko(args):
 
 
 def _cmd_kappa(args):
+    from .classnum import kappa_and_t
+
     kappa, t = kappa_and_t(args.ell, args.r)
     _emit(args, {"ell": args.ell, "r": args.r, "kappa_bound": kappa, "t": t},
           f"kappa_bound = {kappa}, t = {t}")
@@ -212,6 +205,8 @@ def _cmd_kappa(args):
 
 
 def _cmd_su_order(args):
+    from .matrices import filtration_order_exponent
+
     e = filtration_order_exponent(args.ell, args.d, args.n, args.k)
     _emit(args, {"ell": args.ell, "d": args.d, "n": args.n, "k": args.k, "exponent": e},
           f"|SU(V/lambda^{args.n})_{args.k}| = {args.ell}^{e}")
@@ -219,6 +214,8 @@ def _cmd_su_order(args):
 
 
 def _cmd_verify_commutator(args):
+    from .commutators import verify_commutator_identity
+
     _in_range("--n", args.n, 3, MAX_COMMUTATOR_N)
     ok, residual = verify_commutator_identity(args.n)
     _emit(
@@ -231,6 +228,9 @@ def _cmd_verify_commutator(args):
 
 
 def _cmd_lift_check(args):
+    from .matrices import HermitianForm, classify_membership, lift_su, random_su_element
+    from .ring import RingCtx
+
     check_odd_prime(args.ell)
     _in_range("--ell", args.ell, 3, MAX_LIFT_ELL)
     _in_range("--d", args.d, 1, MAX_LIFT_D)
@@ -252,12 +252,17 @@ def _cmd_lift_check(args):
 
 
 def _cmd_lattice_index(args):
+    from .lattices import lattice_index_check
+
     t_prime = lattice_index_check(args.ell, args.r)
     _emit(args, {"ell": args.ell, "r": args.r, "t": t_prime}, f"t = {t_prime}")
     return 0
 
 
 def _cmd_check_curve(args):
+    from .curves import check_curve_input, curve_hypotheses, parse_poly
+    from .matrices import legendre
+
     f = parse_poly(args.poly)
     check_curve_input(args.ell, f)
     hyp = curve_hypotheses(args.ell, f, _budget(args))
@@ -278,6 +283,8 @@ def _cmd_check_curve(args):
 
 
 def _cmd_division_degree(args):
+    from .curves import division_degree_report, parse_poly
+
     f = parse_poly(args.poly)
     rep = division_degree_report(
         args.ell, f,
@@ -294,6 +301,23 @@ def _cmd_division_degree(args):
 
 
 def _cmd_selftest(args):
+    from .classnum import demjanenko_det, h_minus
+    from .commutators import su_commutator_span_check, verify_commutator_identity
+    from .lattices import (
+        infinity_type_matrix_check,
+        lattice_index_check,
+        u_prime_basis,
+        u_reduction_order,
+    )
+    from .matrices import (
+        HermitianForm,
+        classify_membership,
+        filtration_order_exponent,
+        legendre,
+        random_su_element,
+    )
+    from .ring import CycloElt, RingCtx
+
     trials = _in_range("--trials", 5 if args.trials is None else args.trials, 1, MAX_TRIALS)
     rng = random.Random(args.seed)
     results = {}

@@ -14,19 +14,18 @@ from itertools import combinations, compress, zip_longest
 from math import factorial, gcd, isqrt, prod
 
 from .linalg import det
-from .ring import CheckFailed, DomainError, check_ell_r, check_odd_prime, is_prime, pack
+from .ring import (
+    CheckFailed,
+    DomainError,
+    HypothesisError,
+    PolySyntaxError,
+    check_ell_r,
+    check_odd_prime,
+    is_prime,
+    pack,
+)
 from .matrices import filtration_order_exponent, legendre
 from .classnum import kappa_and_t
-
-
-class PolySyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
-class HypothesisError(RuntimeError):
-    """A required hypothesis could not be verified."""
 
 
 # ---------------------------------------------------------------------------

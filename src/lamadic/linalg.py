@@ -10,7 +10,6 @@ Over Z/D there is the Hermite fold of `index_modulo`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .ring import DomainError
@@ -123,6 +122,8 @@ def solve(rows, rhs_columns):
     Gauss-Jordan `_bareiss` on [A | B] with its rows cleared of
     denominators: the left part ends as the last pivot times I, so X is the
     right part over that pivot; Fractions are built only there."""
+    from fractions import Fraction  # here, so that only solve's callers load it
+
     ncols = len(rows[0])
     aug, _ = clear_denominators([[*lhs, *rhs] for lhs, rhs in zip(rows, zip(*rhs_columns))])
     pivot, _ = _bareiss(aug, ncols, jordan=True) or (0, 0)

@@ -59,6 +59,20 @@ class CheckFailed(RingError):
     not the input.  Raised instead of asserting, so it also runs under -O."""
 
 
+# The curve layer's errors live here, beside the others, so that the CLI
+# catches them without loading curves.
+class HypothesisError(RuntimeError):
+    """A required hypothesis could not be verified."""
+
+
+class PolySyntaxError(ValueError):
+    """A polynomial's text does not parse; position is where it stopped."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin to the bases 2, ..., 41 is exact below this bound
 # (Sorenson and Webster, 2015).

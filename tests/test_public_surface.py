@@ -61,7 +61,7 @@ def _mentioned(node, aliases):
 def _graph():
     """(definitions, module_mentions, cli_definitions, exported): definitions
     maps each top-level function or class name to the names its body
-    mentions; exported holds the names lamadic/__init__.py imports."""
+    mentions; exported holds the names lamadic/__init__.py exports."""
     trees = _trees()
     aliases = _aliases(trees)
     defs, module_level, cli = {}, set(), set()
@@ -74,10 +74,19 @@ def _graph():
                     cli.add(node.name)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 module_level |= _mentioned(node, aliases)
-    exported = {aliases.get(alias.name, alias.name)
-                for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
+    exported = {aliases.get(name, name) for name in _exports(trees["__init__.py"])}
     return defs, module_level, cli, exported
+
+
+def _exports(init_tree):
+    """The public names of the _EXPORTS table of lamadic/__init__.py, read
+    as a literal; AssertionError if the table is missing or empty."""
+    tables = [node.value for node in init_tree.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]]
+    assert len(tables) == 1, "lamadic/__init__.py must assign _EXPORTS once"
+    names = [name for names in ast.literal_eval(tables[0]).values() for name in names]
+    assert names, "_EXPORTS is empty"
+    return names
 
 
 def _reach(defs, roots):
